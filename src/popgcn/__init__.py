@@ -3,7 +3,8 @@
 Build a population graph from imaging feature vectors and phenotypic
 measures, classify its nodes semi-supervised with Chebyshev-filter graph
 convolutions, and evaluate with a grouped stratified cross-validation
-harness. See README.md for the CLI and file formats.
+harness. The CLI subcommands are described in popgcn.cli, and the feature and
+phenotype CSV formats in popgcn.dataset.load_features and load_phenotypes.
 """
 
 from .dataset import (

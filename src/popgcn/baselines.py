@@ -110,6 +110,7 @@ def mlp_classify(x_train, y_train, x_test, config: BaselineConfig):
         epochs=config.mlp_epochs,
         seed=config.seed,
     )
+    net_config.validate()
     rng = np.random.default_rng(config.seed)
     model = init_model(net_config, x_full.shape[1], rng)
     for epoch in range(config.mlp_epochs):

@@ -6,6 +6,10 @@ producing logits. The loss is softmax cross-entropy averaged over masked
 (labeled training) nodes plus an L2 penalty on weights; unmasked nodes carry
 features into the convolutions but never touch the loss. Gradients are exact
 and hand-derived; the optimizer is Adam. Everything is float64 numpy.
+
+A convolution sum_k T_k(Ls) H W_k applies the N x N operator on the narrower
+side of its layer: to the C_in columns of H, or, when C_out < C_in, to the
+C_out columns of each H W_k. Both orders give the same function.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ class GcnConfig:
             raise ParameterError(f"hidden_layers must be >= 0, got {self.hidden_layers}")
         if self.hidden_width is not None and self.hidden_width < 1:
             raise ParameterError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.cheb_order < 1:
-            raise ParameterError(f"cheb_order must be >= 1, got {self.cheb_order}")
+        if self.cheb_order < 0:
+            raise ParameterError(f"cheb_order must be >= 0, got {self.cheb_order}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.l2_coeff < 0:
@@ -136,16 +140,26 @@ def scaled_operator(graph: PopulationGraph) -> LaplacianMatrix:
 @dataclass
 class _LayerCache:
     keep: np.ndarray | None  # dropout keep mask, None when not applied
-    basis: ChebyshevBasis
+    # Layer input H after dropout on output-side layers, else its basis
+    # T_k(Ls) H (whose first term is H).
+    inputs: np.ndarray | ChebyshevBasis
     z: np.ndarray  # pre-activation
 
 
-def _layer_basis(scaled, h, order):
-    if order == 0:
-        return ChebyshevBasis(terms=[h.copy()], order=0)
-    if scaled is None:
-        raise ContractError("cheb_order > 0 requires a scaled Laplacian")
-    return chebyshev_basis(scaled, h, order)
+def _output_side(weight) -> bool:
+    """Whether a layer applies the operator to its C_out columns (H W_k first).
+
+    sum_k T_k(Ls) H W_k can be associated either way; the operator runs on the
+    narrower side, which is the output side when C_in > C_out.
+    """
+    k1, c_in, c_out = weight.shape
+    return k1 > 1 and c_in > c_out
+
+
+def _stacked(weight) -> np.ndarray:
+    """(K+1, C_in, C_out) -> (C_in, (K+1) C_out), one column block per order."""
+    k1, c_in, c_out = weight.shape
+    return weight.transpose(1, 0, 2).reshape(c_in, k1 * c_out)
 
 
 def _forward(model, scaled, x, train, rng):
@@ -160,9 +174,20 @@ def _forward(model, scaled, x, train, rng):
                 raise ContractError("train-mode forward with dropout requires an rng")
             keep = rng.random(h.shape) >= cfg.dropout_rate
             h = h * keep / (1.0 - cfg.dropout_rate)
-        basis = _layer_basis(scaled, h, layer.weight.shape[0] - 1)
-        z = cheb_conv_forward(basis, layer.weight, layer.bias)
-        caches.append(_LayerCache(keep=keep, basis=basis, z=z))
+        order = layer.weight.shape[0] - 1
+        if order > 0 and scaled is None:
+            raise ContractError("cheb_order > 0 requires a scaled Laplacian")
+        if _output_side(layer.weight):
+            parts = np.hsplit(h @ _stacked(layer.weight), order + 1)
+            inputs = h
+            z = chebyshev_weighted_sum(scaled, parts) + layer.bias
+        else:
+            if order == 0:
+                inputs = ChebyshevBasis(terms=[h.copy()], order=0)
+            else:
+                inputs = chebyshev_basis(scaled, h, order)
+            z = cheb_conv_forward(inputs, layer.weight, layer.bias)
+        caches.append(_LayerCache(keep=keep, inputs=inputs, z=z))
         h = np.maximum(z, 0.0) if li < last else z
     return h, caches
 
@@ -223,19 +248,28 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
         cache = caches[li]
-        order = layer.weight.shape[0] - 1
-        # dL/dW_k = T_k(Ls)H)^T G, plus the L2 term; dL/db = column sums of G.
-        grad_w = np.stack([cache.basis.terms[k].T @ grad_z for k in range(order + 1)])
+        k1, c_in, c_out = layer.weight.shape
+        # dL/dW_k = (T_k(Ls) H)^T G = H^T (T_k(Ls) G), as T_k(Ls) is symmetric;
+        # dL/dH = sum_k T_k(Ls) G W_k^T. An input-side layer reuses its forward
+        # basis and evaluates dL/dH by one Clenshaw pass; an output-side layer
+        # builds the basis of G, which is C_out columns wide.
+        output_side = _output_side(layer.weight)
+        if output_side:
+            tg = np.hstack(chebyshev_basis(scaled, grad_z, k1 - 1).terms)
+            grad_w = (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
+        else:
+            grad_w = np.stack([cache.inputs.terms[k].T @ grad_z for k in range(k1)])
         grad_w += 2.0 * l2_coeff * layer.weight
         grad_b = grad_z.sum(axis=0) if cfg.use_bias else np.zeros_like(layer.bias)
         grads[2 * li] = grad_w
         grads[2 * li + 1] = grad_b
         if li == 0:
             break
-        # dL/dH = sum_k T_k(Ls) (G W_k^T), evaluated by one Clenshaw pass;
-        # T_k(Ls) is symmetric so no transpose is needed.
-        parts = [grad_z @ layer.weight[k].T for k in range(order + 1)]
-        grad_h = parts[0] if order == 0 else chebyshev_weighted_sum(scaled, parts)
+        if output_side:
+            grad_h = tg @ _stacked(layer.weight).T
+        else:
+            parts = [grad_z @ layer.weight[k].T for k in range(k1)]
+            grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum(scaled, parts)
         if cache.keep is not None:
             grad_h = grad_h * cache.keep / (1.0 - cfg.dropout_rate)
         grad_z = grad_h * (caches[li - 1].z > 0.0)
@@ -265,13 +299,13 @@ def adam_step(model: GcnModel, grads, lr: float | None = None) -> GcnModel:
     return model
 
 
-def _check_training_inputs(graph, x, labels, mask):
+def _check_training_inputs(scaled, x, labels, mask):
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
-    if x.shape[0] != graph.n_nodes:
-        raise ContractError(f"{x.shape[0]} feature rows for {graph.n_nodes} nodes")
-    if len(labels) != graph.n_nodes or len(mask) != graph.n_nodes:
+    if x.shape[0] != scaled.n:
+        raise ContractError(f"{x.shape[0]} feature rows for {scaled.n} nodes")
+    if len(labels) != scaled.n or len(mask) != scaled.n:
         raise ContractError("labels and mask must have one entry per node")
     if not mask.any():
         raise ContractError("training mask must select at least one node")
@@ -280,16 +314,17 @@ def _check_training_inputs(graph, x, labels, mask):
     return x, labels, mask
 
 
-def train(config: GcnConfig, graph: PopulationGraph, x, labels, mask, val_mask=None):
+def train(config: GcnConfig, scaled: LaplacianMatrix, x, labels, mask, val_mask=None):
     """Full-graph semi-supervised training for config.epochs Adam steps.
 
-    Returns (model, history) where history holds one record per epoch with the
-    loss and masked training accuracy (plus validation accuracy when val_mask
-    is given). Raises DivergenceError on a non-finite loss.
+    `scaled` is the graph's operator from scaled_operator, built once per
+    graph and shared by every model trained and evaluated on it. Returns
+    (model, history) where history holds one record per epoch with the loss
+    and masked training accuracy (plus validation accuracy when val_mask is
+    given). Raises DivergenceError on a non-finite loss.
     """
     config.validate()
-    x, labels, mask = _check_training_inputs(graph, x, labels, mask)
-    scaled = scaled_operator(graph)
+    x, labels, mask = _check_training_inputs(scaled, x, labels, mask)
     rng = np.random.default_rng(config.seed)
     model = init_model(config, x.shape[1], rng)
     history = []
@@ -313,9 +348,8 @@ def train(config: GcnConfig, graph: PopulationGraph, x, labels, mask, val_mask=N
     return model, history
 
 
-def predict(model: GcnModel, graph: PopulationGraph, x):
+def predict(model: GcnModel, scaled: LaplacianMatrix, x):
     """Per-node class probabilities and argmax labels (ties -> lower index)."""
-    scaled = scaled_operator(graph)
     logits = forward(model, scaled, x, mode="eval")
     probs = _stable_softmax(logits)
     return probs, np.argmax(probs, axis=1)

@@ -358,14 +358,15 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
             spec = replace(spec, sigma_mode="fixed", sigma_value=sigma)
         reduced = FeatureMatrix(ids=list(desc.features.ids), values=x_red)
         graph = build_graph(reduced, desc.records, spec)
+        scaled = gcn_mod.scaled_operator(graph)
 
         # Test labels are hidden from training: only training-mask labels are
         # visible, everything else is passed as unknown.
         visible = np.where(train_mask, labels, UNKNOWN_LABEL)
         for seed in desc.seeds:
             cfg = replace(desc.gcn_config, seed=seed)
-            model, _ = gcn_mod.train(cfg, graph, x_red, visible, train_mask)
-            probs, preds = gcn_mod.predict(model, graph, x_red)
+            model, _ = gcn_mod.train(cfg, scaled, x_red, visible, train_mask)
+            probs, preds = gcn_mod.predict(model, scaled, x_red)
             pos = probs[test_idx, 1]
             metrics = compute_metrics(pos, labels[test_idx])
             records.append(
@@ -432,10 +433,11 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     """Cross-validated experiment over folds x seeds.
 
     Per fold: fit the selector on training rows, build the graph over all
-    nodes (kernel width from training pairs unless sigma_pairs='all'), train
-    with the training mask, score the held-out fold. record_sink, when given,
-    is called with each FoldSeedRecord as it is produced, so partial results
-    survive an abort.
+    nodes (kernel width from training pairs unless sigma_pairs='all') and its
+    scaled operator, train every seed on that one operator with the training
+    mask, score the held-out fold. record_sink, when given, is called with
+    each FoldSeedRecord as it is produced, so partial results survive an
+    abort.
     """
     desc.validate()
     assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)

@@ -1,10 +1,12 @@
 """Normalized graph Laplacian, Chebyshev polynomial machinery, and a dense
 eigendecomposition filtering path used as a test oracle.
 
-The pipeline path never eigendecomposes: filters are evaluated through the
-three-term Chebyshev recursion on the rescaled Laplacian. The oracle path
-applies the same polynomial to the eigenvalues directly; both must agree to
-floating-point accuracy, which the test suite asserts.
+The pipeline computes one eigenvalue, lambda_max, to rescale the Laplacian
+into the Chebyshev domain; filters themselves are evaluated through the
+three-term Chebyshev recursion on the rescaled Laplacian, never through an
+eigenbasis. The oracle path applies the same polynomial to the eigenvalues
+directly; both must agree to floating-point accuracy, which the test suite
+asserts.
 """
 
 from __future__ import annotations
@@ -101,40 +103,39 @@ def _offdiag_nonzeros(lap: LaplacianMatrix) -> int:
     return int(np.count_nonzero(m))
 
 
-def estimate_lambda_max(
-    lap: LaplacianMatrix, tol: float = 1e-9, max_iter: int = 1000
-) -> LambdaMaxEstimate:
-    """Largest eigenvalue of a normalized Laplacian by power iteration.
+def estimate_lambda_max(lap: LaplacianMatrix) -> LambdaMaxEstimate:
+    """Largest eigenvalue of a normalized Laplacian by an exact eigensolver.
 
-    The Rayleigh-quotient iteration stops once successive estimates agree to
-    `tol` relative (stricter than the 1e-6 the callers rely on); the result is
-    clamped into (0, 2]. Degenerate inputs (no edges, so the operator is the
-    identity) and non-convergence fall back to the analytic bound 2 with
+    Dense operators use np.linalg.eigvalsh. Sparse operators use Lanczos
+    (ARPACK eigsh, largest algebraic) from a fixed start vector, so repeated
+    calls agree bit for bit; `iterations` counts its operator applications and
+    is 0 for the dense solver. The result is clamped to at most 2. An edgeless
+    graph (the operator is the identity) gets the analytic bound 2 with
     `used_fallback` set.
     """
     if lap.kind != "normalized":
         raise ContractError(f"expected a normalized Laplacian, got kind {lap.kind!r}")
     if _offdiag_nonzeros(lap) == 0:
         return LambdaMaxEstimate(ANALYTIC_LAMBDA_MAX, True, 0)
+    if not lap.is_sparse:
+        top = float(np.linalg.eigvalsh(lap.matrix)[-1])
+        return LambdaMaxEstimate(min(top, ANALYTIC_LAMBDA_MAX), False, 0)
 
-    rng = np.random.default_rng(12345)  # fixed: estimates must be reproducible
-    x = rng.standard_normal(lap.n)
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    for it in range(1, max_iter + 1):
-        y = lap.matrix @ x
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return LambdaMaxEstimate(ANALYTIC_LAMBDA_MAX, True, it)
-        new_estimate = float(x @ y)
-        x = y / norm_y
-        if it > 1 and abs(new_estimate - estimate) <= tol * max(abs(new_estimate), 1e-300):
-            value = min(new_estimate, ANALYTIC_LAMBDA_MAX)
-            if value <= 0.0:
-                return LambdaMaxEstimate(ANALYTIC_LAMBDA_MAX, True, it)
-            return LambdaMaxEstimate(value, False, it)
-        estimate = new_estimate
-    return LambdaMaxEstimate(ANALYTIC_LAMBDA_MAX, True, max_iter)
+    # Imported here: scipy.sparse.linalg costs about 10 MB of resident memory,
+    # which runs that never build a sparse graph should not pay.
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    applications = 0
+
+    def matvec(v):
+        nonlocal applications
+        applications += 1
+        return lap.matrix @ v
+
+    operator = LinearOperator(lap.matrix.shape, matvec=matvec, dtype=np.float64)
+    v0 = np.random.default_rng(12345).standard_normal(lap.n)
+    top = float(eigsh(operator, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    return LambdaMaxEstimate(min(top, ANALYTIC_LAMBDA_MAX), False, applications)
 
 
 def scale_laplacian(lap: LaplacianMatrix, lambda_max: float) -> LaplacianMatrix:
@@ -183,17 +184,21 @@ def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> ChebyshevBasis:
 def chebyshev_weighted_sum(scaled: LaplacianMatrix, parts: list[np.ndarray]) -> np.ndarray:
     """Clenshaw evaluation of sum_k T_k(Ls) B_k for per-order matrices B_k.
 
-    Used by backpropagation, where each Chebyshev order carries its own
-    upstream gradient; one pass costs the same as building a basis.
+    The GCN uses it wherever each Chebyshev order carries its own matrix: the
+    forward pass of a layer narrower on its output side (B_k = H W_k) and the
+    backward pass of a layer narrower on its input side (B_k = G W_k^T). One
+    pass of order K applies the operator K times, as building a basis does.
     """
+    if scaled.kind != "scaled":
+        raise ContractError(f"expected a scaled Laplacian, got kind {scaled.kind!r}")
     order = len(parts) - 1
     if order < 0:
         raise ContractError("need at least one part")
     if order == 0:
         return parts[0].copy()
-    b1 = np.zeros_like(parts[0])
-    b2 = np.zeros_like(parts[0])
-    for k in range(order, 0, -1):
+    # b_{K+1} = b_{K+2} = 0, so b_K = B_K needs no operator product.
+    b1, b2 = parts[order], 0.0
+    for k in range(order - 1, 0, -1):
         b1, b2 = parts[k] + 2.0 * (scaled.matrix @ b1) - b2, b1
     return parts[0] + scaled.matrix @ b1 - b2
 

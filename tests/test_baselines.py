@@ -3,7 +3,7 @@ import pytest
 
 from popgcn.baselines import BaselineConfig, mlp_classify, ridge_classify
 from popgcn.dataset import SyntheticConfig, generate_synthetic, labels_array
-from popgcn.errors import ContractError
+from popgcn.errors import ContractError, ParameterError
 from popgcn.gcn import GcnConfig, forward, init_model, scaled_operator
 from popgcn.popgraph import PopulationGraph
 
@@ -104,6 +104,11 @@ class TestMlpClassify:
         x_other = np.vstack([x[30:40], rng.standard_normal((10, x.shape[1]))])
         probs_b = mlp_classify(x[:30], y[:30], x_other, cfg)[1]
         np.testing.assert_array_equal(probs_a[:10], probs_b[:10])
+
+    def test_network_config_validated(self):
+        x, y = separable(n=20)
+        with pytest.raises(ParameterError):
+            mlp_classify(x[:10], y[:10], x[10:], BaselineConfig(kind="mlp", mlp_width=0))
 
     def test_kind_checked(self):
         x, y = separable(n=20)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hop_distances, make_random_graph, make_tree_graph
-from popgcn.errors import ContractError, DivergenceError
+from popgcn.errors import ContractError, DivergenceError, ParameterError
 from popgcn.gcn import (
     GcnConfig,
     adam_step,
@@ -79,6 +79,15 @@ class TestChebConvForward:
             cheb_conv_forward([x], np.zeros((1, 4, 2)), None)
 
 
+class TestConfig:
+    def test_order_zero_is_valid(self):
+        GcnConfig(cheb_order=0).validate()  # the MLP baseline's dense layers
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ParameterError):
+            GcnConfig(cheb_order=-1).validate()
+
+
 def small_setup(n=10, c=4, seed=0, **cfg_kwargs):
     g = make_random_graph(n, density=0.4, seed=seed)
     scaled = scaled_operator(g)
@@ -121,7 +130,26 @@ class TestForward:
         logits = forward(model, scaled, x)
         basis = chebyshev_basis(scaled, x, 2)
         expected = cheb_conv_forward(basis, model.layers[0].weight, model.layers[0].bias)
-        np.testing.assert_array_equal(logits, expected)
+        # 4 -> 2 runs the operator on the output side: same sum, other rounding.
+        np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=1e-12)
+
+
+    def test_output_side_layer_matches_spectral_oracle(self, rng):
+        # 12 -> 3 with no hidden layer: the operator runs on the 3 output columns.
+        g = make_random_graph(14, density=0.4, seed=9)
+        scaled = scaled_operator(g)
+        lap = normalized_laplacian(g)
+        lam = estimate_lambda_max(lap).value
+        x = rng.standard_normal((14, 12))
+        config = GcnConfig(n_classes=3, hidden_layers=0, cheb_order=3, use_bias=False)
+        model = init_model(config, 12, np.random.default_rng(2))
+        weight = model.layers[0].weight
+        logits = forward(model, scaled, x)
+        for j in range(3):
+            oracle = np.zeros(14)
+            for c in range(12):
+                oracle += spectral_filter_oracle(lap, x[:, c], weight[:, c, j], lambda_max=lam)
+            np.testing.assert_allclose(logits[:, j], oracle, atol=1e-8)
 
 
 class TestMaskedLoss:
@@ -182,41 +210,24 @@ class TestBackward:
 
     def test_gradients_match_finite_differences(self):
         # 12 nodes, 6 features, K=2, one hidden layer, dropout off.
-        g = make_random_graph(12, density=0.45, seed=21)
-        scaled = scaled_operator(g)
-        rng = np.random.default_rng(77)
-        x = rng.standard_normal((12, 6))
-        labels = rng.integers(0, 2, size=12)
-        mask = np.zeros(12, dtype=bool)
-        mask[:8] = True
-        config = GcnConfig(hidden_layers=1, hidden_width=6, cheb_order=2, dropout_rate=0.0)
-        model = init_model(config, 6, np.random.default_rng(5))
-        l2 = 5e-4
+        assert worst_fd_error(*gradient_case(n_features=6, width=6, hidden_layers=1)) < 1e-4
 
-        _, grads, _ = loss_and_grads(model, scaled, x, labels, mask, l2)
+    @pytest.mark.parametrize("hidden_layers", [1, 0])
+    def test_wide_first_layer_gradients_match_finite_differences(self, hidden_layers):
+        # 12 -> 3 (or 12 -> 2) runs the first layer's operator on its output side.
+        case = gradient_case(n_features=12, width=3, hidden_layers=hidden_layers)
+        assert worst_fd_error(*case) < 1e-4
 
-        def loss_now():
-            logits = forward(model, scaled, x, mode="eval")
-            return masked_loss(logits, labels, mask, l2, model)
-
-        h = 1e-5
-        worst = 0.0
-        for p, g_analytic in zip(model.parameters(), grads):
-            fd = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + h
-                up = loss_now()
-                p[idx] = orig - h
-                down = loss_now()
-                p[idx] = orig
-                fd[idx] = (up - down) / (2 * h)
-                it.iternext()
-            denom = np.maximum(np.maximum(np.abs(fd), np.abs(g_analytic)), 1e-8)
-            worst = max(worst, float(np.max(np.abs(fd - g_analytic) / denom)))
-        assert worst < 1e-4
+    @pytest.mark.parametrize("hidden_layers", [1, 0])
+    def test_output_side_layers_match_input_side_reference(self, hidden_layers):
+        model, scaled, x, labels, mask, l2 = gradient_case(
+            n_features=12, width=3, hidden_layers=hidden_layers
+        )
+        _, grads, logits = loss_and_grads(model, scaled, x, labels, mask, l2)
+        ref_logits, ref_grads = input_side_reference(model, scaled, x, labels, mask, l2)
+        np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-10)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-10)
 
     def test_dropout_masks_shared_between_forward_and_backward(self):
         # With a fixed rng state, loss_and_grads must be reproducible.
@@ -230,6 +241,79 @@ class TestBackward:
         assert l1 == l2_
         for a, b in zip(g1, g2):
             assert np.array_equal(a, b)
+
+
+def gradient_case(n_features, width, hidden_layers):
+    """12 nodes, K=2, dropout off: (model, scaled, x, labels, mask, l2)."""
+    g = make_random_graph(12, density=0.45, seed=21)
+    scaled = scaled_operator(g)
+    rng = np.random.default_rng(77)
+    x = rng.standard_normal((12, n_features))
+    labels = rng.integers(0, 2, size=12)
+    mask = np.zeros(12, dtype=bool)
+    mask[:8] = True
+    config = GcnConfig(
+        hidden_layers=hidden_layers, hidden_width=width, cheb_order=2, dropout_rate=0.0
+    )
+    model = init_model(config, n_features, np.random.default_rng(5))
+    return model, scaled, x, labels, mask, 5e-4
+
+
+def worst_fd_error(model, scaled, x, labels, mask, l2):
+    """Largest relative gap between analytic and central-difference gradients."""
+    _, grads, _ = loss_and_grads(model, scaled, x, labels, mask, l2)
+
+    def loss_now():
+        logits = forward(model, scaled, x, mode="eval")
+        return masked_loss(logits, labels, mask, l2, model)
+
+    h = 1e-5
+    worst = 0.0
+    for p, g_analytic in zip(model.parameters(), grads):
+        fd = np.zeros_like(p)
+        it = np.nditer(p, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = p[idx]
+            p[idx] = orig + h
+            up = loss_now()
+            p[idx] = orig - h
+            down = loss_now()
+            p[idx] = orig
+            fd[idx] = (up - down) / (2 * h)
+            it.iternext()
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(g_analytic)), 1e-8)
+        worst = max(worst, float(np.max(np.abs(fd - g_analytic) / denom)))
+    return worst
+
+
+def input_side_reference(model, scaled, x, labels, mask, l2):
+    """Logits and gradients (dropout off) with explicit dense T_k(Ls) matrices,
+    every layer associated as (T_k(Ls) H) W_k."""
+    polys = chebyshev_basis(scaled, np.eye(scaled.n), model.config.cheb_order).terms
+    last = len(model.layers) - 1
+    inputs, pre = [], []
+    h = x
+    for li, layer in enumerate(model.layers):
+        inputs.append(h)
+        z = sum((t @ h) @ w for t, w in zip(polys, layer.weight)) + layer.bias
+        pre.append(z)
+        h = np.maximum(z, 0.0) if li < last else z
+    idx = np.flatnonzero(mask)
+    shifted = np.exp(h[idx] - h[idx].max(axis=1, keepdims=True))
+    grad_z = np.zeros_like(h)
+    grad_z[idx] = shifted / shifted.sum(axis=1, keepdims=True)
+    grad_z[idx, labels[idx]] -= 1.0
+    grad_z /= len(idx)
+    grads = [None] * (2 * len(model.layers))
+    for li in range(last, -1, -1):
+        weight = model.layers[li].weight
+        grads[2 * li] = np.stack([(t @ inputs[li]).T @ grad_z for t in polys]) + 2 * l2 * weight
+        grads[2 * li + 1] = grad_z.sum(axis=0)
+        if li > 0:
+            grad_h = sum(t @ (grad_z @ w.T) for t, w in zip(polys, weight))
+            grad_z = grad_h * (pre[li - 1] > 0.0)
+    return h, grads
 
 
 class TestAdam:
@@ -253,10 +337,10 @@ class TestAdam:
             assert np.allclose(np.abs(after - before), lr, rtol=1e-6)
 
     def test_identical_runs_same_seed(self):
-        g, _, x, labels, mask, _, _ = small_setup(seed=2)
+        _, scaled, x, labels, mask, _, _ = small_setup(seed=2)
         config = GcnConfig(epochs=12, hidden_width=4, seed=3)
-        m1, h1 = train(config, g, x, labels, mask)
-        m2, h2 = train(config, g, x, labels, mask)
+        m1, h1 = train(config, scaled, x, labels, mask)
+        m2, h2 = train(config, scaled, x, labels, mask)
         assert model_bytes(m1) == model_bytes(m2)
         assert h1 == h2
 
@@ -267,30 +351,29 @@ def separable_case(n=60, c=5, seed=0):
     direction = rng.standard_normal(c)
     direction /= np.linalg.norm(direction)
     x = rng.standard_normal((n, c)) * 0.5 + np.outer(2 * labels - 1, direction) * 2.0
-    graph = build_complete_graph(n=n)
-    return graph, x, labels
+    return scaled_operator(build_complete_graph(n=n)), x, labels
 
 
 class TestTrain:
     def test_separable_complete_graph_reaches_95_percent(self):
-        graph, x, labels = separable_case()
+        scaled, x, labels = separable_case()
         mask = np.ones(len(labels), dtype=bool)
         config = GcnConfig(epochs=150, hidden_width=5)
-        model, history = train(config, graph, x, labels, mask)
+        model, history = train(config, scaled, x, labels, mask)
         assert history[-1]["train_accuracy"] >= 0.95
 
     def test_loss_decreases_over_first_10_epochs(self):
-        graph, x, labels = separable_case(seed=4)
+        scaled, x, labels = separable_case(seed=4)
         mask = np.ones(len(labels), dtype=bool)
         config = GcnConfig(epochs=10, hidden_width=5)
-        _, history = train(config, graph, x, labels, mask)
+        _, history = train(config, scaled, x, labels, mask)
         assert history[-1]["loss"] < history[0]["loss"]
 
     def test_zero_epochs_returns_initial_model(self):
-        graph, x, labels = separable_case()
+        scaled, x, labels = separable_case()
         mask = np.ones(len(labels), dtype=bool)
         config = GcnConfig(epochs=0)
-        model, history = train(config, graph, x, labels, mask)
+        model, history = train(config, scaled, x, labels, mask)
         assert history == []
         reference = init_model(config, x.shape[1], np.random.default_rng(config.seed))
         assert model_bytes(model) == model_bytes(reference)
@@ -303,8 +386,8 @@ class TestTrain:
         mask = np.zeros(20, dtype=bool)
         mask[:14] = True
         config = GcnConfig(epochs=25, hidden_width=4, dropout_rate=0.0, seed=1)
-        model, _ = train(config, g, x, labels, mask)
-        probs, _ = predict(model, g, x)
+        model, _ = train(config, scaled_operator(g), x, labels, mask)
+        probs, _ = predict(model, scaled_operator(g), x)
 
         perm = rng.permutation(20)  # node i moves to position perm[i]
         new_u = np.minimum(perm[g.edges_u], perm[g.edges_v])
@@ -313,27 +396,28 @@ class TestTrain:
         g2 = PopulationGraph(20, new_u[order], new_v[order], g.weights[order])
         inv = np.empty(20, dtype=int)
         inv[perm] = np.arange(20)
-        model2, _ = train(config, g2, x[inv], labels[inv], mask[inv])
-        probs2, _ = predict(model2, g2, x[inv])
+        scaled2 = scaled_operator(g2)
+        model2, _ = train(config, scaled2, x[inv], labels[inv], mask[inv])
+        probs2, _ = predict(model2, scaled2, x[inv])
         np.testing.assert_allclose(probs2[perm], probs, atol=1e-6)
 
     def test_divergence_aborts_with_epoch(self):
-        graph, x, labels = separable_case()
+        scaled, x, labels = separable_case()
         mask = np.ones(len(labels), dtype=bool)
         config = GcnConfig(epochs=5, hidden_width=5)
         # Features near the float64 ceiling overflow the convolutions to inf,
         # turning the cross-entropy into inf - inf = nan on the first epoch.
         with pytest.raises(DivergenceError) as exc, np.errstate(all="ignore"):
-            train(config, graph, x / np.abs(x).max() * 1e308, labels, mask)
+            train(config, scaled, x / np.abs(x).max() * 1e308, labels, mask)
         assert exc.value.epoch == 0
 
     def test_masked_unknown_labels_rejected(self):
-        graph, x, labels = separable_case()
+        scaled, x, labels = separable_case()
         mask = np.ones(len(labels), dtype=bool)
         labels = labels.copy()
         labels[0] = -1
         with pytest.raises(ContractError):
-            train(GcnConfig(epochs=1), graph, x, labels, mask)
+            train(GcnConfig(epochs=1), scaled, x, labels, mask)
 
 
 class TestKHopInfluence:
@@ -375,10 +459,10 @@ class TestKHopInfluence:
 
 class TestPredict:
     def test_rows_sum_to_one(self):
-        graph, x, labels = separable_case(n=30)
+        scaled, x, labels = separable_case(n=30)
         mask = np.ones(30, dtype=bool)
-        model, _ = train(GcnConfig(epochs=20, hidden_width=5), graph, x, labels, mask)
-        probs, preds = predict(model, graph, x)
+        model, _ = train(GcnConfig(epochs=20, hidden_width=5), scaled, x, labels, mask)
+        probs, preds = predict(model, scaled, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.array_equal(preds, np.argmax(probs, axis=1))
 
@@ -401,10 +485,10 @@ class TestPredict:
 
 class TestCheckpoint:
     def test_save_load_roundtrip(self, tmp_path):
-        graph, x, labels = separable_case(n=24)
+        scaled, x, labels = separable_case(n=24)
         mask = np.ones(24, dtype=bool)
         config = GcnConfig(epochs=8, hidden_width=5, seed=2)
-        model, _ = train(config, graph, x, labels, mask)
+        model, _ = train(config, scaled, x, labels, mask)
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
@@ -413,6 +497,6 @@ class TestCheckpoint:
         assert model_bytes(loaded) == model_bytes(model)
         for a, b in zip(loaded.moment1 + loaded.moment2, model.moment1 + model.moment2):
             np.testing.assert_array_equal(a, b)
-        p1, _ = predict(model, graph, x)
-        p2, _ = predict(loaded, graph, x)
+        p1, _ = predict(model, scaled, x)
+        p2, _ = predict(loaded, scaled, x)
         np.testing.assert_array_equal(p1, p2)

@@ -5,7 +5,8 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import hop_distances, make_random_graph, make_tree_graph
 from popgcn.errors import ContractError, ParameterError
-from popgcn.popgraph import PopulationGraph
+from popgcn.dataset import SyntheticConfig, generate_synthetic
+from popgcn.popgraph import GraphSpec, PopulationGraph, build_graph
 from popgcn.spectral import (
     ChebyshevBasis,
     LaplacianMatrix,
@@ -124,6 +125,36 @@ class TestLambdaMax:
             est = estimate_lambda_max(lap)
             truth = np.linalg.eigvalsh(lap.dense())[-1]
             assert est.value == pytest.approx(truth, rel=1e-5)
+
+    def test_exact_on_dense_population_graph(self):
+        # SEX+SITE kernel graph: the top eigenvalues cluster within 2e-4 of
+        # each other, where power iteration does not converge.
+        features, records = generate_synthetic(SyntheticConfig(
+            n_subjects=320, scans_per_subject=(1, 1), n_sites=6, n_features=40, seed=3
+        ))
+        spec = GraphSpec(measures=("SEX", "SITE"), sim_mode="correlation_kernel")
+        lap = normalized_laplacian(build_graph(features, records, spec))
+        assert not lap.is_sparse
+        truth = np.linalg.eigvalsh(lap.dense())
+        assert truth[-1] - truth[-4] < 1e-3
+        est = estimate_lambda_max(lap)
+        assert not est.used_fallback
+        assert abs(est.value - truth[-1]) <= 1e-9 * truth[-1]
+
+    def test_exact_and_reproducible_on_sparse_longitudinal_graph(self):
+        # One component per subject; each top eigenvalue is repeated.
+        features, records = generate_synthetic(SyntheticConfig(
+            n_subjects=120, scans_per_subject=(3, 4), n_sites=4, n_features=20, seed=3
+        ))
+        spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
+        lap = normalized_laplacian(build_graph(features, records, spec))
+        assert lap.is_sparse
+        truth = np.linalg.eigvalsh(lap.dense())[-1]
+        est = estimate_lambda_max(lap)
+        assert not est.used_fallback
+        assert est.iterations > 0
+        assert abs(est.value - truth) <= 1e-9 * truth
+        assert estimate_lambda_max(lap) == est
 
     def test_requires_normalized_kind(self):
         lap = scale_laplacian(normalized_laplacian(k2_graph()), 2.0)
