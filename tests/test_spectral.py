@@ -227,17 +227,20 @@ class TestChebyshevBasis:
         g = make_random_graph(5, seed=1)
         with pytest.raises(ContractError):
             chebyshev_basis(normalized_laplacian(g), rng.standard_normal((5, 2)), 2)
+        with pytest.raises(ContractError):
+            chebyshev_weighted_sum(normalized_laplacian(g), [rng.standard_normal((5, 2))] * 3)
 
     def test_clenshaw_equals_naive_sum(self, rng):
         scaled = self.scaled(seed=7)
-        parts = [rng.standard_normal((9, 4)) for _ in range(4)]
-        got = chebyshev_weighted_sum(scaled, parts)
         dense = scaled.dense()
         t_mats = [np.eye(9), dense]
         for _ in range(2, 4):
             t_mats.append(2 * dense @ t_mats[-1] - t_mats[-2])
-        naive = sum(t_mats[k] @ parts[k] for k in range(4))
-        np.testing.assert_allclose(got, naive, atol=1e-12)
+        for order in range(1, 4):
+            parts = [rng.standard_normal((9, 4)) for _ in range(order + 1)]
+            got = chebyshev_weighted_sum(scaled, parts)
+            naive = sum(t_mats[k] @ parts[k] for k in range(order + 1))
+            np.testing.assert_allclose(got, naive, atol=1e-12)
 
 
 class TestSpectralFilterOracle:
