@@ -1,8 +1,9 @@
 """Feature-only reference classifiers: closed-form ridge and an MLP.
 
 The MLP is the graph model with the mixing operator removed: order-0
-convolutions and no Laplacian, i.e. plain dense layers, trained with the same
-machinery (masked loss over the training rows, Adam, dropout).
+convolutions and no Laplacian, i.e. plain dense layers, trained and scored by
+`gcn.train` and `gcn.predict` (masked loss over the training rows, Adam,
+dropout).
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DivergenceError, ParameterError
-from .featsel import ridge_fit
-from .gcn import GcnConfig, adam_step, forward, init_model, loss_and_grads, _stable_softmax
+from .errors import ContractError, ParameterError
+from .featsel import _sigmoid, ridge_fit
+from .gcn import GcnConfig, predict, train
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,6 @@ class BaselineConfig:
                 raise ParameterError("mlp_l2 must be >= 0 and mlp_lr > 0")
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def ridge_classify(x_train, y_train, x_test, alpha: float = 1.0):
     """Ridge decision scores squashed to probabilities.
 
@@ -79,9 +71,10 @@ def ridge_classify(x_train, y_train, x_test, alpha: float = 1.0):
 def mlp_classify(x_train, y_train, x_test, config: BaselineConfig):
     """Multilayer perceptron classifier; returns (labels, probs for class 1..).
 
-    Reuses the graph model's layers with Chebyshev order 0 and no operator
-    (identical to its forward pass on an edgeless graph), so dropout, loss,
-    gradients and Adam are shared code. Probabilities are softmax rows.
+    Trains the graph model with Chebyshev order 0 and no operator (identical
+    to its forward pass on an edgeless graph), so dropout, loss, gradients
+    and Adam are shared code; a non-finite loss raises train's
+    DivergenceError. Probabilities are softmax rows.
     """
     config.validate()
     if config.kind != "mlp":
@@ -92,6 +85,8 @@ def mlp_classify(x_train, y_train, x_test, config: BaselineConfig):
     if not set(np.unique(y)) == {0, 1}:
         raise ContractError("both classes must be present in training labels")
 
+    # Test rows ride along unmasked: dropout draws its masks over every row,
+    # so leaving them out would change the random stream and the results.
     x_full = np.vstack([x_train, x_test])
     n_train = x_train.shape[0]
     mask = np.zeros(x_full.shape[0], dtype=bool)
@@ -110,16 +105,6 @@ def mlp_classify(x_train, y_train, x_test, config: BaselineConfig):
         epochs=config.mlp_epochs,
         seed=config.seed,
     )
-    net_config.validate()
-    rng = np.random.default_rng(config.seed)
-    model = init_model(net_config, x_full.shape[1], rng)
-    for epoch in range(config.mlp_epochs):
-        loss, grads, _ = loss_and_grads(
-            model, None, x_full, labels_full, mask, config.mlp_l2, train=True, rng=rng
-        )
-        if not np.isfinite(loss):
-            raise DivergenceError(f"MLP baseline diverged at epoch {epoch}", epoch=epoch)
-        adam_step(model, grads)
-    logits = forward(model, None, x_full, mode="eval")
-    probs = _stable_softmax(logits[n_train:])
-    return np.argmax(probs, axis=1), probs
+    model, _ = train(net_config, None, x_full, labels_full, mask)
+    probs, labels = predict(model, None, x_full)
+    return labels[n_train:], probs[n_train:]

@@ -3,20 +3,24 @@
 Four strategies: recursive feature elimination driven by a closed-form ridge
 classifier, PCA by SVD, the hidden layer of a small supervised MLP, and a
 tied-weight autoencoder (sigmoid code, tanh reconstruction, MSE loss).
+
+The MLP is the graph network of `gcn` at Chebyshev order 0 (one dense ReLU
+layer of target_c units, softmax output), trained by `gcn.train` without
+dropout or weight penalty; its codes are the hidden activations. The
+autoencoder's tied weights do not fit that layer stack, so it keeps its own
+loss and gradients and steps with `gcn.adam_update`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import gcn
 from .errors import ContractError, DivergenceError, ParameterError
-
-AE_DEFAULT_EPOCHS = 100
-AE_DEFAULT_LR = 5e-4
 
 
 def ridge_fit(x, y, alpha: float):
@@ -122,101 +126,6 @@ def pca_fit_transform(x_train, x_all, target_c: int):
     return (x_all - mean) @ components.T, info
 
 
-class _Adam:
-    """Minimal Adam for the small selector networks."""
-
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
-
-    def step(self, grads):
-        self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def _glorot(rng, shape, fan_in, fan_out):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def _mlp_loss_and_grads(x, y, w1, b1, w2, b2):
-    n = x.shape[0]
-    z1 = x @ w1 + b1
-    h = np.maximum(z1, 0.0)
-    z2 = h @ w2 + b2
-    zmax = z2.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z2 - zmax).sum(axis=1)) + zmax[:, 0]
-    loss = float(np.mean(log_norm - z2[np.arange(n), y]))
-    probs = np.exp(z2 - zmax)
-    probs /= probs.sum(axis=1, keepdims=True)
-    dz2 = probs
-    dz2[np.arange(n), y] -= 1.0
-    dz2 /= n
-    dw2 = h.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ w2.T) * (z1 > 0.0)
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return loss, (dw1, db1, dw2, db2)
-
-
-def _fit_mlp(x, y, width, epochs, lr, seed):
-    c = x.shape[1]
-    rng = np.random.default_rng(seed)
-    w1 = _glorot(rng, (c, width), c, width)
-    b1 = np.zeros(width)
-    w2 = _glorot(rng, (width, 2), width, 2)
-    b2 = np.zeros(2)
-    opt = _Adam([w1, b1, w2, b2], lr)
-    history = []
-    for epoch in range(epochs):
-        loss, grads = _mlp_loss_and_grads(x, y, w1, b1, w2, b2)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"MLP selector diverged at epoch {epoch}", epoch=epoch)
-        history.append(loss)
-        opt.step(list(grads))
-    return w1, b1, history
-
-
-def mlp_feature_extract(
-    x_train,
-    y_train,
-    x_all,
-    target_c: int,
-    epochs: int = 100,
-    lr: float = 1e-3,
-    seed: int = 0,
-    diagnostics: dict | None = None,
-):
-    """Hidden activations of a one-hidden-layer softmax classifier.
-
-    The classifier (ReLU hidden layer of width target_c) is trained on the
-    training rows; the returned matrix holds the hidden activations of every
-    row in x_all.
-    """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.int64)
-    if len(np.unique(y_train)) < 2:
-        raise ContractError("both classes must be present")
-    if target_c < 1:
-        raise ParameterError(f"target_c must be >= 1, got {target_c}")
-    w1, b1, history = _fit_mlp(x_train, y_train, target_c, epochs, lr, seed)
-    if diagnostics is not None:
-        diagnostics["loss_history"] = history
-    return np.maximum(np.asarray(x_all, dtype=np.float64) @ w1 + b1, 0.0)
-
-
 def _minmax_scale_params(x_train):
     lo = x_train.min(axis=0)
     hi = x_train.max(axis=0)
@@ -260,47 +169,21 @@ def _ae_loss_and_grads(xs, w, b_enc, b_dec):
 def _fit_autoencoder(xs, width, epochs, lr, seed):
     c = xs.shape[1]
     rng = np.random.default_rng(seed)
-    w = _glorot(rng, (c, width), c, width)  # tied: decoder uses w.T
+    limit = np.sqrt(6.0 / (c + width))  # Glorot-uniform
+    w = rng.uniform(-limit, limit, size=(c, width))  # tied: decoder uses w.T
     b_enc = np.zeros(width)
     b_dec = np.zeros(c)
-    opt = _Adam([w, b_enc, b_dec], lr)
+    params = [w, b_enc, b_dec]
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
     history = []
     for epoch in range(epochs):
         loss, grads = _ae_loss_and_grads(xs, w, b_enc, b_dec)
         if not np.isfinite(loss):
             raise DivergenceError(f"autoencoder diverged at epoch {epoch}", epoch=epoch)
         history.append(loss)
-        opt.step(list(grads))
+        gcn.adam_update(params, grads, moment1, moment2, epoch + 1, lr)
     return w, b_enc, b_dec, history
-
-
-def autoencoder_encode(
-    x_train,
-    x_all,
-    target_c: int,
-    epochs: int = AE_DEFAULT_EPOCHS,
-    lr: float = AE_DEFAULT_LR,
-    seed: int = 0,
-    diagnostics: dict | None = None,
-):
-    """Codes from a tied-weight autoencoder trained on the training rows.
-
-    Inputs are rescaled per feature to [-1, 1] using training min/max so the
-    tanh output layer can reconstruct them; constant training features map to
-    0 and are flagged in diagnostics. Codes are sigmoid activations in (0, 1).
-    """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    x_all = np.asarray(x_all, dtype=np.float64)
-    if target_c < 1:
-        raise ParameterError(f"target_c must be >= 1, got {target_c}")
-    lo, span, degenerate = _minmax_scale_params(x_train)
-    xs_train = _minmax_apply(x_train, lo, span, degenerate)
-    w, b_enc, b_dec, history = _fit_autoencoder(xs_train, target_c, epochs, lr, seed)
-    if diagnostics is not None:
-        diagnostics["loss_history"] = history
-        diagnostics["degenerate_features"] = np.flatnonzero(degenerate).tolist()
-    xs_all = _minmax_apply(x_all, lo, span, degenerate)
-    return _sigmoid(xs_all @ w + b_enc)
 
 
 SELECTOR_KINDS = ("none", "rfe", "pca", "mlp", "autoencoder")
@@ -314,8 +197,8 @@ class SelectorConfig:
     rfe_step_fraction: float = 0.1
     mlp_epochs: int = 100
     mlp_lr: float = 1e-3
-    ae_epochs: int = AE_DEFAULT_EPOCHS
-    ae_lr: float = AE_DEFAULT_LR
+    ae_epochs: int = 100
+    ae_lr: float = 5e-4
     seed: int = 0
 
     def validate(self):
@@ -356,11 +239,20 @@ class FeatureSelector:
             y = np.asarray(y_train, dtype=np.int64)
             if len(np.unique(y)) < 2:
                 raise ContractError("both classes must be present")
-            w1, b1, history = _fit_mlp(
-                x_train, y, cfg.target_c, cfg.mlp_epochs, cfg.mlp_lr, cfg.seed
+            net = gcn.GcnConfig(
+                hidden_layers=1,
+                hidden_width=cfg.target_c,
+                cheb_order=0,
+                dropout_rate=0.0,
+                l2_coeff=0.0,
+                learning_rate=cfg.mlp_lr,
+                epochs=cfg.mlp_epochs,
+                seed=cfg.seed,
             )
-            self.weights = {"w1": w1, "b1": b1}
-            self.diagnostics["loss_history"] = history
+            model, history = gcn.train(net, None, x_train, y, np.ones(len(y), dtype=bool))
+            hidden = model.layers[0]
+            self.weights = {"w1": hidden.weight[0], "b1": hidden.bias}
+            self.diagnostics["loss_history"] = [entry["loss"] for entry in history]
         else:  # autoencoder
             lo, span, degenerate = _minmax_scale_params(x_train)
             xs = _minmax_apply(x_train, lo, span, degenerate)

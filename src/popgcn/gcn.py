@@ -7,6 +7,11 @@ producing logits. The loss is softmax cross-entropy averaged over masked
 features into the convolutions but never touch the loss. Gradients are exact
 and hand-derived; the optimizer is Adam. Everything is float64 numpy.
 
+At cheb_order 0 the convolutions are plain dense layers and no operator is
+needed; this is the one dense network of the package, shared by the MLP
+baseline and the MLP feature selector (adam_update also steps the
+autoencoder selector).
+
 A convolution sum_k T_k(Ls) H W_k applies the N x N operator on the narrower
 side of its layer: to the C_in columns of H, or, when C_out < C_in, to the
 C_out columns of each H W_k. Both orders give the same function.
@@ -14,7 +19,6 @@ C_out columns of each H W_k. Both orders give the same function.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -183,7 +187,7 @@ def _forward(model, scaled, x, train, rng):
             z = chebyshev_weighted_sum(scaled, parts) + layer.bias
         else:
             if order == 0:
-                inputs = ChebyshevBasis(terms=[h.copy()], order=0)
+                inputs = ChebyshevBasis(terms=[h], order=0)
             else:
                 inputs = chebyshev_basis(scaled, h, order)
             z = cheb_conv_forward(inputs, layer.weight, layer.bias)
@@ -276,57 +280,68 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
     return loss, grads, logits
 
 
-def backward(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None):
-    """Gradients of masked_loss for every weight and bias tensor."""
-    _, grads, _ = loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=train, rng=rng)
-    return grads
-
-
-def adam_step(model: GcnModel, grads, lr: float | None = None) -> GcnModel:
-    """In-place Adam update with bias correction."""
-    if lr is None:
-        lr = model.config.learning_rate
-    model.step += 1
-    t = model.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(model.parameters(), grads, model.moment1, model.moment2):
+def adam_update(params, grads, moment1, moment2, step: int, lr: float):
+    """In-place Adam update of params at 1-based step, with bias correction."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for p, g, m, v in zip(params, grads, moment1, moment2):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def adam_step(model: GcnModel, grads, lr: float | None = None) -> GcnModel:
+    """In-place Adam update of the model's parameters and optimizer state."""
+    if lr is None:
+        lr = model.config.learning_rate
+    model.step += 1
+    adam_update(model.parameters(), grads, model.moment1, model.moment2, model.step, lr)
     return model
 
 
-def _check_training_inputs(scaled, x, labels, mask):
+def _check_training_inputs(config, scaled, x, labels, mask):
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
-    if x.shape[0] != scaled.n:
-        raise ContractError(f"{x.shape[0]} feature rows for {scaled.n} nodes")
-    if len(labels) != scaled.n or len(mask) != scaled.n:
+    if scaled is None:
+        if config.cheb_order > 0:
+            raise ContractError("cheb_order > 0 requires a scaled Laplacian")
+        n = x.shape[0]
+    else:
+        n = scaled.n
+    if x.shape[0] != n:
+        raise ContractError(f"{x.shape[0]} feature rows for {n} nodes")
+    if len(labels) != n or len(mask) != n:
         raise ContractError("labels and mask must have one entry per node")
     if not mask.any():
         raise ContractError("training mask must select at least one node")
-    if np.any((labels[mask] < 0) | (labels[mask] > 1)):
-        raise ContractError("masked nodes must carry known labels in {0, 1}")
+    if np.any((labels[mask] < 0) | (labels[mask] >= config.n_classes)):
+        raise ContractError(
+            f"masked nodes must carry known labels in [0, {config.n_classes})"
+        )
     return x, labels, mask
 
 
-def train(config: GcnConfig, scaled: LaplacianMatrix, x, labels, mask, val_mask=None):
+def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask, val_mask=None):
     """Full-graph semi-supervised training for config.epochs Adam steps.
 
     `scaled` is the graph's operator from scaled_operator, built once per
-    graph and shared by every model trained and evaluated on it. Returns
+    graph and shared by every model trained and evaluated on it; a network of
+    cheb_order 0 is a plain dense network and takes None. Returns
     (model, history) where history holds one record per epoch with the loss
     and masked training accuracy (plus validation accuracy when val_mask is
     given). Raises DivergenceError on a non-finite loss.
     """
     config.validate()
-    x, labels, mask = _check_training_inputs(scaled, x, labels, mask)
+    x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
     rng = np.random.default_rng(config.seed)
     model = init_model(config, x.shape[1], rng)
+    y_train = labels[mask]
+    if val_mask is not None:
+        val_mask = np.asarray(val_mask, dtype=bool)
+        y_val = labels[val_mask]
     history = []
     for epoch in range(config.epochs):
         loss, grads, logits = loss_and_grads(
@@ -339,16 +354,15 @@ def train(config: GcnConfig, scaled: LaplacianMatrix, x, labels, mask, val_mask=
         entry = {
             "epoch": epoch,
             "loss": loss,
-            "train_accuracy": float(np.mean(pred[mask] == labels[mask])),
+            "train_accuracy": float(np.mean(pred[mask] == y_train)),
         }
         if val_mask is not None:
-            vm = np.asarray(val_mask, dtype=bool)
-            entry["val_accuracy"] = float(np.mean(pred[vm] == labels[vm]))
+            entry["val_accuracy"] = float(np.mean(pred[val_mask] == y_val))
         history.append(entry)
     return model, history
 
 
-def predict(model: GcnModel, scaled: LaplacianMatrix, x):
+def predict(model: GcnModel, scaled: LaplacianMatrix | None, x):
     """Per-node class probabilities and argmax labels (ties -> lower index)."""
     logits = forward(model, scaled, x, mode="eval")
     probs = _stable_softmax(logits)

@@ -348,7 +348,22 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
     selector.fit(x[train_mask], labels[train_mask])
     x_red = selector.transform(x)
 
-    records: list[FoldSeedRecord] = []
+    y_test = labels[test_idx]
+
+    def record(seed, preds, pos, sigma=None) -> FoldSeedRecord:
+        metrics = compute_metrics(pos, y_test)
+        return FoldSeedRecord(
+            fold=fold,
+            seed=seed,
+            test_indices=test_idx.tolist(),
+            true_labels=y_test.tolist(),
+            pred_labels=preds.tolist(),
+            probs=pos.tolist(),
+            accuracy=metrics.accuracy,
+            auc=metrics.auc,
+            sigma=sigma,
+        )
+
     if desc.model == "gcn":
         spec = desc.graph_spec
         sigma = None
@@ -363,25 +378,12 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
         # Test labels are hidden from training: only training-mask labels are
         # visible, everything else is passed as unknown.
         visible = np.where(train_mask, labels, UNKNOWN_LABEL)
+        records = []
         for seed in desc.seeds:
             cfg = replace(desc.gcn_config, seed=seed)
             model, _ = gcn_mod.train(cfg, scaled, x_red, visible, train_mask)
             probs, preds = gcn_mod.predict(model, scaled, x_red)
-            pos = probs[test_idx, 1]
-            metrics = compute_metrics(pos, labels[test_idx])
-            records.append(
-                FoldSeedRecord(
-                    fold=fold,
-                    seed=seed,
-                    test_indices=test_idx.tolist(),
-                    true_labels=labels[test_idx].tolist(),
-                    pred_labels=preds[test_idx].tolist(),
-                    probs=pos.tolist(),
-                    accuracy=metrics.accuracy,
-                    auc=metrics.auc,
-                    sigma=sigma,
-                )
-            )
+            records.append(record(seed, preds[test_idx], probs[test_idx, 1], sigma))
         return records
 
     x_train = x_red[train_mask]
@@ -389,39 +391,14 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
     x_test = x_red[test_idx]
     if desc.model == "ridge":
         preds, probs = ridge_classify(x_train, y_train, x_test, desc.baseline_config.ridge_alpha)
-        metrics = compute_metrics(probs, labels[test_idx])
-        for seed in desc.seeds:  # deterministic: identical across seeds
-            records.append(
-                FoldSeedRecord(
-                    fold=fold,
-                    seed=seed,
-                    test_indices=test_idx.tolist(),
-                    true_labels=labels[test_idx].tolist(),
-                    pred_labels=preds.tolist(),
-                    probs=probs.tolist(),
-                    accuracy=metrics.accuracy,
-                    auc=metrics.auc,
-                )
-            )
-        return records
+        # Deterministic: identical across seeds.
+        return [record(seed, preds, probs) for seed in desc.seeds]
 
+    records = []
     for seed in desc.seeds:
         cfg = replace(desc.baseline_config, kind="mlp", seed=seed)
-        preds, probs2 = mlp_classify(x_train, y_train, x_test, cfg)
-        pos = probs2[:, 1]
-        metrics = compute_metrics(pos, labels[test_idx])
-        records.append(
-            FoldSeedRecord(
-                fold=fold,
-                seed=seed,
-                test_indices=test_idx.tolist(),
-                true_labels=labels[test_idx].tolist(),
-                pred_labels=preds.tolist(),
-                probs=pos.tolist(),
-                accuracy=metrics.accuracy,
-                auc=metrics.auc,
-            )
-        )
+        preds, probs = mlp_classify(x_train, y_train, x_test, cfg)
+        records.append(record(seed, preds, probs[:, 1]))
     return records
 
 

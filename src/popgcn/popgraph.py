@@ -191,8 +191,12 @@ def estimate_sigma(x: np.ndarray, node_subset=None) -> float:
     n = x.shape[0]
     if n < 2:
         raise ParameterError("need at least 2 nodes to estimate sigma")
-    rho = correlation_distance_matrix(x)
-    iu, ju = np.triu_indices(n, k=1)
+    return _mean_pair_distance(correlation_distance_matrix(x))
+
+
+def _mean_pair_distance(rho: np.ndarray) -> float:
+    """Mean of rho over distinct node pairs; 1.0 when that is not positive."""
+    iu, ju = np.triu_indices(rho.shape[0], k=1)
     sigma = float(rho[iu, ju].mean())
     if sigma <= 0:
         # All rows perfectly correlated; any positive width gives kernel 1.
@@ -242,11 +246,7 @@ def _kernel_matrix(features: FeatureMatrix, spec: GraphSpec) -> tuple[np.ndarray
     if spec.sigma_mode == "fixed":
         sigma = float(spec.sigma_value)
     else:
-        n = features.n_acquisitions
-        iu, ju = np.triu_indices(n, k=1)
-        sigma = float(rho[iu, ju].mean())
-        if sigma <= 0:
-            sigma = 1.0
+        sigma = _mean_pair_distance(rho)
     return np.exp(-(rho**2) / (2.0 * sigma**2)), sigma
 
 

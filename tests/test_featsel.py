@@ -1,18 +1,14 @@
-import inspect
-
 import numpy as np
 import pytest
 
 from popgcn.errors import ContractError, ParameterError
+from popgcn.gcn import GcnConfig, train
 from popgcn.featsel import (
     FeatureSelector,
     SelectorConfig,
     _ae_loss_and_grads,
     _minmax_apply,
     _minmax_scale_params,
-    _mlp_loss_and_grads,
-    autoencoder_encode,
-    mlp_feature_extract,
     pca_fit_transform,
     rfe_select,
     ridge_fit,
@@ -171,78 +167,82 @@ def separable(n=80, c=10, seed=0):
     return x, y
 
 
+def mlp_codes(x_train, y_train, x_all, target_c, epochs, lr=1e-3):
+    config = SelectorConfig(kind="mlp", target_c=target_c, mlp_epochs=epochs, mlp_lr=lr)
+    return FeatureSelector(config).fit(x_train, y_train).transform(x_all)
+
+
+def autoencoder_selector(x_train, target_c, epochs):
+    config = SelectorConfig(kind="autoencoder", target_c=target_c, ae_epochs=epochs)
+    return FeatureSelector(config).fit(x_train)
+
+
 class TestMlpExtract:
     def test_output_shape(self):
         x, y = separable()
-        out = mlp_feature_extract(x[:60], y[:60], x, target_c=4, epochs=30)
+        out = mlp_codes(x[:60], y[:60], x, target_c=4, epochs=30)
         assert out.shape == (80, 4)
 
     def test_identical_rows_identical_activations(self):
         x, y = separable()
         x_all = np.vstack([x[0], x[0], x[1]])
-        out = mlp_feature_extract(x[:60], y[:60], x_all, target_c=3, epochs=10)
+        out = mlp_codes(x[:60], y[:60], x_all, target_c=3, epochs=10)
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_downstream_ridge_accuracy(self):
         from popgcn.baselines import ridge_classify
 
         x, y = separable(seed=3)
-        extracted = mlp_feature_extract(x[:60], y[:60], x, target_c=5, epochs=120, lr=5e-3)
+        extracted = mlp_codes(x[:60], y[:60], x, target_c=5, epochs=120, lr=5e-3)
         preds, _ = ridge_classify(extracted[:60], y[:60], extracted[60:])
         assert np.mean(preds == y[60:]) >= 0.9
 
-    def test_gradients_match_finite_differences(self, rng):
-        x = rng.standard_normal((12, 5))
-        y = rng.integers(0, 2, size=12)
-        w1 = rng.standard_normal((5, 3)) * 0.4
-        b1 = rng.standard_normal(3) * 0.1
-        w2 = rng.standard_normal((3, 2)) * 0.4
-        b2 = rng.standard_normal(2) * 0.1
-        _, grads = _mlp_loss_and_grads(x, y, w1, b1, w2, b2)
-        params = [w1, b1, w2, b2]
-        h = 1e-6
-        for p, g in zip(params, grads):
-            fd = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + h
-                up = _mlp_loss_and_grads(x, y, w1, b1, w2, b2)[0]
-                p[idx] = orig - h
-                down = _mlp_loss_and_grads(x, y, w1, b1, w2, b2)[0]
-                p[idx] = orig
-                fd[idx] = (up - down) / (2 * h)
-                it.iternext()
-            np.testing.assert_allclose(g, fd, atol=1e-7)
+    def test_codes_are_hidden_layer_of_order_zero_gcn(self):
+        x, y = separable(seed=2)
+        config = SelectorConfig(kind="mlp", target_c=4, mlp_epochs=40, mlp_lr=2e-3, seed=7)
+        sel = FeatureSelector(config).fit(x[:60], y[:60])
+        net = GcnConfig(
+            hidden_layers=1,
+            hidden_width=4,
+            cheb_order=0,
+            dropout_rate=0.0,
+            l2_coeff=0.0,
+            learning_rate=2e-3,
+            epochs=40,
+            seed=7,
+        )
+        model, history = train(net, None, x[:60], y[:60], np.ones(60, dtype=bool))
+        hidden = model.layers[0]
+        expected = np.maximum(x @ hidden.weight[0] + hidden.bias, 0.0)
+        np.testing.assert_array_equal(sel.transform(x), expected)
+        assert sel.diagnostics["loss_history"] == [entry["loss"] for entry in history]
 
 
 class TestAutoencoder:
     def test_documented_training_defaults(self):
-        sig = inspect.signature(autoencoder_encode)
-        assert sig.parameters["epochs"].default == 100
-        assert sig.parameters["lr"].default == 5e-4
+        config = SelectorConfig()
+        assert config.ae_epochs == 100
+        assert config.ae_lr == 5e-4
 
     def test_codes_in_unit_interval(self, rng):
         x = rng.standard_normal((30, 8))
-        codes = autoencoder_encode(x[:20], x, target_c=4, epochs=20)
+        codes = autoencoder_selector(x[:20], target_c=4, epochs=20).transform(x)
         assert codes.shape == (30, 4)
         assert np.all(codes > 0.0)
         assert np.all(codes < 1.0)
 
     def test_reconstruction_improves_on_low_rank_data(self, rng):
         low_rank = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 10))
-        diag: dict = {}
-        autoencoder_encode(low_rank[:40], low_rank, target_c=3, epochs=80, diagnostics=diag)
-        history = diag["loss_history"]
+        sel = autoencoder_selector(low_rank[:40], target_c=3, epochs=80)
+        history = sel.diagnostics["loss_history"]
         assert history[-1] < history[0]
 
     def test_degenerate_feature_flagged_and_zeroed(self, rng):
         x = rng.standard_normal((20, 5))
         x[:, 2] = 7.0  # constant on the training rows
-        diag: dict = {}
-        codes = autoencoder_encode(x[:15], x, target_c=3, epochs=5, diagnostics=diag)
-        assert diag["degenerate_features"] == [2]
+        sel = autoencoder_selector(x[:15], target_c=3, epochs=5)
+        codes = sel.transform(x)
+        assert sel.diagnostics["degenerate_features"] == [2]
         assert np.all(np.isfinite(codes))
         lo, span, degenerate = _minmax_scale_params(x[:15])
         scaled = _minmax_apply(x.copy(), lo, span, degenerate)

@@ -8,7 +8,6 @@ from popgcn.errors import ContractError, DivergenceError, ParameterError
 from popgcn.gcn import (
     GcnConfig,
     adam_step,
-    backward,
     cheb_conv_forward,
     forward,
     init_model,
@@ -186,7 +185,7 @@ class TestMaskedLoss:
 class TestBackward:
     def test_zero_features_zero_weight_grads_except_bias(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
-        grads = backward(model, scaled, np.zeros_like(x), labels, mask, 0.0)
+        _, grads, _ = loss_and_grads(model, scaled, np.zeros_like(x), labels, mask, 0.0)
         for i, layer in enumerate(model.layers):
             assert np.all(grads[2 * i] == 0.0)  # weights: no signal anywhere
         assert np.any(grads[2 * len(model.layers) - 1] != 0.0)  # output bias moves
@@ -194,7 +193,7 @@ class TestBackward:
     def test_l2_only_gradient_is_2_l2_w(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
         l2 = 0.37
-        grads = backward(model, scaled, np.zeros_like(x), labels, mask, l2)
+        _, grads, _ = loss_and_grads(model, scaled, np.zeros_like(x), labels, mask, l2)
         for i, layer in enumerate(model.layers):
             np.testing.assert_array_equal(grads[2 * i], 2.0 * l2 * layer.weight)
 
@@ -211,6 +210,14 @@ class TestBackward:
     def test_gradients_match_finite_differences(self):
         # 12 nodes, 6 features, K=2, one hidden layer, dropout off.
         assert worst_fd_error(*gradient_case(n_features=6, width=6, hidden_layers=1)) < 1e-4
+
+    def test_order_zero_gradients_match_finite_differences(self):
+        # The dense network of the MLP baseline and selector: no operator.
+        case = gradient_case(n_features=5, width=3, hidden_layers=1, cheb_order=0)
+        assert case[1] is None
+        assert worst_fd_error(*case) < 1e-4
+        for analytic, fd in fd_gradients(*case):
+            np.testing.assert_allclose(analytic, fd, atol=1e-7)
 
     @pytest.mark.parametrize("hidden_layers", [1, 0])
     def test_wide_first_layer_gradients_match_finite_differences(self, hidden_layers):
@@ -243,24 +250,25 @@ class TestBackward:
             assert np.array_equal(a, b)
 
 
-def gradient_case(n_features, width, hidden_layers):
-    """12 nodes, K=2, dropout off: (model, scaled, x, labels, mask, l2)."""
+def gradient_case(n_features, width, hidden_layers, cheb_order=2):
+    """12 nodes, dropout off: (model, scaled, x, labels, mask, l2); scaled is
+    None at cheb_order 0."""
     g = make_random_graph(12, density=0.45, seed=21)
-    scaled = scaled_operator(g)
+    scaled = scaled_operator(g) if cheb_order > 0 else None
     rng = np.random.default_rng(77)
     x = rng.standard_normal((12, n_features))
     labels = rng.integers(0, 2, size=12)
     mask = np.zeros(12, dtype=bool)
     mask[:8] = True
     config = GcnConfig(
-        hidden_layers=hidden_layers, hidden_width=width, cheb_order=2, dropout_rate=0.0
+        hidden_layers=hidden_layers, hidden_width=width, cheb_order=cheb_order, dropout_rate=0.0
     )
     model = init_model(config, n_features, np.random.default_rng(5))
     return model, scaled, x, labels, mask, 5e-4
 
 
-def worst_fd_error(model, scaled, x, labels, mask, l2):
-    """Largest relative gap between analytic and central-difference gradients."""
+def fd_gradients(model, scaled, x, labels, mask, l2):
+    """(analytic, central-difference) gradient pairs per parameter tensor."""
     _, grads, _ = loss_and_grads(model, scaled, x, labels, mask, l2)
 
     def loss_now():
@@ -268,7 +276,7 @@ def worst_fd_error(model, scaled, x, labels, mask, l2):
         return masked_loss(logits, labels, mask, l2, model)
 
     h = 1e-5
-    worst = 0.0
+    pairs = []
     for p, g_analytic in zip(model.parameters(), grads):
         fd = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
@@ -282,6 +290,14 @@ def worst_fd_error(model, scaled, x, labels, mask, l2):
             p[idx] = orig
             fd[idx] = (up - down) / (2 * h)
             it.iternext()
+        pairs.append((g_analytic, fd))
+    return pairs
+
+
+def worst_fd_error(model, scaled, x, labels, mask, l2):
+    """Largest relative gap between analytic and central-difference gradients."""
+    worst = 0.0
+    for g_analytic, fd in fd_gradients(model, scaled, x, labels, mask, l2):
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(g_analytic)), 1e-8)
         worst = max(worst, float(np.max(np.abs(fd - g_analytic) / denom)))
     return worst
@@ -401,15 +417,41 @@ class TestTrain:
         probs2, _ = predict(model2, scaled2, x[inv])
         np.testing.assert_allclose(probs2[perm], probs, atol=1e-6)
 
-    def test_divergence_aborts_with_epoch(self):
+    @pytest.mark.parametrize("cheb_order", [3, 0])
+    def test_divergence_aborts_with_epoch(self, cheb_order):
         scaled, x, labels = separable_case()
+        if cheb_order == 0:
+            # No Chebyshev sum to amplify the inputs: ten copies of each
+            # feature make the dense layer's sums overflow instead.
+            scaled, x = None, np.tile(x, 10)
         mask = np.ones(len(labels), dtype=bool)
-        config = GcnConfig(epochs=5, hidden_width=5)
+        config = GcnConfig(epochs=5, hidden_width=5, cheb_order=cheb_order)
         # Features near the float64 ceiling overflow the convolutions to inf,
         # turning the cross-entropy into inf - inf = nan on the first epoch.
         with pytest.raises(DivergenceError) as exc, np.errstate(all="ignore"):
             train(config, scaled, x / np.abs(x).max() * 1e308, labels, mask)
         assert exc.value.epoch == 0
+
+    def test_three_classes_train_and_out_of_range_label_rejected(self):
+        scaled, x, _ = separable_case()
+        labels = np.arange(len(x)) % 3
+        mask = np.ones(len(labels), dtype=bool)
+        config = GcnConfig(n_classes=3, epochs=3, hidden_width=4)
+        model, history = train(config, scaled, x, labels, mask)
+        assert model.layers[-1].weight.shape[-1] == 3
+        assert len(history) == 3
+        probs, _ = predict(model, scaled, x)
+        assert probs.shape == (len(x), 3)
+        labels[0] = 3
+        with pytest.raises(ContractError):
+            train(config, scaled, x, labels, mask)
+
+    def test_order_zero_without_operator_and_operator_required_above(self):
+        _, x, labels = separable_case()
+        mask = np.ones(len(labels), dtype=bool)
+        train(GcnConfig(epochs=1, hidden_width=3, cheb_order=0), None, x, labels, mask)
+        with pytest.raises(ContractError):
+            train(GcnConfig(epochs=1, hidden_width=3, cheb_order=1), None, x, labels, mask)
 
     def test_masked_unknown_labels_rejected(self):
         scaled, x, labels = separable_case()
