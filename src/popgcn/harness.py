@@ -12,6 +12,7 @@ from training-node pairs only, and hide test labels from training entirely.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace, asdict
 from typing import NamedTuple
 
@@ -24,7 +25,7 @@ from .errors import ContractError, IntegrityError, ParameterError
 from .featsel import FeatureSelector, SelectorConfig
 from .gcn import GcnConfig
 from . import gcn as gcn_mod
-from .popgraph import GraphSpec, build_graph, estimate_sigma
+from .popgraph import GraphSpec, build_graph
 
 
 @dataclass
@@ -326,14 +327,6 @@ def _config_echo(desc: ExperimentDescriptor) -> dict:
     }
 
 
-def _needs_kernel(spec: GraphSpec) -> bool:
-    if spec.strategy in ("knn", "all"):
-        return True
-    if spec.strategy in ("phenotypic", "random"):
-        return spec.sim_mode == "correlation_kernel"
-    return False
-
-
 def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int):
     labels = labels_array(desc.records)
     labeled = labels != UNKNOWN_LABEL
@@ -366,13 +359,11 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
 
     if desc.model == "gcn":
         spec = desc.graph_spec
-        sigma = None
-        if _needs_kernel(spec) and spec.sigma_mode == "mean_rho":
-            subset = np.flatnonzero(train_mask) if desc.sigma_pairs == "train" else None
-            sigma = estimate_sigma(x_red, node_subset=subset)
-            spec = replace(spec, sigma_mode="fixed", sigma_value=sigma)
+        sigma_rows = np.flatnonzero(train_mask) if desc.sigma_pairs == "train" else None
         reduced = FeatureMatrix(ids=list(desc.features.ids), values=x_red)
-        graph = build_graph(reduced, desc.records, spec)
+        graph = build_graph(reduced, desc.records, spec, sigma_rows)
+        # Records carry sigma only where it was estimated, not where it was given.
+        sigma = graph.provenance.get("sigma") if spec.sigma_mode == "mean_rho" else None
         scaled = gcn_mod.scaled_operator(graph)
 
         # Test labels are hidden from training: only training-mask labels are
@@ -402,35 +393,25 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
     return records
 
 
-def _run_fold_args(args):
-    return _run_fold(*args)
-
-
 def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) -> ExperimentReport:
     """Cross-validated experiment over folds x seeds.
 
-    Per fold: fit the selector on training rows, build the graph over all
-    nodes (kernel width from training pairs unless sigma_pairs='all') and its
-    scaled operator, train every seed on that one operator with the training
-    mask, score the held-out fold. record_sink, when given, is called with
-    each FoldSeedRecord as it is produced, so partial results survive an
+    Per fold: fit the selector on training rows; build the graph over all
+    nodes with build_graph, whose kernel width, if estimated, comes from
+    training-node pairs (all pairs under sigma_pairs='all'); build its scaled
+    operator once; train every seed on that operator with the training mask;
+    score the held-out fold. jobs > 1 runs folds in that many worker
+    processes, with the same records. record_sink, when given, is called with
+    each FoldSeedRecord as its fold finishes, so partial results survive an
     abort.
     """
     desc.validate()
     assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
     all_records: list[FoldSeedRecord] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for fold_records in pool.map(
-                _run_fold_args, [(desc, assignment, f) for f in range(desc.folds)]
-            ):
-                all_records.extend(fold_records)
-                if record_sink is not None:
-                    for rec in fold_records:
-                        record_sink(rec)
-    else:
-        for fold in range(desc.folds):
-            fold_records = _run_fold(desc, assignment, fold)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        fold_map = map if pool is None else pool.map
+        n = desc.folds
+        for fold_records in fold_map(_run_fold, [desc] * n, [assignment] * n, range(n)):
             all_records.extend(fold_records)
             if record_sink is not None:
                 for rec in fold_records:

@@ -9,13 +9,18 @@ where gamma is the Kronecker delta for categorical measures and a unit step
 |a - b| < theta for quantitative ones, and Sim is either a Gaussian kernel of
 the correlation distance between feature vectors, a same-subject longitudinal
 link of weight lambda, or identically 1. Baseline builders (knn, complete,
-weighted complete, rewired random) share the same graph representation.
+weighted complete, rewired random) share the same graph representation: the
+symmetric adjacency matrix, dense or CSR, that the Laplacian is built from.
+A kernel computes the correlation distance once, over all rows; its width can
+come from the pairs of a subset of rows, such as a fold's training nodes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,35 +70,86 @@ class GraphSpec:
             raise ParameterError("sigma_mode='fixed' requires sigma_value > 0")
 
 
+def _stored_dense(n_nodes: int, n_edges: int) -> bool:
+    possible = n_nodes * (n_nodes - 1) // 2
+    return n_nodes <= DENSE_NODE_LIMIT or n_edges / possible > DENSE_DENSITY_LIMIT
+
+
 @dataclass
 class PopulationGraph:
-    """Undirected weighted graph; each unordered pair stored once with u < v."""
+    """Undirected weighted graph, held as its symmetric adjacency matrix.
 
-    n_nodes: int
-    edges_u: np.ndarray
-    edges_v: np.ndarray
-    weights: np.ndarray
+    `adjacency` has a zero diagonal. It is a dense ndarray, or CSR for graphs
+    of more than DENSE_NODE_LIMIT nodes with density at most
+    DENSE_DENSITY_LIMIT. Builders fill it from a dense W (from_upper); edge
+    lists enter through from_edges. The edge views list each edge once with
+    u < v, in row-major order.
+    """
+
+    adjacency: np.ndarray | sp.csr_matrix
     provenance: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.edges_u = np.asarray(self.edges_u, dtype=np.int64)
-        self.edges_v = np.asarray(self.edges_v, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.validate()
+    @classmethod
+    def from_upper(cls, w: np.ndarray, provenance: dict) -> "PopulationGraph":
+        """Graph weighted by the strict upper triangle of the dense N x N w,
+        which is overwritten: its diagonal zeroed, its upper triangle mirrored."""
+        np.fill_diagonal(w, 0.0)
+        for i in range(1, len(w)):
+            w[i, :i] = w[:i, i]  # row by row, with no N x N temporary
+        if not _stored_dense(len(w), np.count_nonzero(w) // 2):
+            w = sp.csr_matrix(w)
+        return cls(w, provenance)
 
-    def validate(self):
-        if not (len(self.edges_u) == len(self.edges_v) == len(self.weights)):
+    @classmethod
+    def from_edges(cls, n_nodes: int, edges_u, edges_v, weights, provenance=None):
+        """Graph from an edge list that holds each edge once with u < v.
+
+        Raises IntegrityError on a self-loop, u > v, an endpoint outside
+        [0, n_nodes), a negative or non-finite weight, or a repeated pair. An
+        edge of weight 0 is no edge.
+        """
+        u = np.asarray(edges_u, dtype=np.int64)
+        v = np.asarray(edges_v, dtype=np.int64)
+        w = np.asarray(weights, dtype=np.float64)
+        if not (len(u) == len(v) == len(w)):
             raise ContractError("edge arrays must have equal length")
-        if self.n_edges:
-            if np.any(self.edges_u >= self.edges_v):
-                raise IntegrityError("edges must satisfy u < v (no self-loops)")
-            if self.edges_v.max(initial=-1) >= self.n_nodes or self.edges_u.min(initial=0) < 0:
-                raise IntegrityError("edge endpoint out of range")
-            if np.any(self.weights < 0):
-                raise IntegrityError("negative edge weight")
-            key = self.edges_u * self.n_nodes + self.edges_v
-            if len(np.unique(key)) != self.n_edges:
-                raise IntegrityError("duplicate edge")
+        if np.any(u >= v):
+            raise IntegrityError("edges must satisfy u < v (no self-loops)")
+        if v.max(initial=-1) >= n_nodes or u.min(initial=0) < 0:
+            raise IntegrityError("edge endpoint out of range")
+        if not np.all(np.isfinite(w)):
+            raise IntegrityError("non-finite edge weight")
+        if np.any(w < 0):
+            raise IntegrityError("negative edge weight")
+        if len(np.unique(u * n_nodes + v)) != len(w):
+            raise IntegrityError("duplicate edge")
+        rows, cols = np.r_[u, v], np.r_[v, u]
+        adjacency = sp.csr_matrix((np.r_[w, w], (rows, cols)), shape=(n_nodes, n_nodes))
+        adjacency.eliminate_zeros()
+        if _stored_dense(n_nodes, adjacency.nnz // 2):
+            adjacency = adjacency.toarray()
+        return cls(adjacency, dict(provenance or {}))
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        upper = sp.triu(self.adjacency, k=1, format="coo")
+        return upper.row.astype(np.int64), upper.col.astype(np.int64), upper.data
+
+    @property
+    def n_nodes(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def edges_u(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def edges_v(self) -> np.ndarray:
+        return self._edges[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._edges[2]
 
     @property
     def n_edges(self) -> int:
@@ -106,36 +162,6 @@ class PopulationGraph:
 
     def edge_list(self) -> list[tuple[int, int, float]]:
         return list(zip(self.edges_u.tolist(), self.edges_v.tolist(), self.weights.tolist()))
-
-    def adjacency(self, form: str = "auto"):
-        """Symmetric adjacency; dense ndarray or CSR depending on size/density."""
-        if form == "auto":
-            form = (
-                "dense"
-                if self.n_nodes <= DENSE_NODE_LIMIT or self.density > DENSE_DENSITY_LIMIT
-                else "sparse"
-            )
-        if form == "dense":
-            w = np.zeros((self.n_nodes, self.n_nodes))
-            w[self.edges_u, self.edges_v] = self.weights
-            w[self.edges_v, self.edges_u] = self.weights
-            return w
-        rows = np.concatenate([self.edges_u, self.edges_v])
-        cols = np.concatenate([self.edges_v, self.edges_u])
-        vals = np.concatenate([self.weights, self.weights])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-
-    def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes)
-        np.add.at(d, self.edges_u, self.weights)
-        np.add.at(d, self.edges_v, self.weights)
-        return d
-
-    def neighbor_counts(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes, dtype=np.int64)
-        np.add.at(d, self.edges_u, 1)
-        np.add.at(d, self.edges_v, 1)
-        return d
 
 
 def gamma_categorical(a, b) -> int:
@@ -179,23 +205,10 @@ def correlation_distance_matrix(x: np.ndarray) -> np.ndarray:
     return rho
 
 
-def estimate_sigma(x: np.ndarray, node_subset=None) -> float:
-    """Mean correlation distance over distinct node pairs.
-
-    With node_subset given, only pairs inside the subset contribute; the
-    harness uses this to estimate sigma from training nodes only.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if node_subset is not None:
-        x = x[np.asarray(node_subset)]
-    n = x.shape[0]
-    if n < 2:
-        raise ParameterError("need at least 2 nodes to estimate sigma")
-    return _mean_pair_distance(correlation_distance_matrix(x))
-
-
 def _mean_pair_distance(rho: np.ndarray) -> float:
     """Mean of rho over distinct node pairs; 1.0 when that is not positive."""
+    if rho.shape[0] < 2:
+        raise ParameterError("need at least 2 nodes to estimate sigma")
     iu, ju = np.triu_indices(rho.shape[0], k=1)
     sigma = float(rho[iu, ju].mean())
     if sigma <= 0:
@@ -241,30 +254,24 @@ def _gamma_sum_matrix(records: list[AcquisitionRecord], spec: GraphSpec) -> np.n
     return total
 
 
-def _kernel_matrix(features: FeatureMatrix, spec: GraphSpec) -> tuple[np.ndarray, float]:
+def _kernel_matrix(
+    features: FeatureMatrix, sigma_mode: str, sigma_value: float | None, sigma_rows
+) -> tuple[np.ndarray, float]:
+    """Gaussian kernel of the correlation distance between all rows, and its
+    width: sigma_value when fixed, else the mean distance over pairs of
+    sigma_rows (all rows when None)."""
     rho = correlation_distance_matrix(features.values)
-    if spec.sigma_mode == "fixed":
-        sigma = float(spec.sigma_value)
-    else:
+    if sigma_mode == "fixed":
+        sigma = float(sigma_value)
+    elif sigma_rows is None:
         sigma = _mean_pair_distance(rho)
+    else:
+        sigma = _mean_pair_distance(rho[np.ix_(sigma_rows, sigma_rows)])
     return np.exp(-(rho**2) / (2.0 * sigma**2)), sigma
 
 
-def _graph_from_dense(n: int, w: np.ndarray, provenance: dict) -> PopulationGraph:
-    iu, ju = np.triu_indices(n, k=1)
-    vals = w[iu, ju]
-    keep = vals != 0.0
-    return PopulationGraph(
-        n_nodes=n,
-        edges_u=iu[keep],
-        edges_v=ju[keep],
-        weights=vals[keep],
-        provenance=provenance,
-    )
-
-
 def build_phenotypic_graph(
-    features: FeatureMatrix, records: list[AcquisitionRecord], spec: GraphSpec
+    features: FeatureMatrix, records: list[AcquisitionRecord], spec: GraphSpec, sigma_rows=None
 ) -> PopulationGraph:
     """Phenotype-weighted graph: W = Sim * (number of agreeing measures)."""
     spec.validate()
@@ -279,7 +286,7 @@ def build_phenotypic_graph(
     gamma_sum = _gamma_sum_matrix(records, spec)
     sigma = None
     if spec.sim_mode == "correlation_kernel":
-        sim, sigma = _kernel_matrix(features, spec)
+        sim, sigma = _kernel_matrix(features, spec.sigma_mode, spec.sigma_value, sigma_rows)
     elif spec.sim_mode == "longitudinal":
         _, subjects = np.unique([r.subject_id for r in records], return_inverse=True)
         sim = np.where(subjects[:, None] == subjects[None, :], float(spec.lam), 0.0)
@@ -296,7 +303,7 @@ def build_phenotypic_graph(
         "sigma": sigma,
         "n_nodes": n,
     }
-    return _graph_from_dense(n, w, provenance)
+    return PopulationGraph.from_upper(w, provenance)
 
 
 def build_knn_graph(
@@ -304,6 +311,7 @@ def build_knn_graph(
     k: int,
     sigma_mode: str = "mean_rho",
     sigma_value: float | None = None,
+    sigma_rows=None,
 ) -> PopulationGraph:
     """k-nearest-neighbour graph under the correlation kernel, union-symmetrized.
 
@@ -313,8 +321,7 @@ def build_knn_graph(
     n = features.n_acquisitions
     if not 1 <= k < n:
         raise ParameterError(f"k must satisfy 1 <= k < N={n}, got {k}")
-    spec = GraphSpec(strategy="knn", sigma_mode=sigma_mode, sigma_value=sigma_value)
-    kern, sigma = _kernel_matrix(features, spec)
+    kern, sigma = _kernel_matrix(features, sigma_mode, sigma_value, sigma_rows)
     np.fill_diagonal(kern, -np.inf)
 
     w = np.zeros((n, n))
@@ -324,7 +331,7 @@ def build_knn_graph(
         w[u, nbrs] = kern[u, nbrs]
     w = np.maximum(w, w.T)  # union symmetrization
     provenance = {"strategy": "knn", "k": k, "sigma": sigma, "n_nodes": n}
-    return _graph_from_dense(n, w, provenance)
+    return PopulationGraph.from_upper(w, provenance)
 
 
 def build_complete_graph(
@@ -333,35 +340,27 @@ def build_complete_graph(
     features: FeatureMatrix | None = None,
     sigma_mode: str = "mean_rho",
     sigma_value: float | None = None,
+    sigma_rows=None,
 ) -> PopulationGraph:
     """Complete graph: unit weights, or kernel weights when weighted=True."""
     if weighted:
         if features is None:
             raise ParameterError("weighted complete graph requires features")
         n = features.n_acquisitions
-        spec = GraphSpec(strategy="all", sigma_mode=sigma_mode, sigma_value=sigma_value)
-        w, sigma = _kernel_matrix(features, spec)
-        np.fill_diagonal(w, 0.0)
+        w, sigma = _kernel_matrix(features, sigma_mode, sigma_value, sigma_rows)
         provenance = {"strategy": "all", "sigma": sigma, "n_nodes": n}
-        return _graph_from_dense(n, w, provenance)
+        return PopulationGraph.from_upper(w, provenance)
     if n is None:
         if features is None:
             raise ParameterError("need n or features")
         n = features.n_acquisitions
-    iu, ju = np.triu_indices(n, k=1)
-    return PopulationGraph(
-        n_nodes=n,
-        edges_u=iu,
-        edges_v=ju,
-        weights=np.ones(len(iu)),
-        provenance={"strategy": "complete", "n_nodes": n},
-    )
+    return PopulationGraph.from_upper(np.ones((n, n)), {"strategy": "complete", "n_nodes": n})
 
 
 def build_random_graph(reference: PopulationGraph, seed: int) -> PopulationGraph:
     """Rewire a reference graph: same node and edge count, uniformly resampled
     endpoints (no duplicates or self-loops), weight multiset preserved via a
-    random permutation."""
+    random permutation. It keeps the reference's kernel width as its sigma."""
     if reference.n_edges < 1:
         raise ParameterError("reference graph must have at least one edge")
     n = reference.n_nodes
@@ -370,36 +369,42 @@ def build_random_graph(reference: PopulationGraph, seed: int) -> PopulationGraph
     idx = rng.choice(len(iu), size=reference.n_edges, replace=False)
     idx.sort()
     weights = rng.permutation(reference.weights)
-    return PopulationGraph(
-        n_nodes=n,
-        edges_u=iu[idx],
-        edges_v=ju[idx],
-        weights=weights,
-        provenance={
-            "strategy": "random",
-            "seed": seed,
-            "reference": reference.provenance.get("strategy"),
-            "n_nodes": n,
-        },
-    )
+    provenance = {
+        "strategy": "random",
+        "seed": seed,
+        "reference": reference.provenance.get("strategy"),
+        "sigma": reference.provenance.get("sigma"),
+        "n_nodes": n,
+    }
+    return PopulationGraph.from_edges(n, iu[idx], ju[idx], weights, provenance)
 
 
 def build_graph(
-    features: FeatureMatrix, records: list[AcquisitionRecord], spec: GraphSpec
+    features: FeatureMatrix, records: list[AcquisitionRecord], spec: GraphSpec, sigma_rows=None
 ) -> PopulationGraph:
-    """Dispatch on spec.strategy; 'random' rewires the phenotypic graph."""
+    """Dispatch on spec.strategy; 'random' rewires the phenotypic graph.
+
+    A kernel covers every row; under sigma_mode 'mean_rho' its width is the
+    mean correlation distance over pairs of sigma_rows (all rows when None).
+    """
     spec.validate()
     if spec.strategy == "phenotypic":
-        return build_phenotypic_graph(features, records, spec)
+        return build_phenotypic_graph(features, records, spec, sigma_rows)
     if spec.strategy == "knn":
-        return build_knn_graph(features, spec.k, spec.sigma_mode, spec.sigma_value)
+        return build_knn_graph(features, spec.k, spec.sigma_mode, spec.sigma_value, sigma_rows)
     if spec.strategy == "complete":
         return build_complete_graph(n=features.n_acquisitions)
     if spec.strategy == "all":
         return build_complete_graph(
-            weighted=True, features=features, sigma_mode=spec.sigma_mode, sigma_value=spec.sigma_value
+            weighted=True,
+            features=features,
+            sigma_mode=spec.sigma_mode,
+            sigma_value=spec.sigma_value,
+            sigma_rows=sigma_rows,
         )
-    reference = build_phenotypic_graph(features, records, replace(spec, strategy="phenotypic"))
+    reference = build_phenotypic_graph(
+        features, records, replace(spec, strategy="phenotypic"), sigma_rows
+    )
     return build_random_graph(reference, spec.seed)
 
 
@@ -414,11 +419,13 @@ def save_graph(graph: PopulationGraph, path):
 
 
 def load_graph(path) -> PopulationGraph:
+    """Read a save_graph CSV; IntegrityError names the path, and the line for
+    a malformed row."""
     provenance = {}
     n_nodes = None
     us, vs, ws = [], [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -429,16 +436,20 @@ def load_graph(path) -> PopulationGraph:
             elif line.startswith("#") or line == "u,v,weight":
                 continue
             else:
-                u, v, w = line.split(",")
-                us.append(int(u))
-                vs.append(int(v))
-                ws.append(float(w))
+                try:
+                    u, v, w = line.split(",")
+                    us.append(int(u))
+                    vs.append(int(v))
+                    ws.append(float(w))
+                except ValueError:
+                    raise IntegrityError(
+                        f"{path}, line {lineno}: expected 'u,v,weight', got {line!r}"
+                    ) from None
+                if not math.isfinite(ws[-1]):
+                    raise IntegrityError(f"{path}, line {lineno}: non-finite weight {w!r}")
     if n_nodes is None:
         raise IntegrityError(f"{path}: missing '# n_nodes:' header")
-    return PopulationGraph(
-        n_nodes=n_nodes,
-        edges_u=np.array(us, dtype=np.int64),
-        edges_v=np.array(vs, dtype=np.int64),
-        weights=np.array(ws),
-        provenance=provenance,
-    )
+    try:
+        return PopulationGraph.from_edges(n_nodes, us, vs, ws, provenance)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None

@@ -58,12 +58,9 @@ def normalized_laplacian(graph: PopulationGraph) -> LaplacianMatrix:
     The inverse square-root degree of a zero-degree node is taken as 0, so the
     operator stays well-defined on highly disconnected graphs.
     """
-    w = graph.adjacency("auto")
+    w = graph.adjacency
     n = graph.n_nodes
-    if sp.issparse(w):
-        d = np.asarray(w.sum(axis=1)).ravel()
-    else:
-        d = w.sum(axis=1)
+    d = np.asarray(w.sum(axis=1)).ravel()
     d_inv_sqrt = np.zeros_like(d)
     positive = d > 0
     d_inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
@@ -86,13 +83,7 @@ def laplacian_difference(graph: PopulationGraph, x, i: int) -> float:
     x = np.asarray(x, dtype=np.float64)
     if len(x) != graph.n_nodes:
         raise ContractError(f"signal length {len(x)} != n_nodes {graph.n_nodes}")
-    total = 0.0
-    for u, v, w in zip(graph.edges_u, graph.edges_v, graph.weights):
-        if u == i:
-            total += w * (x[i] - x[v])
-        elif v == i:
-            total += w * (x[i] - x[u])
-    return float(total)
+    return float((graph.adjacency[i] @ (x[i] - x)).sum())
 
 
 def _offdiag_nonzeros(lap: LaplacianMatrix) -> int:

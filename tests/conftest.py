@@ -35,7 +35,7 @@ def make_random_graph(n, density=0.3, seed=0, weighted=True, n_components=1):
         weights = rng.uniform(0.1, 2.0, size=len(edge_list))
     else:
         weights = np.ones(len(edge_list))
-    return PopulationGraph(n_nodes=n, edges_u=us, edges_v=vs, weights=weights)
+    return PopulationGraph.from_edges(n, us, vs, weights)
 
 
 def make_tree_graph(n, seed=0, weighted=True):
@@ -47,9 +47,7 @@ def make_tree_graph(n, seed=0, weighted=True):
         us.append(min(i, j))
         vs.append(max(i, j))
     weights = rng.uniform(0.5, 1.5, size=n - 1) if weighted else np.ones(n - 1)
-    return PopulationGraph(
-        n_nodes=n, edges_u=np.array(us), edges_v=np.array(vs), weights=weights
-    )
+    return PopulationGraph.from_edges(n, us, vs, weights)
 
 
 def hop_distances(graph, source):

@@ -68,9 +68,7 @@ class TestMlpClassify:
         x = rng.standard_normal((n, c))
         config = GcnConfig(cheb_order=0, hidden_width=4, dropout_rate=0.0)
         model = init_model(config, c, np.random.default_rng(3))
-        edgeless = PopulationGraph(
-            n, np.array([], dtype=int), np.array([], dtype=int), np.array([])
-        )
+        edgeless = PopulationGraph.from_edges(n, [], [], [])
         with_operator = forward(model, scaled_operator(edgeless), x)
         without_operator = forward(model, None, x)
         np.testing.assert_array_equal(with_operator, without_operator)

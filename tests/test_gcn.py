@@ -25,7 +25,7 @@ from popgcn.spectral import estimate_lambda_max, normalized_laplacian
 
 
 def empty_graph(n):
-    return PopulationGraph(n, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+    return PopulationGraph.from_edges(n, [], [], [])
 
 
 def model_bytes(model):
@@ -409,7 +409,7 @@ class TestTrain:
         new_u = np.minimum(perm[g.edges_u], perm[g.edges_v])
         new_v = np.maximum(perm[g.edges_u], perm[g.edges_v])
         order = np.argsort(new_u * 20 + new_v)
-        g2 = PopulationGraph(20, new_u[order], new_v[order], g.weights[order])
+        g2 = PopulationGraph.from_edges(20, new_u[order], new_v[order], g.weights[order])
         inv = np.empty(20, dtype=int)
         inv[perm] = np.arange(20)
         scaled2 = scaled_operator(g2)

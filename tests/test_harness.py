@@ -26,7 +26,7 @@ from popgcn.harness import (
     run_experiment,
     stratified_group_kfold,
 )
-from popgcn.popgraph import GraphSpec, estimate_sigma
+from popgcn.popgraph import GraphSpec, correlation_distance_matrix
 
 
 def rec(i, subject, label, scans_suffix="t0", **kw):
@@ -217,6 +217,12 @@ class TestEnsembleSeeds:
         assert result.accuracy == pytest.approx(expected, abs=1e-15)
 
 
+def mean_pair_distance(x):
+    """Mean correlation distance over distinct row pairs of x."""
+    rho = correlation_distance_matrix(x)
+    return rho[np.triu_indices(len(x), k=1)].mean()
+
+
 def small_experiment(seed=0, model="gcn", seeds=(0, 1), folds=3):
     features, records = generate_synthetic(
         SyntheticConfig(n_subjects=36, scans_per_subject=(1, 2), n_features=8, seed=seed)
@@ -267,14 +273,17 @@ class TestRunExperiment:
             assert a.pred_labels == b.pred_labels
             assert a.probs == b.probs
 
-    def test_sigma_estimated_from_training_pairs_only(self, rng):
-        desc = small_experiment(seeds=(0,))
+    @pytest.mark.parametrize("strategy", ["phenotypic", "knn", "all", "random"])
+    def test_sigma_estimated_from_training_pairs_only(self, rng, strategy):
+        desc = dataclasses.replace(
+            small_experiment(seeds=(0,)), graph_spec=GraphSpec(strategy=strategy, k=5)
+        )
         from popgcn.harness import stratified_group_kfold
 
         assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
         labels = labels_array(desc.records)
         train_rows = np.flatnonzero((assignment.folds != 0) & (labels != UNKNOWN_LABEL))
-        expected = estimate_sigma(desc.features.values, train_rows)
+        expected = mean_pair_distance(desc.features.values[train_rows])
         base = _run_fold(desc, assignment, 0)
         assert base[0].sigma == pytest.approx(expected, abs=1e-12)
 
@@ -292,8 +301,17 @@ class TestRunExperiment:
         from popgcn.harness import stratified_group_kfold
 
         assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
-        expected = estimate_sigma(desc.features.values, None)
+        expected = mean_pair_distance(desc.features.values)
         assert _run_fold(desc, assignment, 0)[0].sigma == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["phenotypic", "knn", "all", "random"])
+    def test_fixed_sigma_is_not_recorded(self, strategy):
+        spec = GraphSpec(strategy=strategy, k=5, sigma_mode="fixed", sigma_value=0.7)
+        desc = dataclasses.replace(small_experiment(seeds=(0, 1)), graph_spec=spec)
+        from popgcn.harness import stratified_group_kfold
+
+        assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+        assert [r.sigma for r in _run_fold(desc, assignment, 0)] == [None, None]
 
     def test_ridge_experiment_constant_across_seeds(self):
         report = run_experiment(small_experiment(model="ridge", seeds=(0, 1, 2)))

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from popgcn.dataset import AcquisitionRecord, FeatureMatrix
-from popgcn.errors import ContractError, DegenerateInputError, ParameterError
+from popgcn.dataset import AcquisitionRecord, FeatureMatrix, SyntheticConfig, generate_synthetic
+from popgcn.errors import ContractError, DegenerateInputError, IntegrityError, ParameterError
 from popgcn.popgraph import (
+    DENSE_DENSITY_LIMIT,
+    DENSE_NODE_LIMIT,
     GraphSpec,
     PopulationGraph,
     build_complete_graph,
@@ -14,7 +17,7 @@ from popgcn.popgraph import (
     build_knn_graph,
     build_phenotypic_graph,
     build_random_graph,
-    estimate_sigma,
+    correlation_distance_matrix,
     gamma_categorical,
     gamma_quantitative,
     load_graph,
@@ -182,8 +185,8 @@ class TestPhenotypicGraph:
         # Sim held fixed across specs via a fixed kernel width.
         base = GraphSpec(measures=("SEX",), sigma_mode="fixed", sigma_value=0.9)
         wider = GraphSpec(measures=("SEX", "SITE"), sigma_mode="fixed", sigma_value=0.9)
-        w1 = build_phenotypic_graph(features, records, base).adjacency("dense")
-        w2 = build_phenotypic_graph(features, records, wider).adjacency("dense")
+        w1 = build_phenotypic_graph(features, records, base).adjacency
+        w2 = build_phenotypic_graph(features, records, wider).adjacency
         assert np.all(w2 >= w1 - 1e-12)
 
     def test_gene_measure_and_missing_values(self):
@@ -246,7 +249,7 @@ class TestKnnGraph:
     def test_minimum_degree_k(self, rng):
         features = feats(rng.standard_normal((15, 6)))
         g = build_knn_graph(features, k=4)
-        assert np.all(g.neighbor_counts() >= 4)
+        assert np.all(np.count_nonzero(g.adjacency, axis=1) >= 4)
 
     def test_edge_weights_are_kernel_values(self, rng):
         x = rng.standard_normal((6, 5))
@@ -314,7 +317,7 @@ class TestRandomGraph:
         assert a.edge_list() != b.edge_list()
 
     def test_requires_nonempty_reference(self):
-        empty = PopulationGraph(3, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+        empty = PopulationGraph.from_edges(3, [], [], [])
         with pytest.raises(ParameterError):
             build_random_graph(empty, seed=0)
 
@@ -326,7 +329,10 @@ class TestGraphInvariants:
         for strategy in ("phenotypic", "knn", "complete", "all", "random"):
             spec = GraphSpec(strategy=strategy, k=3, seed=1)
             g = build_graph(features, records, spec)
-            g.validate()  # symmetric storage, u < v, no self-loops, weights >= 0
+            w = g.adjacency
+            np.testing.assert_array_equal(w, w.T)
+            assert np.all(np.diag(w) == 0)
+            assert np.all(g.edges_u < g.edges_v)
             assert np.all(g.weights >= 0)
 
     def test_pairwise_correlation_matches_numpy(self, rng):
@@ -339,20 +345,65 @@ class TestGraphInvariants:
         subset = [0, 2, 4, 6]
         rho = 1.0 - np.corrcoef(x[subset])
         iu, ju = np.triu_indices(len(subset), k=1)
-        assert estimate_sigma(x, subset) == pytest.approx(rho[iu, ju].mean(), abs=1e-12)
+        records = [rec(i) for i in range(10)]
+        g = build_graph(feats(x), records, GraphSpec(strategy="all"), sigma_rows=subset)
+        assert g.provenance["sigma"] == pytest.approx(rho[iu, ju].mean(), abs=1e-12)
+        # The kernel still covers every pair, at that width.
+        assert g.n_edges == 45
+        kern = np.exp(-correlation_distance_matrix(x) ** 2 / (2 * g.provenance["sigma"] ** 2))
+        np.testing.assert_allclose(g.adjacency, kern - np.diag(np.diag(kern)), atol=1e-12)
+
+    def test_edge_views_are_row_major_upper_triangle(self):
+        g = PopulationGraph.from_edges(4, [0, 1, 0, 2], [3, 2, 1, 3], [1.0, 2.0, 3.0, 0.0])
+        assert g.edge_list() == [(0, 1, 3.0), (0, 3, 1.0), (1, 2, 2.0)]
+        assert g.n_edges == 3  # a zero weight is no edge
 
 
 class TestGraphSerialization:
-    def test_save_load_roundtrip(self, tmp_path, rng):
-        features = feats(rng.standard_normal((9, 5)))
-        records = [rec(i, sex="MF"[i % 2]) for i in range(9)]
-        g = build_phenotypic_graph(features, records, GraphSpec())
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_save_load_roundtrip(self, tmp_path, rng, sparse):
+        if sparse:
+            features, records = generate_synthetic(SyntheticConfig(
+                n_subjects=80, scans_per_subject=(3, 4), n_sites=4, n_features=20, seed=3
+            ))
+            spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
+            g = build_graph(features, records, spec)
+            assert g.n_nodes > DENSE_NODE_LIMIT and g.density <= DENSE_DENSITY_LIMIT
+            assert g.adjacency.format == "csr"
+        else:
+            features = feats(rng.standard_normal((9, 5)))
+            records = [rec(i, sex="MF"[i % 2]) for i in range(9)]
+            g = build_phenotypic_graph(features, records, GraphSpec())
         path = tmp_path / "graph.csv"
         save_graph(g, path)
         loaded = load_graph(path)
         assert loaded.n_nodes == g.n_nodes
         assert loaded.edge_list() == g.edge_list()
         assert loaded.provenance == g.provenance
+        assert sp.issparse(loaded.adjacency) == sparse
+        assert abs(loaded.adjacency - g.adjacency).max() == 0
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,1,1.0", "0,1,2.0"], "duplicate edge"),
+            (["1,1,1.0"], "u < v"),
+            (["2,1,1.0"], "u < v"),
+            (["0,3,1.0"], "out of range"),
+            (["-1,1,1.0"], "out of range"),
+            (["0,1,-0.5"], "negative edge weight"),
+            (["0,1,1.0", "1,2,nan"], "line 5: non-finite weight"),
+            (["1,2,inf"], "line 4: non-finite weight"),
+            (["0,1"], "line 4: expected 'u,v,weight'"),
+            (["0,1,x"], "line 4: expected 'u,v,weight'"),
+        ],
+    )
+    def test_load_rejects_bad_edges(self, tmp_path, rows, message):
+        path = tmp_path / "graph.csv"
+        path.write_text("# provenance: {}\n# n_nodes: 3\nu,v,weight\n" + "\n".join(rows) + "\n")
+        with pytest.raises(IntegrityError, match=message) as info:
+            load_graph(path)
+        assert str(path) in str(info.value)
 
     def test_header_contains_provenance(self, tmp_path):
         g = build_complete_graph(n=3)
