@@ -3,47 +3,28 @@
 The MLP is the graph model with the mixing operator removed: order-0
 convolutions and no Laplacian, i.e. plain dense layers, trained and scored by
 `gcn.train` and `gcn.predict` (masked loss over the training rows, Adam,
-dropout).
+dropout). It runs on the experiment's GcnConfig; BaselineConfig holds only
+what the baselines add to it, the ridge penalty and the MLP's epoch count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError
 from .featsel import _sigmoid, ridge_fit
 from .gcn import GcnConfig, predict, train
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    kind: str = "ridge"
-    ridge_alpha: float = 1.0
-    # MLP defaults mirror the graph model's (one hidden layer, dropout 0.3,
-    # l2 5e-4, lr 0.005) with the epoch count fixed at 200; width None means
-    # "input feature count".
-    mlp_epochs: int = 200
-    mlp_hidden_layers: int = 1
-    mlp_width: int | None = None
-    mlp_dropout: float = 0.3
-    mlp_l2: float = 5e-4
-    mlp_lr: float = 0.005
-    seed: int = 0
+    """The baselines' own settings: the ridge penalty and the MLP's epoch
+    count. The MLP takes every other setting from the GcnConfig it is given."""
 
-    def validate(self):
-        if self.kind not in ("ridge", "mlp"):
-            raise ParameterError(f"unknown baseline kind {self.kind!r}")
-        if self.ridge_alpha <= 0:
-            raise ParameterError("ridge_alpha must be > 0")
-        if self.kind == "mlp":
-            if self.mlp_epochs < 0 or self.mlp_hidden_layers < 0:
-                raise ParameterError("mlp_epochs and mlp_hidden_layers must be >= 0")
-            if not 0 <= self.mlp_dropout < 1:
-                raise ParameterError("mlp_dropout must be in [0, 1)")
-            if self.mlp_l2 < 0 or self.mlp_lr <= 0:
-                raise ParameterError("mlp_l2 must be >= 0 and mlp_lr > 0")
+    ridge_alpha: float = 1.0
+    mlp_epochs: int = 200
 
 
 def ridge_classify(x_train, y_train, x_test, alpha: float = 1.0):
@@ -68,43 +49,27 @@ def ridge_classify(x_train, y_train, x_test, alpha: float = 1.0):
     return labels, _sigmoid(scores)
 
 
-def mlp_classify(x_train, y_train, x_test, config: BaselineConfig):
+def mlp_classify(x_train, y_train, x_test, config: BaselineConfig, network: GcnConfig):
     """Multilayer perceptron classifier; returns (labels, probs for class 1..).
 
-    Trains the graph model with Chebyshev order 0 and no operator (identical
-    to its forward pass on an edgeless graph), so dropout, loss, gradients
-    and Adam are shared code; a non-finite loss raises train's
-    DivergenceError. Probabilities are softmax rows.
+    Trains `network` at Chebyshev order 0 with no operator (identical to its
+    forward pass on an edgeless graph) for config.mlp_epochs epochs, so
+    layers, dropout, loss, gradients and Adam are the graph model's; train
+    validates the settings and raises DivergenceError on a non-finite loss.
+    Probabilities are softmax rows.
     """
-    config.validate()
-    if config.kind != "mlp":
-        raise ContractError("config.kind must be 'mlp'")
-    x_train = np.asarray(x_train, dtype=np.float64)
-    x_test = np.asarray(x_test, dtype=np.float64)
     y = np.asarray(y_train, dtype=np.int64)
     if not set(np.unique(y)) == {0, 1}:
         raise ContractError("both classes must be present in training labels")
 
     # Test rows ride along unmasked: dropout draws its masks over every row,
     # so leaving them out would change the random stream and the results.
-    x_full = np.vstack([x_train, x_test])
-    n_train = x_train.shape[0]
-    mask = np.zeros(x_full.shape[0], dtype=bool)
-    mask[:n_train] = True
-    labels_full = np.zeros(x_full.shape[0], dtype=np.int64)
-    labels_full[:n_train] = y
+    x_full = np.asarray(np.vstack([x_train, x_test]), dtype=np.float64)
+    n_train = len(x_train)
+    mask = np.arange(len(x_full)) < n_train
+    labels_full = np.concatenate([y, np.zeros(len(x_full) - n_train, dtype=np.int64)])
 
-    net_config = GcnConfig(
-        n_classes=2,
-        hidden_layers=config.mlp_hidden_layers,
-        hidden_width=config.mlp_width,
-        cheb_order=0,  # dense layers: no neighborhood mixing
-        dropout_rate=config.mlp_dropout,
-        l2_coeff=config.mlp_l2,
-        learning_rate=config.mlp_lr,
-        epochs=config.mlp_epochs,
-        seed=config.seed,
-    )
+    net_config = replace(network, n_classes=2, cheb_order=0, epochs=config.mlp_epochs)
     model, _ = train(net_config, None, x_full, labels_full, mask)
     probs, labels = predict(model, None, x_full)
     return labels[n_train:], probs[n_train:]

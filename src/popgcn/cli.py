@@ -6,6 +6,11 @@ sweep (repeat run over a list of values for one config key), report (print a
 saved report). Every run writes a machine-readable echo of the fully resolved
 configuration; outputs contain no timestamps, so a fixed config and seed give
 byte-identical files.
+
+Defaults live on the config classes (SyntheticConfig, SelectorConfig,
+GraphSpec, GcnConfig, BaselineConfig, ExperimentDescriptor) and nowhere else:
+each config is built from the INI keys, or the synth/graph flags, that were
+given, and every field left out keeps its class default.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 from . import dataset as ds
 from .baselines import BaselineConfig
@@ -23,7 +28,7 @@ from .errors import PopgcnError
 from .featsel import SelectorConfig
 from .gcn import GcnConfig
 from .harness import ExperimentDescriptor, ExperimentReport, run_experiment
-from .popgraph import GraphSpec, build_graph, save_graph
+from .popgraph import SIM_MODES, STRATEGIES, GraphSpec, build_graph, save_graph
 
 
 class ConfigValidationError(PopgcnError):
@@ -169,21 +174,65 @@ def write_config_echo(config: dict, path):
         echo.write(fh)
 
 
+# INI keys whose config field has another name, as section.key -> field.
+FIELD_NAMES = {
+    "dataset.subjects": "n_subjects",
+    "dataset.sites": "n_sites",
+    "dataset.site_shift": "site_shift_scale",
+    "dataset.noise": "noise_scale",
+    "dataset.data_seed": "seed",
+    "graph.sim": "sim_mode",
+    "graph.lambda": "lam",
+    "model.kind": "model",
+    "model.dropout": "dropout_rate",
+    "model.l2": "l2_coeff",
+    "model.lr": "learning_rate",
+}
+
+# The config classes each section's keys fill, by field name. Keys that name
+# no field have code of their own: the dataset files and `synthetic`,
+# scans_min/scans_max and sigma.
+SECTION_CONFIGS = {
+    "experiment": (ExperimentDescriptor,),
+    "dataset": (ds.SyntheticConfig,),
+    "selector": (SelectorConfig,),
+    "graph": (GraphSpec, ExperimentDescriptor),
+    "model": (GcnConfig, BaselineConfig, ExperimentDescriptor),
+    "cv": (ExperimentDescriptor,),
+}
+
+
+def _build(cls, config: dict, **given):
+    """cls from the keys present in the sections that fill it, plus `given`;
+    every other field keeps its class default."""
+    names = {f.name for f in fields(cls)}
+    for section, classes in SECTION_CONFIGS.items():
+        if cls not in classes:
+            continue
+        for key, value in config.get(section, {}).items():
+            name = FIELD_NAMES.get(f"{section}.{key}", key)
+            if name in names:
+                given[name] = value
+    return cls(**given)
+
+
+def synthetic_config(config: dict) -> ds.SyntheticConfig:
+    syn = _build(ds.SyntheticConfig, config)
+    sec = config.get("dataset", {})
+    lo, hi = syn.scans_per_subject
+    return replace(syn, scans_per_subject=(sec.get("scans_min", lo), sec.get("scans_max", hi)))
+
+
+def graph_spec(config: dict) -> GraphSpec:
+    sigma = config.get("graph", {}).get("sigma")  # None is 'auto'
+    fixed = {} if sigma is None else {"sigma_mode": "fixed", "sigma_value": sigma}
+    return _build(GraphSpec, config, **fixed)
+
+
 def _load_or_generate_dataset(config: dict):
     sec = config.get("dataset", {})
-    if sec.get("synthetic", False):
-        syn = ds.SyntheticConfig(
-            n_subjects=sec.get("subjects", 600),
-            scans_per_subject=(sec.get("scans_min", 1), sec.get("scans_max", 3)),
-            n_sites=sec.get("sites", 4),
-            n_features=sec.get("n_features", 12),
-            class_separation=sec.get("class_separation", 2.5),
-            site_shift_scale=sec.get("site_shift", 1.5),
-            sex_effect=sec.get("sex_effect", 0.8),
-            noise_scale=sec.get("noise", 1.0),
-            seed=sec.get("data_seed", 0),
-        )
-        return ds.generate_synthetic(syn)
+    if sec.get("synthetic"):
+        return ds.generate_synthetic(synthetic_config(config))
     for key in ("features", "phenotypes"):
         if key not in sec:
             raise ConfigValidationError(f"dataset.{key} is required unless dataset.synthetic=true")
@@ -194,191 +243,101 @@ def _load_or_generate_dataset(config: dict):
 
 def build_descriptor(config: dict) -> ExperimentDescriptor:
     features, records = _load_or_generate_dataset(config)
-
-    sel = config.get("selector", {})
-    selector = SelectorConfig(
-        kind=sel.get("kind", "none"),
-        target_c=sel.get("target_c", 0),
-        ridge_alpha=sel.get("ridge_alpha", 1.0),
-        rfe_step_fraction=sel.get("rfe_step_fraction", 0.1),
-        mlp_epochs=sel.get("mlp_epochs", 100),
-        mlp_lr=sel.get("mlp_lr", 1e-3),
-        ae_epochs=sel.get("ae_epochs", 100),
-        ae_lr=sel.get("ae_lr", 5e-4),
-        seed=sel.get("seed", 0),
-    )
-
-    gr = config.get("graph", {})
-    sigma = gr.get("sigma", None)
-    spec = GraphSpec(
-        strategy=gr.get("strategy", "phenotypic"),
-        measures=gr.get("measures", ("SEX", "SITE")),
-        sim_mode=gr.get("sim", "correlation_kernel"),
-        theta=gr.get("theta", 2.0),
-        lam=gr.get("lambda", 10.0),
-        k=gr.get("k", 10),
-        sigma_mode="mean_rho" if sigma is None else "fixed",
-        sigma_value=sigma,
-        seed=gr.get("seed", 0),
-    )
-
-    mo = config.get("model", {})
-    gcn_config = GcnConfig(
-        hidden_layers=mo.get("hidden_layers", 1),
-        hidden_width=mo.get("hidden_width", None),
-        cheb_order=mo.get("cheb_order", 3),
-        dropout_rate=mo.get("dropout", 0.3),
-        l2_coeff=mo.get("l2", 5e-4),
-        learning_rate=mo.get("lr", 0.005),
-        epochs=mo.get("epochs", 150),
-    )
-    baseline = BaselineConfig(
-        kind=mo.get("kind", "gcn") if mo.get("kind") in ("ridge", "mlp") else "ridge",
-        ridge_alpha=mo.get("ridge_alpha", 1.0),
-        mlp_epochs=mo.get("mlp_epochs", 200),
-        mlp_hidden_layers=mo.get("hidden_layers", 1),
-        mlp_width=mo.get("hidden_width", None),
-        mlp_dropout=mo.get("dropout", 0.3),
-        mlp_l2=mo.get("l2", 5e-4),
-        mlp_lr=mo.get("lr", 0.005),
-    )
-
-    cv = config.get("cv", {})
-    return ExperimentDescriptor(
+    return _build(
+        ExperimentDescriptor,
+        config,
         features=features,
         records=records,
-        model=mo.get("kind", "gcn"),
-        graph_spec=spec,
-        gcn_config=gcn_config,
-        baseline_config=baseline,
-        selector_config=selector,
-        folds=cv.get("folds", 10),
-        seeds=cv.get("seeds", tuple(range(10))),
-        fold_seed=cv.get("fold_seed", 0),
-        sigma_pairs=gr.get("sigma_pairs", "train"),
-        name=config.get("experiment", {}).get("name", "experiment"),
+        graph_spec=graph_spec(config),
+        gcn_config=_build(GcnConfig, config),
+        baseline_config=_build(BaselineConfig, config),
+        selector_config=_build(SelectorConfig, config),
     )
 
 
-def _write_report_files(report: ExperimentReport, out_dir: str):
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    report.write_csv(os.path.join(out_dir, "results.csv"))
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.summary_table())
-        fh.write("\n")
+def _write_text(path, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
-def _cmd_synth(args) -> int:
-    cfg = ds.SyntheticConfig(
-        n_subjects=args.subjects,
-        scans_per_subject=(args.scans_min, args.scans_max),
-        n_sites=args.sites,
-        n_features=args.features,
-        class_separation=args.class_separation,
-        site_shift_scale=args.site_shift,
-        sex_effect=args.sex_effect,
-        noise_scale=args.noise,
-        seed=args.seed,
-    )
-    features, records = ds.generate_synthetic(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    ds.write_features(features, os.path.join(args.out, "features.csv"))
-    ds.write_phenotypes(records, os.path.join(args.out, "phenotypes.csv"))
-    with open(os.path.join(args.out, "synth_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(records)} acquisitions ({cfg.n_subjects} subjects) to {args.out}")
-    return 0
-
-
-def _cmd_graph(args) -> int:
-    for path in (args.features, args.phenotypes):
-        if not os.path.exists(path):
-            print(f"error: file not found: {path}", file=sys.stderr)
-            return 1
-    features, records = ds.load_dataset(args.features, args.phenotypes)
-    spec = GraphSpec(
-        strategy=args.strategy,
-        measures=_cast_measures(args.measures),
-        sim_mode=args.sim,
-        theta=args.theta,
-        lam=getattr(args, "lambda"),
-        k=args.k,
-        sigma_mode="mean_rho" if args.sigma is None else "fixed",
-        sigma_value=args.sigma,
-        seed=args.seed,
-    )
-    graph = build_graph(features, records, spec)
-    save_graph(graph, args.out)
-    print(f"wrote graph with {graph.n_nodes} nodes, {graph.n_edges} edges to {args.out}")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    config = parse_config(args.config, args.set or [])
+def _run(config: dict, out_dir: str, jobs: int) -> ExperimentReport:
+    """Run one experiment and write its files, config echo first."""
     descriptor = build_descriptor(config)
-    os.makedirs(args.out, exist_ok=True)
-    write_config_echo(config, os.path.join(args.out, "config_echo.cfg"))
+    os.makedirs(out_dir, exist_ok=True)
+    write_config_echo(config, os.path.join(out_dir, "config_echo.cfg"))
 
     # One JSON record per (fold, seed), flushed as produced so partial
     # results survive an abort.
-    records_path = os.path.join(args.out, "records.jsonl")
-    with open(records_path, "w", encoding="utf-8") as sink_fh:
+    with open(os.path.join(out_dir, "records.jsonl"), "w", encoding="utf-8") as sink_fh:
 
         def sink(record):
             sink_fh.write(json.dumps(asdict(record), sort_keys=True))
             sink_fh.write("\n")
             sink_fh.flush()
 
-        report = run_experiment(descriptor, jobs=args.jobs, record_sink=sink)
-    _write_report_files(report, args.out)
+        report = run_experiment(descriptor, jobs=jobs, record_sink=sink)
+    _write_text(os.path.join(out_dir, "report.json"), report.to_json())
+    report.write_csv(os.path.join(out_dir, "results.csv"))
+    _write_text(os.path.join(out_dir, "summary.txt"), report.summary_table())
+    return report
+
+
+def _given(args, section: str) -> dict:
+    """The flags given on the command line that are keys of `section`."""
+    return {key: value for key, value in vars(args).items() if key in CONFIG_SCHEMA[section]}
+
+
+def _cmd_synth(args) -> int:
+    cfg = synthetic_config({"dataset": _given(args, "dataset")})
+    features, records = ds.generate_synthetic(cfg)
+    os.makedirs(args.out, exist_ok=True)
+    ds.write_features(features, os.path.join(args.out, "features.csv"))
+    ds.write_phenotypes(records, os.path.join(args.out, "phenotypes.csv"))
+    synth_config = json.dumps(asdict(cfg), sort_keys=True, indent=1)
+    _write_text(os.path.join(args.out, "synth_config.json"), synth_config)
+    print(f"wrote {len(records)} acquisitions ({cfg.n_subjects} subjects) to {args.out}")
+    return 0
+
+
+def _cmd_graph(args) -> int:
+    features, records = ds.load_dataset(args.features, args.phenotypes)
+    graph = build_graph(features, records, graph_spec({"graph": _given(args, "graph")}))
+    save_graph(graph, args.out)
+    print(f"wrote graph with {graph.n_nodes} nodes, {graph.n_edges} edges to {args.out}")
+    return 0
+
+
+def _cmd_run(args) -> int:
+    report = _run(parse_config(args.config, args.set or []), args.out, args.jobs)
     print(report.summary_table())
     return 0
 
 
 def _cmd_sweep(args) -> int:
     if "." not in args.param:
-        print(f"error: --param must look like section.key, got {args.param!r}", file=sys.stderr)
-        return 1
+        raise ConfigValidationError(f"--param must look like section.key, got {args.param!r}")
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
-        print("error: --values is empty", file=sys.stderr)
-        return 1
+        raise ConfigValidationError("--values is empty")
     os.makedirs(args.out, exist_ok=True)
-    combined: list[str] = ["experiment,fold,seed,accuracy,auc"]
+    combined: list[str] = [ExperimentReport.CSV_HEADER]
     summaries: list[str] = []
     for value in values:
         overrides = list(args.set or []) + [f"{args.param}={value}"]
         config = parse_config(args.config, overrides)
-        name = config.get("experiment", {}).get("name", "experiment")
-        run_name = f"{name}[{args.param}={value}]"
-        config.setdefault("experiment", {})["name"] = run_name
-        descriptor = build_descriptor(config)
+        name = config.get("experiment", {}).get("name", ExperimentDescriptor.name)
+        config.setdefault("experiment", {})["name"] = f"{name}[{args.param}={value}]"
         sub_dir = os.path.join(args.out, f"{args.param.replace('.', '_')}_{value}")
-        os.makedirs(sub_dir, exist_ok=True)
-        write_config_echo(config, os.path.join(sub_dir, "config_echo.cfg"))
-        report = run_experiment(descriptor, jobs=args.jobs)
-        _write_report_files(report, sub_dir)
-        for rec in report.records:
-            auc = "" if rec.auc is None else repr(rec.auc)
-            combined.append(f"{run_name},{rec.fold},{rec.seed},{repr(rec.accuracy)},{auc}")
+        report = _run(config, sub_dir, args.jobs)
+        combined.extend(report.csv_rows())
         summaries.append(report.summary_table())
-    with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(combined))
-        fh.write("\n")
-    with open(os.path.join(args.out, "sweep_summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(summaries))
-        fh.write("\n")
+    _write_text(os.path.join(args.out, "results.csv"), "\n".join(combined))
+    _write_text(os.path.join(args.out, "sweep_summary.txt"), "\n\n".join(summaries))
     print("\n\n".join(summaries))
     return 0
 
 
 def _cmd_report(args) -> int:
-    if not os.path.exists(args.report):
-        print(f"error: file not found: {args.report}", file=sys.stderr)
-        return 1
     with open(args.report, encoding="utf-8") as fh:
         report = ExperimentReport.from_json(fh.read())
     print(report.summary_table())
@@ -393,38 +352,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic cohort as CSV files")
+    # synth and graph flags set no defaults: a flag that is not given leaves
+    # its config field at the class default, as a key missing from an INI does.
+    p_synth = sub.add_parser(
+        "synth", help="generate a synthetic cohort as CSV files",
+        argument_default=argparse.SUPPRESS,
+    )
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--subjects", type=int, default=600)
-    p_synth.add_argument("--scans-min", type=int, default=1)
-    p_synth.add_argument("--scans-max", type=int, default=3)
-    p_synth.add_argument("--sites", type=int, default=4)
-    p_synth.add_argument("--features", type=int, default=12)
-    p_synth.add_argument("--class-separation", type=float, default=2.5)
-    p_synth.add_argument("--site-shift", type=float, default=1.5)
-    p_synth.add_argument("--sex-effect", type=float, default=0.8)
-    p_synth.add_argument("--noise", type=float, default=1.0)
+    for flag, key in (
+        ("--seed", "data_seed"), ("--subjects", "subjects"), ("--scans-min", "scans_min"),
+        ("--scans-max", "scans_max"), ("--sites", "sites"), ("--features", "n_features"),
+        ("--class-separation", "class_separation"), ("--site-shift", "site_shift"),
+        ("--sex-effect", "sex_effect"), ("--noise", "noise"),
+    ):
+        p_synth.add_argument(flag, dest=key, type=CONFIG_SCHEMA["dataset"][key])
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_graph = sub.add_parser("graph", help="build a population graph and export it as CSV")
+    p_graph = sub.add_parser(
+        "graph", help="build a population graph and export it as CSV",
+        argument_default=argparse.SUPPRESS,
+    )
     p_graph.add_argument("--features", required=True, help="features.csv path")
     p_graph.add_argument("--phenotypes", required=True, help="phenotypes.csv path")
     p_graph.add_argument("--out", required=True, help="output edge-list CSV")
-    p_graph.add_argument(
-        "--strategy", default="phenotypic", choices=["phenotypic", "knn", "complete", "all", "random"]
-    )
-    p_graph.add_argument("--measures", default="SEX,SITE", help="comma list of SEX,SITE,AGE,GENE")
-    p_graph.add_argument(
-        "--sim", default="correlation_kernel", choices=["correlation_kernel", "longitudinal", "none"]
-    )
-    p_graph.add_argument("--theta", type=float, default=2.0, help="age agreement window, years")
-    p_graph.add_argument("--lambda", type=float, default=10.0, help="same-subject link weight")
-    p_graph.add_argument("--k", type=int, default=10, help="neighbour count for knn")
-    p_graph.add_argument(
-        "--sigma", type=_cast_auto_float, default=None, help="kernel width; 'auto' = mean distance"
-    )
-    p_graph.add_argument("--seed", type=int, default=0, help="seed for the random strategy")
+    choices = {"strategy": STRATEGIES, "sim": SIM_MODES}
+    for key, text in (
+        ("strategy", None), ("measures", "comma list of SEX,SITE,AGE,GENE"), ("sim", None),
+        ("theta", "age agreement window, years"), ("lambda", "same-subject link weight"),
+        ("k", "neighbour count for knn"), ("sigma", "kernel width; 'auto' = mean distance"),
+        ("seed", "seed for the random strategy"),
+    ):
+        p_graph.add_argument(
+            f"--{key}", type=CONFIG_SCHEMA["graph"][key], choices=choices.get(key), help=text
+        )
     p_graph.set_defaults(func=_cmd_graph)
 
     p_run = sub.add_parser("run", help="run one cross-validated experiment from a config file")
@@ -461,14 +421,11 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ConfigValidationError as exc:
+    except (ConfigValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PopgcnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

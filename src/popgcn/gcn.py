@@ -394,7 +394,6 @@ def load_model(path) -> GcnModel:
         if version != CHECKPOINT_VERSION:
             raise ContractError(f"unsupported checkpoint version {version}")
         cfg_dict = json.loads(bytes(data["config_json"]).decode())
-        cfg_dict["hidden_width"] = cfg_dict.get("hidden_width")
         config = GcnConfig(**cfg_dict)
         n_layers = int(data["n_layers"])
         layers = [

@@ -119,8 +119,8 @@ def compute_metrics(probs, labels) -> Metrics:
         raise ContractError("probs and labels must have equal length")
     if np.any((labels != 0) & (labels != 1)):
         raise ContractError("labels must be 0 or 1")
-    if np.any((probs < 0) | (probs > 1)):
-        raise ContractError("probabilities must lie in [0, 1]")
+    if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both comparisons
+        raise ContractError("probabilities must be finite and lie in [0, 1]")
     preds = (probs > 0.5).astype(np.int64)
     accuracy = float(np.mean(preds == labels))
     n_pos = int(labels.sum())
@@ -200,6 +200,9 @@ class ExperimentDescriptor:
             raise ParameterError("folds must be >= 2")
         if not self.seeds:
             raise ParameterError("need at least one seed")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ParameterError(f"seeds must be distinct, repeated: {repeated}")
         if self.sigma_pairs not in ("train", "all"):
             raise ParameterError("sigma_pairs must be 'train' or 'all'")
         if self.features.ids != [r.acquisition_id for r in self.records]:
@@ -225,6 +228,8 @@ class ExperimentReport:
     config: dict
     records: list[FoldSeedRecord]
     summary: dict
+
+    CSV_HEADER = "experiment,fold,seed,accuracy,auc"
 
     def compute_summary(self) -> dict:
         """Recompute all aggregates from the per-(fold, seed) records."""
@@ -284,13 +289,17 @@ class ExperimentReport:
             records=[FoldSeedRecord(**r) for r in payload["records"]],
         )
 
+    def csv_rows(self) -> list[str]:
+        """One CSV_HEADER row per record; an AUC of None is an empty cell."""
+        return [
+            f"{self.name},{r.fold},{r.seed},{r.accuracy!r},{'' if r.auc is None else repr(r.auc)}"
+            for r in self.records
+        ]
+
     def write_csv(self, path):
-        """Plot-ready CSV: experiment,fold,seed,accuracy,auc."""
+        """Plot-ready CSV: CSV_HEADER, then csv_rows()."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("experiment,fold,seed,accuracy,auc\n")
-            for r in self.records:
-                auc = "" if r.auc is None else repr(r.auc)
-                fh.write(f"{self.name},{r.fold},{r.seed},{repr(r.accuracy)},{auc}\n")
+            fh.write("\n".join([self.CSV_HEADER, *self.csv_rows()]) + "\n")
 
     def summary_table(self) -> str:
         lines = [f"experiment: {self.name}"]
@@ -387,8 +396,8 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
 
     records = []
     for seed in desc.seeds:
-        cfg = replace(desc.baseline_config, kind="mlp", seed=seed)
-        preds, probs = mlp_classify(x_train, y_train, x_test, cfg)
+        network = replace(desc.gcn_config, seed=seed)
+        preds, probs = mlp_classify(x_train, y_train, x_test, desc.baseline_config, network)
         records.append(record(seed, preds, probs[:, 1]))
     return records
 

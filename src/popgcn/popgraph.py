@@ -58,6 +58,8 @@ class GraphSpec:
         for m in self.measures:
             if m not in MEASURES:
                 raise ParameterError(f"unknown phenotypic measure {m!r}")
+        if not self.measures and self.strategy in ("phenotypic", "random"):
+            raise ParameterError(f"strategy {self.strategy!r} needs at least one measure")
         if self.sim_mode not in SIM_MODES:
             raise ParameterError(f"unknown sim_mode {self.sim_mode!r}")
         if self.theta <= 0:
@@ -429,24 +431,27 @@ def load_graph(path) -> PopulationGraph:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("# provenance:"):
-                provenance = json.loads(line.split(":", 1)[1])
-            elif line.startswith("# n_nodes:"):
-                n_nodes = int(line.split(":", 1)[1])
-            elif line.startswith("#") or line == "u,v,weight":
-                continue
-            else:
-                try:
+            try:
+                if line.startswith("# provenance:"):
+                    provenance = json.loads(line.split(":", 1)[1])
+                    if not isinstance(provenance, dict):
+                        raise ValueError("provenance is not a JSON object")
+                elif line.startswith("# n_nodes:"):
+                    n_nodes = int(line.split(":", 1)[1])
+                elif line.startswith("#") or line == "u,v,weight":
+                    continue
+                else:
                     u, v, w = line.split(",")
                     us.append(int(u))
                     vs.append(int(v))
                     ws.append(float(w))
-                except ValueError:
-                    raise IntegrityError(
-                        f"{path}, line {lineno}: expected 'u,v,weight', got {line!r}"
-                    ) from None
-                if not math.isfinite(ws[-1]):
-                    raise IntegrityError(f"{path}, line {lineno}: non-finite weight {w!r}")
+                    if not math.isfinite(ws[-1]):
+                        raise IntegrityError(f"{path}, line {lineno}: non-finite weight {w!r}")
+            except ValueError:  # json.JSONDecodeError is a ValueError
+                expected = "a header value" if line.startswith("#") else "'u,v,weight'"
+                raise IntegrityError(
+                    f"{path}, line {lineno}: expected {expected}, got {line!r}"
+                ) from None
     if n_nodes is None:
         raise IntegrityError(f"{path}: missing '# n_nodes:' header")
     try:

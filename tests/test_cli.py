@@ -1,11 +1,21 @@
+import dataclasses
 import json
-import os
 
-import numpy as np
 import pytest
 
-from popgcn.cli import dispatch, parse_config, ConfigValidationError
-from popgcn.popgraph import load_graph
+from popgcn.cli import (
+    CONFIG_SCHEMA,
+    FIELD_NAMES,
+    SECTION_CONFIGS,
+    ConfigValidationError,
+    build_descriptor,
+    dispatch,
+    graph_spec,
+    parse_config,
+    synthetic_config,
+)
+from popgcn.dataset import SyntheticConfig
+from popgcn.popgraph import GraphSpec, load_graph
 
 
 def run_cli(*argv):
@@ -68,6 +78,21 @@ class TestSynth:
         ).read_bytes()
 
 
+    def test_config_is_the_dataclass_default(self, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path / "d")) == 0
+        written = json.loads((tmp_path / "d" / "synth_config.json").read_text())
+        assert written == json.loads(json.dumps(dataclasses.asdict(SyntheticConfig())))
+
+    def test_flags_set_their_fields(self, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path / "d"), "--seed", "5", "--features", "3",
+                       "--subjects", "9", "--scans-max", "4", "--noise", "2.5") == 0
+        written = json.loads((tmp_path / "d" / "synth_config.json").read_text())
+        expected = SyntheticConfig(
+            n_subjects=9, scans_per_subject=(1, 4), n_features=3, noise_scale=2.5, seed=5
+        )
+        assert written == json.loads(json.dumps(dataclasses.asdict(expected)))
+
+
 class TestGraphCommand:
     def test_writes_edge_list_with_provenance(self, tmp_path, data_dir):
         out = tmp_path / "graph.csv"
@@ -82,12 +107,32 @@ class TestGraphCommand:
         g = load_graph(out)
         assert g.n_nodes > 0 and g.n_edges > 0
 
-    def test_missing_input_file(self, tmp_path):
+    def test_empty_measures_exit_1(self, tmp_path, data_dir, capsys):
+        code = run_cli(
+            "graph", "--features", str(data_dir / "features.csv"),
+            "--phenotypes", str(data_dir / "phenotypes.csv"),
+            "--out", str(tmp_path / "g.csv"), "--measures", "",
+        )
+        assert code == 1
+        assert "at least one measure" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_unknown_strategy_exits_2(self, tmp_path, data_dir, capsys):
+        code = run_cli(
+            "graph", "--features", str(data_dir / "features.csv"),
+            "--phenotypes", str(data_dir / "phenotypes.csv"),
+            "--out", str(tmp_path / "g.csv"), "--strategy", "bogus",
+        )
+        assert code == 2
+        capsys.readouterr()
+
+    def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
             "graph", "--features", str(tmp_path / "nope.csv"),
             "--phenotypes", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "g.csv"),
         )
         assert code == 1
+        assert "nope.csv" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -111,6 +156,24 @@ class TestRunCommand:
             assert (tmp_path / "o1" / fname).read_bytes() == (
                 tmp_path / "o2" / fname
             ).read_bytes(), fname
+
+    def test_config_echo_reproduces_the_report(self, tmp_path, data_dir):
+        extra = "\n[graph]\nmeasures = SEX\nsigma = 0.8\n\n[selector]\nkind = pca\ntarget_c = 4\n"
+        cfg = write_config(tmp_path, data_dir, extra=extra)
+        first = tmp_path / "first"
+        assert run_cli("run", "--config", str(cfg), "--out", str(first),
+                       "--set", "model.l2=0.001") == 0
+        again = tmp_path / "again"
+        assert run_cli("run", "--config", str(first / "config_echo.cfg"), "--out", str(again)) == 0
+        for fname in ("report.json", "records.jsonl", "results.csv", "config_echo.cfg"):
+            assert (first / fname).read_bytes() == (again / fname).read_bytes(), fname
+
+    def test_repeated_seeds_exit_1(self, tmp_path, data_dir, capsys):
+        cfg = write_config(tmp_path, data_dir)
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "--set", "cv.seeds=0,0")
+        assert code == 1
+        assert "repeated: [0]" in capsys.readouterr().err
 
     def test_missing_features_file_exits_1_naming_path(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -183,6 +246,22 @@ class TestSweepCommand:
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {f"cli-test[model.cheb_order={k}]" for k in range(1, 6)}
 
+    def test_each_point_writes_what_run_writes(self, tmp_path, data_dir):
+        cfg = write_config(tmp_path, data_dir)
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                       "--param", "model.cheb_order", "--values", "1,2") == 0
+        rows = []
+        for value in ("1", "2"):
+            point = out / f"model_cheb_order_{value}"
+            for fname in ("report.json", "results.csv", "summary.txt", "config_echo.cfg",
+                          "records.jsonl"):
+                assert (point / fname).exists(), fname
+            report = json.loads((point / "report.json").read_text())
+            assert len((point / "records.jsonl").read_text().splitlines()) == len(report["records"])
+            rows += (point / "results.csv").read_text().splitlines()[1:]
+        assert (out / "results.csv").read_text().splitlines()[1:] == rows
+
     def test_bad_param_format(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path, data_dir)
         code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
@@ -236,3 +315,52 @@ class TestParseConfig:
         config = parse_config(str(cfg), ["cv.folds=7", "model.epochs=3"])
         assert config["cv"]["folds"] == 7
         assert config["model"]["epochs"] == 3
+
+
+class TestConfigBuilders:
+    # Keys that name no config field and have code of their own.
+    OWN_CODE = {
+        "dataset.features", "dataset.phenotypes", "dataset.synthetic",
+        "dataset.scans_min", "dataset.scans_max", "graph.sigma",
+    }
+
+    def test_every_schema_key_reaches_a_field(self):
+        assert set(SECTION_CONFIGS) == set(CONFIG_SCHEMA)
+        for section, keys in CONFIG_SCHEMA.items():
+            names = {f.name for cls in SECTION_CONFIGS[section] for f in dataclasses.fields(cls)}
+            for key in keys:
+                path = f"{section}.{key}"
+                assert path in self.OWN_CODE or FIELD_NAMES.get(path, key) in names, path
+                assert not (path in self.OWN_CODE and key in names), path
+        for path in FIELD_NAMES:
+            section, key = path.split(".")
+            assert key in CONFIG_SCHEMA[section], path
+
+    def test_renamed_keys_set_their_fields(self):
+        config = {
+            "dataset": {"synthetic": True, "subjects": 12, "sites": 2, "site_shift": 0.5,
+                        "noise": 2.0, "data_seed": 5, "n_features": 3},
+            "graph": {"sim": "none", "lambda": 3.0},
+            "model": {"kind": "ridge", "dropout": 0.1, "l2": 0.01, "lr": 0.02},
+        }
+        syn = synthetic_config(config)
+        assert (syn.n_subjects, syn.n_sites, syn.site_shift_scale, syn.noise_scale, syn.seed) == (
+            12, 2, 0.5, 2.0, 5
+        )
+        desc = build_descriptor(config)
+        assert len({r.subject_id for r in desc.records}) == 12
+        assert (desc.graph_spec.sim_mode, desc.graph_spec.lam) == ("none", 3.0)
+        assert desc.model == "ridge"
+        gcn = desc.gcn_config
+        assert (gcn.dropout_rate, gcn.l2_coeff, gcn.learning_rate) == (0.1, 0.01, 0.02)
+
+    def test_keys_left_out_keep_the_class_defaults(self):
+        assert synthetic_config({}) == SyntheticConfig()
+        assert graph_spec({"graph": {"sigma": None}}) == GraphSpec()
+
+    def test_keys_with_code_of_their_own(self):
+        lo, hi = SyntheticConfig().scans_per_subject
+        assert synthetic_config({"dataset": {"scans_max": 5}}).scans_per_subject == (lo, 5)
+        assert synthetic_config({"dataset": {"scans_min": 2}}).scans_per_subject == (2, hi)
+        spec = graph_spec({"graph": {"sigma": 0.7}})
+        assert (spec.sigma_mode, spec.sigma_value) == ("fixed", 0.7)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popgcn.baselines import BaselineConfig
+from popgcn.baselines import BaselineConfig, mlp_classify
 from popgcn.dataset import (
     UNKNOWN_LABEL,
     AcquisitionRecord,
@@ -163,6 +163,10 @@ class TestComputeMetrics:
     def test_contract_checks(self):
         with pytest.raises(ContractError):
             compute_metrics(np.array([1.5]), np.array([1]))
+        # NaN fails every comparison and sorts last: unchecked, it scored AUC 1.0.
+        for bad in (-0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ContractError, match="finite"):
+                compute_metrics(np.array([0.2, bad, 0.9]), np.array([0, 1, 1]))
         with pytest.raises(ContractError):
             compute_metrics(np.array([0.5]), np.array([2]))
 
@@ -233,7 +237,7 @@ def small_experiment(seed=0, model="gcn", seeds=(0, 1), folds=3):
         model=model,
         graph_spec=GraphSpec(),
         gcn_config=GcnConfig(epochs=15, hidden_width=6, dropout_rate=0.1),
-        baseline_config=BaselineConfig(kind="mlp" if model == "mlp" else "ridge", mlp_epochs=15),
+        baseline_config=BaselineConfig(mlp_epochs=15),
         selector_config=SelectorConfig(kind="none"),
         folds=folds,
         seeds=seeds,
@@ -324,6 +328,26 @@ class TestRunExperiment:
     def test_mlp_experiment_runs(self):
         report = run_experiment(small_experiment(model="mlp", seeds=(0, 1)))
         assert 0.0 <= report.summary["seed_averaged"]["accuracy"] <= 1.0
+
+    def test_mlp_runs_on_the_gcn_config_at_each_seed(self):
+        desc = small_experiment(model="mlp", seeds=(0, 3))
+        from popgcn.harness import stratified_group_kfold
+
+        assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+        labels = labels_array(desc.records)
+        train = assignment.folds != 0
+        x = desc.features.values
+        for rec_ in _run_fold(desc, assignment, 0):
+            network = dataclasses.replace(desc.gcn_config, seed=rec_.seed)
+            _, probs = mlp_classify(
+                x[train], labels[train], x[~train], desc.baseline_config, network
+            )
+            assert rec_.probs == probs[:, 1].tolist()
+
+    def test_repeated_seeds_rejected(self):
+        desc = small_experiment(seeds=(0, 2, 0))
+        with pytest.raises(ParameterError, match=r"repeated: \[0\]"):
+            run_experiment(desc)
 
     def test_parallel_jobs_match_sequential(self):
         desc = small_experiment(seeds=(0,), folds=3)

@@ -167,11 +167,20 @@ class TestPhenotypicGraph:
         g = build_phenotypic_graph(features, records, spec)
         assert g.edge_list() == [(0, 1, 1.0)]
 
-    def test_empty_measures_and_no_sim_gives_empty_graph(self):
+    @pytest.mark.parametrize("strategy", ["phenotypic", "random"])
+    @pytest.mark.parametrize("sim_mode", ["none", "correlation_kernel", "longitudinal"])
+    def test_empty_measures_rejected(self, strategy, sim_mode):
+        # W = Sim * sum of gammas is identically 0 without a measure.
         features = feats([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         records = [rec(i) for i in range(3)]
-        g = build_phenotypic_graph(features, records, GraphSpec(measures=(), sim_mode="none"))
-        assert g.n_edges == 0
+        spec = GraphSpec(strategy=strategy, measures=(), sim_mode=sim_mode)
+        with pytest.raises(ParameterError, match="at least one measure"):
+            build_graph(features, records, spec)
+
+    def test_empty_measures_allowed_where_unused(self):
+        features = feats([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        g = build_graph(features, [rec(i) for i in range(3)], GraphSpec("complete", measures=()))
+        assert g.n_edges == 3
 
     def test_adding_a_measure_never_decreases_weights(self, rng):
         n = 12
@@ -402,6 +411,21 @@ class TestGraphSerialization:
         path = tmp_path / "graph.csv"
         path.write_text("# provenance: {}\n# n_nodes: 3\nu,v,weight\n" + "\n".join(rows) + "\n")
         with pytest.raises(IntegrityError, match=message) as info:
+            load_graph(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "header, line",
+        [
+            ("# provenance: {not json\n# n_nodes: 3\n", 1),
+            ("# provenance: 3\n# n_nodes: 3\n", 1),
+            ("# provenance: {}\n# n_nodes: three\n", 2),
+        ],
+    )
+    def test_load_rejects_bad_headers(self, tmp_path, header, line):
+        path = tmp_path / "graph.csv"
+        path.write_text(header + "u,v,weight\n0,1,1.0\n")
+        with pytest.raises(IntegrityError, match=f"line {line}: expected a header value") as info:
             load_graph(path)
         assert str(path) in str(info.value)
 
