@@ -5,6 +5,10 @@ measures, classify its nodes semi-supervised with Chebyshev-filter graph
 convolutions, and evaluate with a grouped stratified cross-validation
 harness. The CLI subcommands are described in popgcn.cli, and the feature and
 phenotype CSV formats in popgcn.dataset.load_features and load_phenotypes.
+
+Features CSV contract: quoting follows the default `csv` dialect; blank lines
+are skipped; there is no comment character; feature cells are numbers in C
+`strtod` syntax, without digit separators ('1_0' is not a number).
 """
 
 from .dataset import (

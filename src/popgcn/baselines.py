@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ParameterError
 from .featsel import _sigmoid, ridge_fit
 from .gcn import GcnConfig, predict, train
 
@@ -25,6 +25,12 @@ class BaselineConfig:
 
     ridge_alpha: float = 1.0
     mlp_epochs: int = 200
+
+    def validate(self):
+        if self.ridge_alpha <= 0:
+            raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
+        if self.mlp_epochs < 0:
+            raise ParameterError(f"mlp_epochs must be >= 0, got {self.mlp_epochs}")
 
 
 def ridge_classify(x_train, y_train, x_test, alpha: float = 1.0):

@@ -8,7 +8,7 @@ acquisitions (longitudinal scans), all sharing the subject's label.
 from __future__ import annotations
 
 import csv
-import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,18 +129,27 @@ def _parse_label(cell: str) -> int:
 def load_features(path) -> FeatureMatrix:
     """Read a features CSV with header ``acquisition_id,f0,f1,...``.
 
-    Row and column indices in error messages are 0-based over the data section
-    (header and id column excluded).
+    The CSV contract: quoting follows the default `csv` dialect (a field may
+    be quoted with '"', and a quote inside a quoted field is doubled); blank
+    lines are skipped; there is no comment character, so '#' is data; feature
+    cells are numbers in C `strtod` syntax (sign, digits, decimal point,
+    exponent, inf, nan), optionally padded with whitespace and without digit
+    separators, so '1_0' is a ParseError.
+
+    The data section is parsed in one `np.loadtxt` pass; the id column goes
+    through a converter, so the values never exist as Python floats. Row and
+    column indices in error messages are 0-based over the data rows (header,
+    blank lines and id column excluded).
 
     Raises:
         FormatError: missing header, no feature columns, or ragged rows.
         ParseError: non-numeric cell, citing (row, col).
         IntegrityError: duplicate ids, fewer than 2 rows, non-finite values.
     """
+    ids: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise FormatError(f"{path}: empty file, header row required") from None
         if not header or header[0] != "acquisition_id":
@@ -148,33 +157,62 @@ def load_features(path) -> FeatureMatrix:
         n_cols = len(header)
         if n_cols < 2:
             raise FormatError(f"{path}: at least one feature column required")
-
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for r, cells in enumerate(reader):
-            if len(cells) != n_cols:
-                raise FormatError(
-                    f"{path}: ragged row {r}: expected {n_cols} cells, got {len(cells)}"
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is reported below as N < 2.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                    converters={0: lambda cell: ids.append(cell) or 0.0},
                 )
-            ids.append(cells[0])
-            values = []
-            for c, cell in enumerate(cells[1:]):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric value {cell!r} at row {r}, column {c}",
-                        row=r,
-                        col=c,
-                    ) from None
-            rows.append(values)
+        except ValueError as exc:
+            raise _locate_bad_cell(path, n_cols, exc) from exc
+    if len(table) and table.shape[1] != n_cols:
+        raise _locate_bad_cell(path, n_cols, None)
 
-    if len(rows) < 2:
-        raise IntegrityError(f"{path}: N >= 2 required, got {len(rows)} data rows")
+    if len(ids) < 2:
+        raise IntegrityError(f"{path}: N >= 2 required, got {len(ids)} data rows")
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
         raise IntegrityError(f"{path}: duplicate acquisition_id {dup!r}")
-    return FeatureMatrix(ids=ids, values=np.array(rows, dtype=np.float64))
+    return FeatureMatrix(ids=ids, values=np.ascontiguousarray(table[:, 1:]))
+
+
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads `cell` as a float: Python's float syntax
+    without its digit separators and non-ASCII digits."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _locate_bad_cell(path, n_cols: int, failure: ValueError | None) -> FormatError | ParseError:
+    """The error for the first data row or cell that np.loadtxt rejected.
+
+    Re-reads the data section with csv and builds no values. `failure` is
+    numpy's error, kept only for a file this pass finds nothing wrong with.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for r, cells in enumerate(cells for cells in reader if cells):
+            if len(cells) != n_cols:
+                return FormatError(
+                    f"{path}: ragged row {r}: expected {n_cols} cells, got {len(cells)}"
+                )
+            for c, cell in enumerate(cells[1:]):
+                if not _is_number(cell):
+                    return ParseError(
+                        f"{path}: non-numeric value {cell!r} at row {r}, column {c}",
+                        row=r,
+                        col=c,
+                    )
+    return FormatError(f"{path}: unreadable data section: {failure}")
 
 
 def load_phenotypes(path) -> list[AcquisitionRecord]:

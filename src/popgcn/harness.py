@@ -194,6 +194,10 @@ class ExperimentDescriptor:
     name: str = "experiment"
 
     def validate(self):
+        for sub_config in (
+            self.graph_spec, self.gcn_config, self.baseline_config, self.selector_config
+        ):
+            sub_config.validate()
         if self.model not in ("gcn", "ridge", "mlp"):
             raise ParameterError(f"unknown model {self.model!r}")
         if self.folds < 2:

@@ -11,6 +11,20 @@ from popgcn.gcn import GcnConfig, forward, init_model, scaled_operator
 from popgcn.popgraph import PopulationGraph
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (BaselineConfig(ridge_alpha=0.0), "ridge_alpha must be > 0"),
+        (BaselineConfig(ridge_alpha=-1.0), "ridge_alpha must be > 0"),
+        (BaselineConfig(mlp_epochs=-1), "mlp_epochs must be >= 0"),
+    ],
+)
+def test_baseline_config_validate(config, message):
+    BaselineConfig(ridge_alpha=1e-9, mlp_epochs=0).validate()
+    with pytest.raises(ParameterError, match=message):
+        config.validate()
+
+
 def separable(n=100, c=8, seed=0, margin=2.0):
     rng = np.random.default_rng(seed)
     y = np.array([i % 2 for i in range(n)])

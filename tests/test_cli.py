@@ -175,6 +175,29 @@ class TestRunCommand:
         assert code == 1
         assert "repeated: [0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("model.dropout=1.5", "dropout_rate must be in [0, 1)"),
+            ("graph.strategy=bogus", "unknown strategy 'bogus'"),
+            ("selector.kind=bogus", "unknown selector kind 'bogus'"),
+            ("model.ridge_alpha=0", "ridge_alpha must be > 0"),
+            ("model.mlp_epochs=-1", "mlp_epochs must be >= 0"),
+        ],
+    )
+    def test_bad_setting_exits_1_before_reading_data(
+        self, tmp_path, data_dir, capsys, monkeypatch, override, message
+    ):
+        def no_load(*args):
+            raise AssertionError("load_dataset called")
+
+        monkeypatch.setattr("popgcn.dataset.load_dataset", no_load)
+        cfg = write_config(tmp_path, data_dir)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out), "--set", override) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_features_file_exits_1_naming_path(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

@@ -1,4 +1,6 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from popgcn.dataset import (
     write_phenotypes,
 )
 from popgcn.errors import DomainError, FormatError, IntegrityError, ParseError
+from reference_loader import load_features_reference
 
 
 def write(path, text):
@@ -37,8 +40,10 @@ class TestLoadFeatures:
 
     def test_empty_data_section(self, tmp_path):
         p = write(tmp_path / "f.csv", "acquisition_id,f0\n")
-        with pytest.raises(IntegrityError, match="N >= 2"):
-            load_features(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" included
+            with pytest.raises(IntegrityError, match="N >= 2"):
+                load_features(p)
 
     def test_parse_error_cites_row_and_column(self, tmp_path):
         p = write(
@@ -64,6 +69,130 @@ class TestLoadFeatures:
         p = write(tmp_path / "f.csv", "acquisition_id,f0\na1,nan\na2,2\n")
         with pytest.raises(IntegrityError, match="non-finite"):
             load_features(p)
+
+    def test_wrong_first_row_width(self, tmp_path):
+        # Every row agrees with the others but not with the header.
+        p = write(tmp_path / "f.csv", "acquisition_id,f0,f1\na1,1\na2,2\n")
+        with pytest.raises(FormatError, match="ragged row 0: expected 3 cells, got 2"):
+            load_features(p)
+
+    def test_values_are_c_contiguous_float64(self, tmp_path):
+        p = write(tmp_path / "f.csv", "acquisition_id,f0,f1\na1,1,2\na2,3,4\n")
+        values = load_features(p).values
+        assert values.dtype == np.float64
+        assert values.flags.c_contiguous
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # Before, a blank line was a ragged row of 0 cells.
+        p = write(tmp_path / "f.csv", "acquisition_id,f0\n\na1,1\n\n\na2,2\n\n")
+        fm = load_features(p)
+        assert fm.ids == ["a1", "a2"]
+        np.testing.assert_array_equal(fm.values, [[1.0], [2.0]])
+        # Row numbers count data rows, not lines.
+        p = write(tmp_path / "g.csv", "acquisition_id,f0\na1,1\n\na2,x\n")
+        with pytest.raises(ParseError, match="row 1, column 0") as exc:
+            load_features(p)
+        assert (exc.value.row, exc.value.col) == (1, 0)
+
+    def test_digit_separators_rejected(self, tmp_path):
+        # Python's float() reads '1_0' as 10.0; the strtod syntax has no separators.
+        assert float("1_0") == 10.0
+        p = write(tmp_path / "f.csv", "acquisition_id,f0,f1\na1,1,2\na2,3,1_0\n")
+        with pytest.raises(ParseError, match="row 1, column 1") as exc:
+            load_features(p)
+        assert (exc.value.row, exc.value.col) == (1, 1)
+
+
+# Ids exercise the csv dialect: delimiters and doubled quotes inside quoted
+# fields, a leading '#' (there is no comment character), surrounding blanks.
+ID_TEXT = st.text(alphabet="ab#,\" \t\r\n", max_size=6)
+EXTREME_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+VALUES = st.one_of(
+    st.sampled_from(EXTREME_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+NON_NUMERIC = ["", "abc", "1.2.3", "--1", "1e", "e5", "0x10", "#1"]
+
+
+@st.composite
+def feature_matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=4))
+    ids = draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(VALUES, min_size=n * c, max_size=n * c))
+    return FeatureMatrix(ids=ids, values=np.reshape(values, (n, c)))
+
+
+@st.composite
+def feature_rows(draw, min_rows=0):
+    """(feature count, rows of cells) in write_features' format, with any
+    number of rows and ids that may repeat."""
+    n = draw(st.integers(min_value=min_rows, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=4))
+    ids = draw(st.lists(ID_TEXT, min_size=n, max_size=n))
+    return c, [[i] + [repr(draw(VALUES)) for _ in range(c)] for i in ids]
+
+
+@st.composite
+def malformed_rows(draw):
+    """Valid rows with one to three faults at random positions."""
+    c_features, rows = draw(feature_rows(min_rows=1))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        r = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        c = draw(st.integers(min_value=1, max_value=c_features))
+        fault = draw(st.sampled_from(["short", "long", "first_width", "cell"]))
+        if fault == "short":  # the id stays: an empty row would be a blank line
+            rows[r] = rows[r][: max(1, len(rows[r]) - 1)]
+        elif fault == "long":
+            rows[r] = rows[r] + ["1.0"]
+        elif fault == "first_width":  # every row one cell short or long
+            extra = draw(st.booleans())
+            rows = [row + ["1.0"] if extra else row[: max(1, len(row) - 1)] for row in rows]
+        elif c < len(rows[r]):
+            rows[r][c] = draw(st.sampled_from(NON_NUMERIC))
+    return c_features, rows
+
+
+def write_rows(path, rows, n_features):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["acquisition_id"] + [f"f{j}" for j in range(n_features)])
+        writer.writerows(rows)
+    return str(path)
+
+
+def outcome(loader, path):
+    """(ids, value bits) on success, else (class, message, row, col)."""
+    try:
+        fm = loader(path)
+    except (FormatError, ParseError, IntegrityError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return fm.ids, fm.values.view(np.int64).tolist()
+
+
+class TestLoaderMatchesReference:
+    """load_features against the csv + float() parser it replaced."""
+
+    @given(features=feature_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_files_from_write_features(self, tmp_path_factory, features):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_features(features, path)
+        expected = (features.ids, features.values.view(np.int64).tolist())
+        assert outcome(load_features, path) == outcome(load_features_reference, path) == expected
+
+    @given(table=st.one_of(feature_rows(), malformed_rows()))
+    @settings(max_examples=200, deadline=None)
+    def test_same_result(self, tmp_path_factory, table):
+        n_features, rows = table
+        path = write_rows(tmp_path_factory.mktemp("csv") / "f.csv", rows, n_features)
+        assert outcome(load_features, path) == outcome(load_features_reference, path)
+
+    def test_extreme_values_round_trip_bitwise(self, tmp_path):
+        values = np.array([EXTREME_VALUES, EXTREME_VALUES[::-1]])
+        write_features(FeatureMatrix(ids=[" a\t", 'x,"y'], values=values), tmp_path / "f.csv")
+        loaded = load_features(tmp_path / "f.csv")
+        assert loaded.ids == [" a\t", 'x,"y']
+        assert loaded.values.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
 class TestLoadPhenotypes:

@@ -349,6 +349,22 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match=r"repeated: \[0\]"):
             run_experiment(desc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("graph_spec", GraphSpec(measures=())),
+            ("gcn_config", GcnConfig(dropout_rate=1.5)),
+            ("baseline_config", BaselineConfig(ridge_alpha=0.0)),
+            ("selector_config", SelectorConfig(kind="rfe", target_c=0)),
+        ],
+    )
+    def test_sub_configs_validated_before_any_fold(self, field, value, monkeypatch):
+        # Even for a ridge run, which builds no graph and trains no GCN.
+        desc = dataclasses.replace(small_experiment(model="ridge"), **{field: value})
+        monkeypatch.setattr("popgcn.harness.stratified_group_kfold", None)
+        with pytest.raises(ParameterError):
+            run_experiment(desc)
+
     def test_parallel_jobs_match_sequential(self):
         desc = small_experiment(seeds=(0,), folds=3)
         sequential = run_experiment(desc, jobs=1)
