@@ -242,18 +242,21 @@ def _load_or_generate_dataset(config: dict):
 
 
 def build_descriptor(config: dict) -> ExperimentDescriptor:
-    """The experiment a config describes; its sub-configs are validated
-    before the dataset is read or generated."""
-    settings = {
-        "graph_spec": graph_spec(config),
-        "gcn_config": _build(GcnConfig, config),
-        "baseline_config": _build(BaselineConfig, config),
-        "selector_config": _build(SelectorConfig, config),
-    }
-    for sub_config in settings.values():
-        sub_config.validate()
+    """The experiment a config describes; its settings are validated before
+    the dataset is read or generated."""
+    settings = _build(
+        ExperimentDescriptor,
+        config,
+        features=None,
+        records=None,
+        graph_spec=graph_spec(config),
+        gcn_config=_build(GcnConfig, config),
+        baseline_config=_build(BaselineConfig, config),
+        selector_config=_build(SelectorConfig, config),
+    )
+    settings.validate_settings()
     features, records = _load_or_generate_dataset(config)
-    return _build(ExperimentDescriptor, config, features=features, records=records, **settings)
+    return replace(settings, features=features, records=records)
 
 
 def _write_text(path, text: str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,17 @@ def _parse_label(cell: str) -> int:
     raise IntegrityError(f"label must be 0, 1 or '?'; got {cell!r}")
 
 
+@contextmanager
+def _open_csv(path):
+    """A CSV opened for reading as UTF-8 text. A byte sequence that is not
+    UTF-8, met anywhere in the with block, raises FormatError naming path."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_features(path) -> FeatureMatrix:
     """Read a features CSV with header ``acquisition_id,f0,f1,...``.
 
@@ -142,12 +154,13 @@ def load_features(path) -> FeatureMatrix:
     blank lines and id column excluded).
 
     Raises:
-        FormatError: missing header, no feature columns, or ragged rows.
+        FormatError: text that is not UTF-8, missing header, no feature
+            columns, or ragged rows.
         ParseError: non-numeric cell, citing (row, col).
         IntegrityError: duplicate ids, fewer than 2 rows, non-finite values.
     """
     ids: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -197,7 +210,7 @@ def _locate_bad_cell(path, n_cols: int, failure: ValueError | None) -> FormatErr
     Re-reads the data section with csv and builds no values. `failure` is
     numpy's error, kept only for a file this pass finds nothing wrong with.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         for r, cells in enumerate(cells for cells in reader if cells):
@@ -220,9 +233,9 @@ def load_phenotypes(path) -> list[AcquisitionRecord]:
 
     Required columns: acquisition_id, subject_id, label, site, sex, age,
     gene_flag (value may be empty -> None). Label '?' marks an unlabeled
-    acquisition.
+    acquisition. Text that is not UTF-8 raises FormatError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -23,6 +23,15 @@ from . import gcn
 from .errors import ContractError, DivergenceError, ParameterError
 
 
+def _check_ridge_inputs(x: np.ndarray, y: np.ndarray, alpha: float):
+    if alpha <= 0:
+        raise ParameterError(f"alpha must be > 0, got {alpha}")
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ContractError("need a 2-D matrix with at least 2 rows")
+    if len(np.unique(y)) < 2:
+        raise ContractError("both classes must be present")
+
+
 def ridge_fit(x, y, alpha: float):
     """Ridge weights by direct solve on mean-centered data.
 
@@ -33,12 +42,7 @@ def ridge_fit(x, y, alpha: float):
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ContractError("need a 2-D matrix with at least 2 rows")
-    if len(np.unique(y)) < 2:
-        raise ContractError("both classes must be present")
+    _check_ridge_inputs(x, y, alpha)
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
     n, c = x.shape
@@ -57,22 +61,47 @@ def rfe_select(
     """Recursive feature elimination: repeatedly drop the features with the
     smallest |ridge coefficient| until exactly target_c remain.
 
-    Each iteration removes ceil(step_fraction * current_C) features, clipped
-    so the last step lands exactly on target_c. Returns sorted original
-    column indices.
+    Each round removes ceil(step_fraction * current_C) features, clipped so
+    the last round lands exactly on target_c. Returns sorted original column
+    indices.
+
+    The weights are ridge_fit's on the active columns, computed with one Gram
+    matrix per call. The training rows are centred once, and G = Xc Xc^T
+    (n x n) is formed once. While more columns than rows are active, a round
+    solves the dual system (G + alpha I) a = yc, scores the active columns by
+    |Xc^T a|, and subtracts the dropped columns' outer product from G. Once
+    no more columns than rows remain, rounds call ridge_fit on the active
+    columns, which solves the primal system. ridge_fit's input checks run
+    before the first round, and only if a round runs.
     """
     x = np.asarray(x_train, dtype=np.float64)
+    y = np.asarray(y_train, dtype=np.float64)
     c = x.shape[1]
     if not 1 <= target_c <= c:
         raise ParameterError(f"target_c must be in [1, {c}], got {target_c}")
     if not 0 < step_fraction <= 1:
         raise ParameterError(f"step_fraction must be in (0, 1], got {step_fraction}")
     active = np.arange(c)
+    if target_c == c:
+        return active
+    _check_ridge_inputs(x, y, alpha)
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean()
+    gram = xc @ xc.T if c > n else None
     while len(active) > target_c:
-        w = ridge_fit(x[:, active], y_train, alpha)
         n_drop = min(math.ceil(step_fraction * len(active)), len(active) - target_c)
-        order = np.argsort(np.abs(w), kind="stable")
-        active = np.delete(active, order[:n_drop])
+        if len(active) > n:
+            system = gram.copy()
+            system[np.diag_indices(n)] += alpha
+            w = (xc.T @ np.linalg.solve(system, yc))[active]
+        else:
+            w = ridge_fit(x[:, active], y, alpha)
+        dropped = np.argsort(np.abs(w), kind="stable")[:n_drop]
+        if len(active) - n_drop > max(n, target_c):  # another dual round follows
+            cols = xc[:, active[dropped]]
+            gram -= cols @ cols.T
+        active = np.delete(active, dropped)
     return np.sort(active)
 
 

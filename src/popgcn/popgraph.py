@@ -13,6 +13,12 @@ weighted complete, rewired random) share the same graph representation: the
 symmetric adjacency matrix, dense or CSR, that the Laplacian is built from.
 A kernel computes the correlation distance once, over all rows; its width can
 come from the pairs of a subset of rows, such as a fold's training nodes.
+
+Builders whose W covers all node pairs (the phenotypic graph under the
+correlation kernel or Sim = 1, knn, complete and weighted complete) fill a
+dense N x N W. The longitudinal phenotypic graph links only the scans of one
+subject, so it lists those pairs and passes the edge list on, with memory and
+time that grow with its edges; so does the rewired random graph.
 """
 
 from __future__ import annotations
@@ -83,9 +89,10 @@ class PopulationGraph:
 
     `adjacency` has a zero diagonal. It is a dense ndarray, or CSR for graphs
     of more than DENSE_NODE_LIMIT nodes with density at most
-    DENSE_DENSITY_LIMIT. Builders fill it from a dense W (from_upper); edge
-    lists enter through from_edges. The edge views list each edge once with
-    u < v, in row-major order.
+    DENSE_DENSITY_LIMIT, whichever way it was built. Builders that fill a
+    dense W pass it to from_upper; the longitudinal and random builders and
+    load_graph pass an edge list to from_edges. The edge views list each edge
+    once with u < v, in row-major order.
     """
 
     adjacency: np.ndarray | sp.csr_matrix
@@ -238,22 +245,40 @@ def longitudinal_sim(subj_v: str, subj_w: str, lam: float) -> float:
     return float(lam) if subj_v == subj_w else 0.0
 
 
-def _gamma_sum_matrix(records: list[AcquisitionRecord], spec: GraphSpec) -> np.ndarray:
-    n = len(records)
-    total = np.zeros((n, n))
+def _gamma_sum(records: list[AcquisitionRecord], spec: GraphSpec, u, v) -> np.ndarray:
+    """Number of spec.measures on which nodes u and v agree, elementwise over
+    index arrays that broadcast together: every N x N pair from a column and
+    a row of node indices, or an edge list from two flat arrays. Each
+    measure's boolean agreement is added into the float total in place."""
+    total = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
     for measure in spec.measures:
         if measure == "AGE":
             ages = np.array([r.age for r in records])
-            agree = (np.abs(ages[:, None] - ages[None, :]) < spec.theta).astype(np.float64)
+            total += np.abs(ages[u] - ages[v]) < spec.theta
         else:
             attr = {"SEX": "sex", "SITE": "site", "GENE": "gene_flag"}[measure]
             vals = [getattr(r, attr) for r in records]
             # A missing categorical value agrees with nothing.
-            keys = [f"v:{v}" if v is not None else f"missing:{i}" for i, v in enumerate(vals)]
+            keys = [f"v:{x}" if x is not None else f"missing:{i}" for i, x in enumerate(vals)]
             _, codes = np.unique(keys, return_inverse=True)
-            agree = (codes[:, None] == codes[None, :]).astype(np.float64)
-        total += agree
+            total += codes[u] == codes[v]
     return total
+
+
+def _same_subject_pairs(records: list[AcquisitionRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of acquisitions of one subject, once, as u < v."""
+    _, subjects = np.unique([r.subject_id for r in records], return_inverse=True)
+    order = np.argsort(subjects, kind="stable")  # by subject, then by node index
+    grouped = subjects[order]
+    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for offset in range(1, len(order)):
+        # Positions `offset` apart in `order` pair up when they hold one subject.
+        first = np.flatnonzero(grouped[:-offset] == grouped[offset:])
+        if not len(first):
+            break  # no subject has more than `offset` acquisitions
+        us.append(order[first])
+        vs.append(order[first + offset])
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def _kernel_matrix(
@@ -275,7 +300,11 @@ def _kernel_matrix(
 def build_phenotypic_graph(
     features: FeatureMatrix, records: list[AcquisitionRecord], spec: GraphSpec, sigma_rows=None
 ) -> PopulationGraph:
-    """Phenotype-weighted graph: W = Sim * (number of agreeing measures)."""
+    """Phenotype-weighted graph: W = Sim * (number of agreeing measures).
+
+    Under sim_mode 'longitudinal' only same-subject pairs are evaluated, and
+    the graph is built from their nonzero weights as an edge list.
+    """
     spec.validate()
     if spec.strategy != "phenotypic":
         raise ContractError(f"spec.strategy must be 'phenotypic', got {spec.strategy!r}")
@@ -285,26 +314,29 @@ def build_phenotypic_graph(
         raise ContractError("features and records must be aligned by acquisition_id")
     n = features.n_acquisitions
 
-    gamma_sum = _gamma_sum_matrix(records, spec)
-    sigma = None
-    if spec.sim_mode == "correlation_kernel":
-        sim, sigma = _kernel_matrix(features, spec.sigma_mode, spec.sigma_value, sigma_rows)
-    elif spec.sim_mode == "longitudinal":
-        _, subjects = np.unique([r.subject_id for r in records], return_inverse=True)
-        sim = np.where(subjects[:, None] == subjects[None, :], float(spec.lam), 0.0)
-    else:
-        sim = np.ones((n, n))
-
-    w = sim * gamma_sum
     provenance = {
         "strategy": "phenotypic",
         "measures": list(spec.measures),
         "sim_mode": spec.sim_mode,
         "theta": spec.theta,
         "lambda": spec.lam if spec.sim_mode == "longitudinal" else None,
-        "sigma": sigma,
+        "sigma": None,
         "n_nodes": n,
     }
+    if spec.sim_mode == "longitudinal":
+        u, v = _same_subject_pairs(records)
+        count = _gamma_sum(records, spec, u, v)
+        keep = count > 0
+        return PopulationGraph.from_edges(
+            n, u[keep], v[keep], float(spec.lam) * count[keep], provenance
+        )
+    nodes = np.arange(n)
+    w = _gamma_sum(records, spec, nodes[:, None], nodes)
+    if spec.sim_mode == "correlation_kernel":
+        sim, provenance["sigma"] = _kernel_matrix(
+            features, spec.sigma_mode, spec.sigma_value, sigma_rows
+        )
+        w *= sim
     return PopulationGraph.from_upper(w, provenance)
 
 

@@ -134,6 +134,19 @@ class TestGraphCommand:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_non_utf8_features_exit_1(self, tmp_path, data_dir, capsys):
+        features = tmp_path / "features.csv"
+        features.write_bytes(b"acquisition_id,f0\na\xff,1.0\nb,2.0\n")
+        code = run_cli(
+            "graph", "--features", str(features),
+            "--phenotypes", str(data_dir / "phenotypes.csv"), "--out", str(tmp_path / "g.csv"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError: ") and "not UTF-8" in err
+        assert str(features) in err
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestRunCommand:
     def test_run_writes_all_outputs(self, tmp_path, data_dir, capsys):
@@ -183,6 +196,10 @@ class TestRunCommand:
             ("selector.kind=bogus", "unknown selector kind 'bogus'"),
             ("model.ridge_alpha=0", "ridge_alpha must be > 0"),
             ("model.mlp_epochs=-1", "mlp_epochs must be >= 0"),
+            ("cv.seeds=0,0", "seeds must be distinct, repeated: [0]"),
+            ("cv.folds=1", "folds must be >= 2"),
+            ("model.kind=bogus", "unknown model 'bogus'"),
+            ("graph.sigma_pairs=bogus", "sigma_pairs must be 'train' or 'all'"),
         ],
     )
     def test_bad_setting_exits_1_before_reading_data(
@@ -196,7 +213,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--out", str(out), "--set", override) == 1
         assert message in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_missing_features_file_exits_1_naming_path(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

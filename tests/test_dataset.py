@@ -102,6 +102,17 @@ class TestLoadFeatures:
             load_features(p)
         assert (exc.value.row, exc.value.col) == (1, 1)
 
+    @pytest.mark.parametrize("rows_before", [0, 5000], ids=["first-block", "past-first-block"])
+    def test_non_utf8_bytes_raise_format_error(self, tmp_path, rows_before):
+        # Past the first block of text, the bad byte reaches np.loadtxt and
+        # then the re-read that locates a bad cell.
+        path = tmp_path / "f.csv"
+        body = "".join(f"id{i},{i}.0\n" for i in range(rows_before)).encode()
+        path.write_bytes(b"acquisition_id,f0\n" + body + b"a\xff,1.0\nb,2.0\n")
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            load_features(path)
+        assert str(path) in str(exc.value)
+
 
 # Ids exercise the csv dialect: delimiters and doubled quotes inside quoted
 # fields, a leading '#' (there is no comment character), surrounding blanks.
@@ -229,6 +240,13 @@ class TestLoadPhenotypes:
         p = write(tmp_path / "p.csv", self.HEADER + "a,s1,0,x,F,1,\na,s2,1,x,F,2,\n")
         with pytest.raises(IntegrityError, match="duplicate"):
             load_phenotypes(p)
+
+    def test_non_utf8_bytes_raise_format_error(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(self.HEADER.encode() + b"a,s\xff1,0,x,F,1,\n")
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            load_phenotypes(path)
+        assert str(path) in str(exc.value)
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_rfe import rfe_select_reference
 
 from popgcn.errors import ContractError, ParameterError
 from popgcn.gcn import GcnConfig, train
@@ -112,6 +113,64 @@ class TestRfeSelect:
             rfe_select(x, y, target_c=5)
         with pytest.raises(ParameterError):
             rfe_select(x, y, target_c=0)
+
+    @pytest.mark.parametrize(
+        "alpha, y, error",
+        [
+            (0.0, [1.0, -1.0] * 5, ParameterError),
+            (1.0, [1.0] * 10, ContractError),
+        ],
+    )
+    def test_ridge_checks_run_before_the_first_round(self, rng, alpha, y, error):
+        with pytest.raises(error):
+            rfe_select(rng.standard_normal((10, 30)), np.array(y), target_c=29, alpha=alpha)
+
+    def test_one_row_rejected(self):
+        with pytest.raises(ContractError, match="at least 2 rows"):
+            rfe_select(np.ones((1, 4)), np.array([1.0]), target_c=2)
+
+
+def _signed_labels(rng, n):
+    y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]  # both classes present
+    return y
+
+
+class TestRfeMatchesReference:
+    """rfe_select downdates one Gram matrix; the reference refits every round.
+    Both must keep the same columns."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_paper_shape(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 6105))
+        y = _signed_labels(rng, 40)
+        np.testing.assert_array_equal(
+            rfe_select(x, y, 2000), rfe_select_reference(x, y, 2000)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "shape, target_c, step",
+        [
+            ((60, 300), 100, 0.1),
+            ((60, 300), 100, 0.5),
+            ((60, 300), 100, 1.0),
+            ((60, 300), 1, 0.1),  # dual rounds, then ridge_fit rounds below 60
+            ((120, 40), 5, 0.1),  # tall: ridge_fit rounds only
+            ((120, 40), 1, 0.5),
+            ((50, 50), 3, 0.2),
+        ],
+    )
+    def test_seeded_shapes(self, seed, shape, target_c, step):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * rng.uniform(0.5, 2.0, size=shape[1])
+        y = _signed_labels(rng, shape[0])
+        x[:, 3] += 0.5 * y  # one informative column
+        np.testing.assert_array_equal(
+            rfe_select(x, y, target_c, step, alpha=0.7),
+            rfe_select_reference(x, y, target_c, step, alpha=0.7),
+        )
 
 
 class TestPca:

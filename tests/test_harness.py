@@ -17,6 +17,7 @@ from popgcn.dataset import (
 from popgcn.errors import ContractError, IntegrityError, ParameterError
 from popgcn.featsel import SelectorConfig
 from popgcn.gcn import GcnConfig
+from popgcn import harness
 from popgcn.harness import (
     ExperimentDescriptor,
     ExperimentReport,
@@ -404,3 +405,18 @@ class TestRunExperiment:
         unknown_ids = {i for i, r in enumerate(records) if r.label == UNKNOWN_LABEL}
         for rec_ in report.records:
             assert not (set(rec_.test_indices) & unknown_ids)
+
+
+class TestReuseFreedMemory:
+    def test_no_op_outside_glibc(self, monkeypatch):
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        def no_libc(*args):
+            raise AssertionError("libc opened outside glibc")
+
+        monkeypatch.setattr(harness.os, "confstr", unknown)
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_libc)
+        harness._reuse_freed_memory()
+        report = run_experiment(small_experiment(seeds=(0,), folds=2))
+        assert len(report.records) == 2

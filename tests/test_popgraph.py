@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from popgcn.errors import ContractError, DegenerateInputError, IntegrityError, P
 from popgcn.popgraph import (
     DENSE_DENSITY_LIMIT,
     DENSE_NODE_LIMIT,
+    MEASURES,
     GraphSpec,
     PopulationGraph,
     build_complete_graph,
@@ -220,6 +223,106 @@ class TestPhenotypicGraph:
         records = [rec(1), rec(0)]
         with pytest.raises(ContractError):
             build_phenotypic_graph(features, records, GraphSpec())
+
+
+MEASURE_SUBSETS = [
+    subset for size in range(1, len(MEASURES) + 1)
+    for subset in itertools.combinations(MEASURES, size)
+]
+ATTRS = {"SEX": "sex", "SITE": "site", "GENE": "gene_flag"}
+
+
+def longitudinal_cohort(rng, n_subjects, max_scans):
+    """1..max_scans scans per subject in shuffled order; a scan's sex, site and
+    gene flag may differ from its subject's or be missing. Ages lie on a
+    half-year grid, so age differences of exactly theta occur."""
+    rows = []
+    for s in range(n_subjects):
+        sex, site, gene = rng.choice(["M", "F"]), f"site{rng.integers(3)}", rng.choice(["c", "n"])
+        age = float(rng.integers(55, 85))
+        for _ in range(int(rng.integers(1, max_scans + 1))):
+            draw = rng.random(3)
+            rows.append((
+                f"s{s}",
+                None if draw[0] < 0.1 else (sex if draw[0] < 0.8 else "MF".replace(sex, "")),
+                site if draw[1] < 0.8 else f"site{rng.integers(3)}",
+                None if draw[2] < 0.2 else gene,
+                age + 0.5 * rng.integers(0, 6),  # differences hit theta = 1.5
+            ))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    records = [
+        AcquisitionRecord(f"a{i}", subject, 0, site, sex, age, gene)
+        for i, (subject, sex, site, gene, age) in enumerate(rows)
+    ]
+    return feats(rng.standard_normal((len(records), 3))), records
+
+
+def dense_longitudinal_formula(records, spec):
+    """W = lambda * [same subject] * sum_h gamma_h, with a missing
+    categorical value agreeing with nothing, and a zero diagonal."""
+    n = len(records)
+    subjects = np.array([r.subject_id for r in records])
+    gamma = np.zeros((n, n))
+    for measure in spec.measures:
+        if measure == "AGE":
+            ages = np.array([r.age for r in records])
+            gamma += np.abs(ages[:, None] - ages[None, :]) < spec.theta
+        else:
+            vals = np.array([getattr(r, ATTRS[measure]) for r in records], dtype=object)
+            present = np.array([v is not None for v in vals])
+            gamma += (vals[:, None] == vals[None, :]) & present[:, None]
+    w = spec.lam * (subjects[:, None] == subjects[None, :]) * gamma
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+class TestLongitudinalGraph:
+    @pytest.mark.parametrize("measures", MEASURE_SUBSETS, ids="+".join)
+    @pytest.mark.parametrize("n_subjects, sparse", [(25, False), (120, True)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_formula(self, measures, n_subjects, sparse, seed):
+        rng = np.random.default_rng(seed)
+        features, records = longitudinal_cohort(rng, n_subjects, max_scans=4)
+        spec = GraphSpec(measures=measures, sim_mode="longitudinal", theta=1.5, lam=7.5)
+        g = build_graph(features, records, spec)
+        expected = dense_longitudinal_formula(records, spec)
+        assert sp.issparse(g.adjacency) == sparse
+        if sparse:
+            assert g.adjacency.has_canonical_format
+            canonical = sp.csr_matrix(expected)
+            np.testing.assert_array_equal(g.adjacency.indptr, canonical.indptr)
+            np.testing.assert_array_equal(g.adjacency.indices, canonical.indices)
+            np.testing.assert_array_equal(g.adjacency.data, canonical.data)
+        else:
+            np.testing.assert_array_equal(g.adjacency, expected)
+        assert g.n_edges == np.count_nonzero(expected) // 2
+
+    @pytest.mark.parametrize("n_subjects", [30, 250])
+    def test_no_repeat_scans_is_edgeless(self, n_subjects):
+        features, records = longitudinal_cohort(
+            np.random.default_rng(3), n_subjects, max_scans=1
+        )
+        spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
+        g = build_graph(features, records, spec)
+        assert g.n_edges == 0
+        assert sp.issparse(g.adjacency) == (n_subjects > DENSE_NODE_LIMIT)
+        assert g.provenance["lambda"] == spec.lam
+
+    def test_build_memory_grows_with_edges_not_nodes(self):
+        # One dense 3000 x 3000 float64 matrix alone is 72 MB.
+        features, records = longitudinal_cohort(
+            np.random.default_rng(4), n_subjects=1300, max_scans=4
+        )
+        assert len(records) >= 3000
+        spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
+        tracemalloc.start()
+        try:
+            g = build_graph(features, records, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.adjacency.format == "csr"
+        assert peak < 5e6
 
 
 class TestKnnGraph:
