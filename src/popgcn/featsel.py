@@ -171,11 +171,14 @@ def _minmax_apply(x, lo, span, degenerate):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise, so
+    exp never overflows; both branches share e = exp(-|z|)."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -296,6 +299,12 @@ class FeatureSelector:
         return self
 
     def transform(self, x):
+        """Reduce the rows of x with the fitted selector.
+
+        The result is a new C-ordered (row-major) array, except for kind
+        'none', which returns x as given. RFE gathers the selected columns
+        row by row (x.take), so each row's kept features lie contiguous.
+        """
         if not self.fitted:
             raise ContractError("selector must be fitted before transform")
         x = np.asarray(x, dtype=np.float64)
@@ -303,7 +312,7 @@ class FeatureSelector:
         if kind == "none":
             return x
         if kind == "rfe":
-            return x[:, self.selected_indices]
+            return x.take(self.selected_indices, axis=1)
         if kind == "pca":
             return (x - self.pca_info.mean) @ self.pca_info.components.T
         if kind == "mlp":

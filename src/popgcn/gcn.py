@@ -15,6 +15,16 @@ autoencoder selector).
 A convolution sum_k T_k(Ls) H W_k applies the N x N operator on the narrower
 side of its layer: to the C_in columns of H, or, when C_out < C_in, to the
 C_out columns of each H W_k. Both orders give the same function.
+
+A training epoch applies dropout, the bias, the softmax terms, the backward
+masks and the Adam update in place rather than into fresh temporaries, in
+the operation order of the allocating formulas that tests/reference_epoch.py
+keeps, so its results equal theirs bit for bit. One exp pass over the
+masked logits serves both the loss and its gradient.
+The epoch's elementwise steps walk the feature matrix row by row: callers
+pass it C-ordered, as every `featsel` transform returns it. A
+Fortran-ordered matrix is accepted, but each elementwise step on it runs
+about 2-3 times slower.
 """
 
 from __future__ import annotations
@@ -130,7 +140,7 @@ def cheb_conv_forward(basis, weight: np.ndarray, bias: np.ndarray | None = None)
     for k in range(1, len(terms)):
         out += terms[k] @ weight[k]
     if bias is not None:
-        out = out + bias
+        out += bias
     return out
 
 
@@ -177,14 +187,17 @@ def _forward(model, scaled, x, train, rng):
             if rng is None:
                 raise ContractError("train-mode forward with dropout requires an rng")
             keep = rng.random(h.shape) >= cfg.dropout_rate
-            h = h * keep / (1.0 - cfg.dropout_rate)
+            # Equal to (h * keep) / keep_prob bit for bit, signed zeros included.
+            h = h / (1.0 - cfg.dropout_rate)
+            h *= keep
         order = layer.weight.shape[0] - 1
         if order > 0 and scaled is None:
             raise ContractError("cheb_order > 0 requires a scaled Laplacian")
         if _output_side(layer.weight):
             parts = np.hsplit(h @ _stacked(layer.weight), order + 1)
             inputs = h
-            z = chebyshev_weighted_sum(scaled, parts) + layer.bias
+            z = chebyshev_weighted_sum(scaled, parts)
+            z += layer.bias
         else:
             if order == 0:
                 inputs = ChebyshevBasis(terms=[h], order=0)
@@ -210,11 +223,11 @@ def _stable_softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def masked_loss(logits, labels, mask, l2_coeff: float, model: GcnModel) -> float:
-    """Mean softmax cross-entropy over masked nodes + l2_coeff * sum(W^2).
+def _masked_cross_entropy(logits, labels, mask):
+    """Mean softmax cross-entropy over the masked rows.
 
-    Only labels at masked positions are ever read; biases are excluded from
-    the penalty.
+    Also returns exp(z - max z) of those rows, their row sums and their
+    labels, from which the rows' softmax follows without a second exp.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
@@ -222,10 +235,26 @@ def masked_loss(logits, labels, mask, l2_coeff: float, model: GcnModel) -> float
     z = logits[mask]
     y = np.asarray(labels)[mask]
     zmax = z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    e = z - zmax
+    np.exp(e, out=e)
+    e_sum = e.sum(axis=1)
+    log_norm = np.log(e_sum) + zmax[:, 0]
     data = float(np.mean(log_norm - z[np.arange(len(y)), y]))
-    reg = l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
-    return data + reg
+    return data, e, e_sum, y
+
+
+def _l2_penalty(l2_coeff: float, model: GcnModel) -> float:
+    return l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
+
+
+def masked_loss(logits, labels, mask, l2_coeff: float, model: GcnModel) -> float:
+    """Mean softmax cross-entropy over masked nodes + l2_coeff * sum(W^2).
+
+    Only labels at masked positions are ever read; biases are excluded from
+    the penalty.
+    """
+    data, _, _, _ = _masked_cross_entropy(logits, labels, mask)
+    return data + _l2_penalty(l2_coeff, model)
 
 
 def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None):
@@ -234,18 +263,16 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
     Returns (loss, grads, logits) with grads aligned to model.parameters().
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ContractError("mask must select at least one node")
-    labels = np.asarray(labels)
     logits, caches = _forward(model, scaled, x, train=train, rng=rng)
-    loss = masked_loss(logits, labels, mask, l2_coeff, model)
+    data, probs, e_sum, y = _masked_cross_entropy(logits, labels, mask)
+    loss = data + _l2_penalty(l2_coeff, model)
 
-    n_masked = int(mask.sum())
-    masked_idx = np.flatnonzero(mask)
+    # Softmax minus one-hot, averaged over the masked rows.
+    probs /= e_sum[:, None]
+    probs[np.arange(len(y)), y] -= 1.0
+    probs /= len(y)
     grad_z = np.zeros_like(logits)
-    grad_z[masked_idx] = _stable_softmax(logits[masked_idx])
-    grad_z[masked_idx, labels[masked_idx]] -= 1.0
-    grad_z[masked_idx] /= n_masked
+    grad_z[mask] = probs
 
     cfg = model.config
     grads: list[np.ndarray | None] = [None] * (2 * len(model.layers))
@@ -258,12 +285,13 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
         # basis and evaluates dL/dH by one Clenshaw pass; an output-side layer
         # builds the basis of G, which is C_out columns wide.
         output_side = _output_side(layer.weight)
+        grad_w = 2.0 * l2_coeff * layer.weight
         if output_side:
             tg = np.hstack(chebyshev_basis(scaled, grad_z, k1 - 1).terms)
-            grad_w = (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
+            grad_w += (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
         else:
-            grad_w = np.stack([cache.inputs.terms[k].T @ grad_z for k in range(k1)])
-        grad_w += 2.0 * l2_coeff * layer.weight
+            for k in range(k1):
+                grad_w[k] += cache.inputs.terms[k].T @ grad_z
         grad_b = grad_z.sum(axis=0) if cfg.use_bias else np.zeros_like(layer.bias)
         grads[2 * li] = grad_w
         grads[2 * li + 1] = grad_b
@@ -275,21 +303,37 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
             parts = [grad_z @ layer.weight[k].T for k in range(k1)]
             grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum(scaled, parts)
         if cache.keep is not None:
-            grad_h = grad_h * cache.keep / (1.0 - cfg.dropout_rate)
-        grad_z = grad_h * (caches[li - 1].z > 0.0)
+            grad_h /= 1.0 - cfg.dropout_rate
+            grad_h *= cache.keep
+        grad_h *= caches[li - 1].z > 0.0
+        grad_z = grad_h
     return loss, grads, logits
 
 
 def adam_update(params, grads, moment1, moment2, step: int, lr: float):
-    """In-place Adam update of params at 1-based step, with bias correction."""
+    """In-place Adam update of params at 1-based step, with bias correction.
+
+    Two scratch arrays per parameter hold the update terms; the arithmetic is
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order.
+    """
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
     for p, g, m, v in zip(params, grads, moment1, moment2):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        update = np.multiply(g, 1.0 - ADAM_BETA1)
+        m += update
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        denom = np.multiply(g, 1.0 - ADAM_BETA2)
+        denom *= g
+        v += denom
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bc1, out=update)
+        update *= lr
+        update /= denom
+        p -= update
 
 
 def adam_step(model: GcnModel, grads, lr: float | None = None) -> GcnModel:
@@ -324,24 +368,20 @@ def _check_training_inputs(config, scaled, x, labels, mask):
     return x, labels, mask
 
 
-def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask, val_mask=None):
+def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     """Full-graph semi-supervised training for config.epochs Adam steps.
 
     `scaled` is the graph's operator from scaled_operator, built once per
     graph and shared by every model trained and evaluated on it; a network of
     cheb_order 0 is a plain dense network and takes None. Returns
     (model, history) where history holds one record per epoch with the loss
-    and masked training accuracy (plus validation accuracy when val_mask is
-    given). Raises DivergenceError on a non-finite loss.
+    and masked training accuracy. Raises DivergenceError on a non-finite loss.
     """
     config.validate()
     x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
     rng = np.random.default_rng(config.seed)
     model = init_model(config, x.shape[1], rng)
     y_train = labels[mask]
-    if val_mask is not None:
-        val_mask = np.asarray(val_mask, dtype=bool)
-        y_val = labels[val_mask]
     history = []
     for epoch in range(config.epochs):
         loss, grads, logits = loss_and_grads(
@@ -351,14 +391,11 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask, va
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         adam_step(model, grads)
         pred = np.argmax(logits, axis=1)
-        entry = {
+        history.append({
             "epoch": epoch,
             "loss": loss,
             "train_accuracy": float(np.mean(pred[mask] == y_train)),
-        }
-        if val_mask is not None:
-            entry["val_accuracy"] = float(np.mean(pred[val_mask] == y_val))
-        history.append(entry)
+        })
     return model, history
 
 

@@ -198,9 +198,10 @@ def pairwise_correlation(x: np.ndarray) -> np.ndarray:
     if np.any(norms == 0):
         idx = int(np.argmin(norms))
         raise DegenerateInputError(f"zero-variance feature vector at row {idx}")
-    z = centered / norms[:, None]
-    corr = z @ z.T
-    return np.clip(corr, -1.0, 1.0)
+    centered /= norms[:, None]
+    corr = centered @ centered.T
+    np.clip(corr, -1.0, 1.0, out=corr)
+    return corr
 
 
 def correlation_distance_matrix(x: np.ndarray) -> np.ndarray:
@@ -209,7 +210,8 @@ def correlation_distance_matrix(x: np.ndarray) -> np.ndarray:
     Distances below numerical noise are snapped to exactly 0 so identical
     vectors get kernel weight 1 regardless of the kernel width.
     """
-    rho = 1.0 - pairwise_correlation(x)
+    rho = pairwise_correlation(x)
+    np.subtract(1.0, rho, out=rho)
     rho[rho < 1e-12] = 0.0
     return rho
 
@@ -294,7 +296,12 @@ def _kernel_matrix(
         sigma = _mean_pair_distance(rho)
     else:
         sigma = _mean_pair_distance(rho[np.ix_(sigma_rows, sigma_rows)])
-    return np.exp(-(rho**2) / (2.0 * sigma**2)), sigma
+    # exp(-(rho^2) / (2 sigma^2)), evaluated in rho's own storage.
+    kernel = np.square(rho, out=rho)
+    np.negative(kernel, out=kernel)
+    kernel /= 2.0 * sigma**2
+    np.exp(kernel, out=kernel)
+    return kernel, sigma
 
 
 def build_phenotypic_graph(

@@ -158,17 +158,24 @@ class ChebyshevBasis:
 
 
 def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> ChebyshevBasis:
-    """Three-term recursion: T_0 X = X, T_1 X = Ls X, T_k X = 2 Ls T_{k-1} X - T_{k-2} X."""
+    """Three-term recursion: T_0 X = X, T_1 X = Ls X, T_k X = 2 Ls T_{k-1} X - T_{k-2} X.
+
+    The first term is x itself (as float64), not a copy; each later term is
+    formed in its own operator product.
+    """
     if scaled.kind != "scaled":
         raise ContractError(f"expected a scaled Laplacian, got kind {scaled.kind!r}")
     if order < 0:
         raise ParameterError(f"order must be >= 0, got {order}")
     x = np.asarray(x, dtype=np.float64)
-    terms = [x.copy()]
+    terms = [x]
     if order >= 1:
         terms.append(scaled.matrix @ x)
     for _ in range(2, order + 1):
-        terms.append(2.0 * (scaled.matrix @ terms[-1]) - terms[-2])
+        term = scaled.matrix @ terms[-1]
+        term *= 2.0
+        term -= terms[-2]
+        terms.append(term)
     return ChebyshevBasis(terms=terms, order=order)
 
 
@@ -187,11 +194,19 @@ def chebyshev_weighted_sum(scaled: LaplacianMatrix, parts: list[np.ndarray]) -> 
         raise ContractError("need at least one part")
     if order == 0:
         return parts[0].copy()
-    # b_{K+1} = b_{K+2} = 0, so b_K = B_K needs no operator product.
+    # b_{K+1} = b_{K+2} = 0, so b_K = B_K needs no operator product. Each
+    # step writes into its fresh operator product, so no part is modified.
     b1, b2 = parts[order], 0.0
     for k in range(order - 1, 0, -1):
-        b1, b2 = parts[k] + 2.0 * (scaled.matrix @ b1) - b2, b1
-    return parts[0] + scaled.matrix @ b1 - b2
+        b0 = scaled.matrix @ b1
+        b0 *= 2.0
+        b0 += parts[k]
+        b0 -= b2
+        b1, b2 = b0, b1
+    out = scaled.matrix @ b1
+    out += parts[0]
+    out -= b2
+    return out
 
 
 def spectral_filter_oracle(

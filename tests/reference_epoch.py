@@ -1,0 +1,169 @@
+"""The training epoch's formulas before they were made in-place, kept as oracles.
+
+Each function here allocates a fresh array at every step, as the package once
+did: dropout as (h * keep) / keep_prob, softmax cross-entropy and its gradient
+from two separate exp passes, Adam from whole-array expressions, the
+Chebyshev recursions as expressions, and the sigmoid by boolean masking. The
+in-place versions perform the same floating-point operations in the same
+order, so training with either must give bitwise-equal parameters.
+"""
+
+import numpy as np
+
+from popgcn.gcn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    _check_training_inputs,
+    _output_side,
+    _stable_softmax,
+    _stacked,
+    init_model,
+)
+
+
+def sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def chebyshev_basis_reference(scaled, x, order):
+    x = np.asarray(x, dtype=np.float64)
+    terms = [x.copy()]
+    if order >= 1:
+        terms.append(scaled.matrix @ x)
+    for _ in range(2, order + 1):
+        terms.append(2.0 * (scaled.matrix @ terms[-1]) - terms[-2])
+    return terms
+
+
+def chebyshev_weighted_sum_reference(scaled, parts):
+    order = len(parts) - 1
+    if order == 0:
+        return parts[0].copy()
+    b1, b2 = parts[order], 0.0
+    for k in range(order - 1, 0, -1):
+        b1, b2 = parts[k] + 2.0 * (scaled.matrix @ b1) - b2, b1
+    return parts[0] + scaled.matrix @ b1 - b2
+
+
+def dropout_reference(h, keep, rate):
+    return h * keep / (1.0 - rate)
+
+
+def _masked_loss(logits, labels, mask, l2_coeff, model):
+    z = logits[mask]
+    y = np.asarray(labels)[mask]
+    zmax = z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    data = float(np.mean(log_norm - z[np.arange(len(y)), y]))
+    reg = l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
+    return data + reg
+
+
+def forward_reference(model, scaled, x, train, rng):
+    """Logits and per-layer (keep, inputs, z) caches."""
+    cfg = model.config
+    h = np.asarray(x, dtype=np.float64)
+    caches = []
+    last = len(model.layers) - 1
+    for li, layer in enumerate(model.layers):
+        keep = None
+        if li < last and train and cfg.dropout_rate > 0.0:
+            keep = rng.random(h.shape) >= cfg.dropout_rate
+            h = dropout_reference(h, keep, cfg.dropout_rate)
+        order = layer.weight.shape[0] - 1
+        if _output_side(layer.weight):
+            parts = np.hsplit(h @ _stacked(layer.weight), order + 1)
+            inputs = h
+            z = chebyshev_weighted_sum_reference(scaled, parts) + layer.bias
+        else:
+            inputs = [h] if order == 0 else chebyshev_basis_reference(scaled, h, order)
+            z = inputs[0] @ layer.weight[0]
+            for k in range(1, order + 1):
+                z += inputs[k] @ layer.weight[k]
+            z = z + layer.bias
+        caches.append((keep, inputs, z))
+        h = np.maximum(z, 0.0) if li < last else z
+    return h, caches
+
+
+def loss_and_grads_reference(model, scaled, x, labels, mask, l2_coeff, train, rng):
+    mask = np.asarray(mask, dtype=bool)
+    labels = np.asarray(labels)
+    logits, caches = forward_reference(model, scaled, x, train, rng)
+    loss = _masked_loss(logits, labels, mask, l2_coeff, model)
+
+    n_masked = int(mask.sum())
+    masked_idx = np.flatnonzero(mask)
+    grad_z = np.zeros_like(logits)
+    grad_z[masked_idx] = _stable_softmax(logits[masked_idx])
+    grad_z[masked_idx, labels[masked_idx]] -= 1.0
+    grad_z[masked_idx] /= n_masked
+
+    cfg = model.config
+    grads = [None] * (2 * len(model.layers))
+    for li in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[li]
+        keep, inputs, _ = caches[li]
+        k1, c_in, c_out = layer.weight.shape
+        output_side = _output_side(layer.weight)
+        if output_side:
+            tg = np.hstack(chebyshev_basis_reference(scaled, grad_z, k1 - 1))
+            grad_w = (inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
+        else:
+            grad_w = np.stack([inputs[k].T @ grad_z for k in range(k1)])
+        grad_w += 2.0 * l2_coeff * layer.weight
+        grad_b = grad_z.sum(axis=0) if cfg.use_bias else np.zeros_like(layer.bias)
+        grads[2 * li] = grad_w
+        grads[2 * li + 1] = grad_b
+        if li == 0:
+            break
+        if output_side:
+            grad_h = tg @ _stacked(layer.weight).T
+        else:
+            parts = [grad_z @ layer.weight[k].T for k in range(k1)]
+            grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum_reference(scaled, parts)
+        if keep is not None:
+            grad_h = dropout_reference(grad_h, keep, cfg.dropout_rate)
+        grad_z = grad_h * (caches[li - 1][2] > 0.0)
+    return loss, grads, logits
+
+
+def adam_update_reference(params, grads, moment1, moment2, step, lr):
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for p, g, m, v in zip(params, grads, moment1, moment2):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def train_reference(config, scaled, x, labels, mask):
+    """`gcn.train` built from the formulas above; returns (model, losses)."""
+    x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
+    rng = np.random.default_rng(config.seed)
+    model = init_model(config, x.shape[1], rng)
+    losses = []
+    for _ in range(config.epochs):
+        loss, grads, _ = loss_and_grads_reference(
+            model, scaled, x, labels, mask, config.l2_coeff, True, rng
+        )
+        model.step += 1
+        adam_update_reference(
+            model.parameters(), grads, model.moment1, model.moment2,
+            model.step, config.learning_rate,
+        )
+        losses.append(loss)
+    return model, losses
+
+
+def predict_reference(model, scaled, x):
+    logits, _ = forward_reference(model, scaled, x, False, None)
+    return _stable_softmax(logits)

@@ -365,6 +365,15 @@ class TestFeatureSelectorClass:
         sel = FeatureSelector(config).fit(x[:35], y[:35])
         assert sel.transform(x).shape == (50, 3)
 
+    def test_rfe_transform_rows_are_c_ordered(self, rng):
+        # x[:, idx] would be Fortran-ordered; training reads the rows.
+        x = rng.standard_normal((40, 12))
+        y = np.arange(40) % 2
+        sel = FeatureSelector(SelectorConfig(kind="rfe", target_c=5)).fit(x[:30], y[:30])
+        out = sel.transform(x)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, x[:, sel.selected_indices])
+
     def test_none_kind_is_identity(self):
         x, y = separable(n=20, c=4)
         sel = FeatureSelector(SelectorConfig(kind="none")).fit(x[:10], y[:10])

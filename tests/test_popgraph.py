@@ -465,6 +465,21 @@ class TestGraphInvariants:
         kern = np.exp(-correlation_distance_matrix(x) ** 2 / (2 * g.provenance["sigma"] ** 2))
         np.testing.assert_allclose(g.adjacency, kern - np.diag(np.diag(kern)), atol=1e-12)
 
+    def test_kernel_matches_allocating_formula_bitwise(self, rng):
+        # The in-place kernel performs the same operations as these
+        # expressions, on a Fortran-ordered input as RFE once returned.
+        x = np.asfortranarray(rng.standard_normal((300, 500)))
+        centered = x - x.mean(axis=1, keepdims=True)
+        z = centered / np.linalg.norm(centered, axis=1)[:, None]
+        rho = 1.0 - np.clip(z @ z.T, -1.0, 1.0)
+        rho[rho < 1e-12] = 0.0
+        sigma = rho[np.triu_indices(300, k=1)].mean()
+        expected = np.exp(-(rho**2) / (2.0 * sigma**2))
+        g = build_graph(feats(x), [rec(i) for i in range(300)], GraphSpec(strategy="all"))
+        assert g.provenance["sigma"] == sigma
+        np.fill_diagonal(expected, 0.0)
+        np.testing.assert_array_equal(g.adjacency.view(np.int64), expected.view(np.int64))
+
     def test_edge_views_are_row_major_upper_triangle(self):
         g = PopulationGraph.from_edges(4, [0, 1, 0, 2], [3, 2, 1, 3], [1.0, 2.0, 3.0, 0.0])
         assert g.edge_list() == [(0, 1, 3.0), (0, 3, 1.0), (1, 2, 2.0)]
