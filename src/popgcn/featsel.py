@@ -13,9 +13,8 @@ loss and gradients and steps with `gcn.adam_update`.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -320,54 +319,3 @@ class FeatureSelector:
         lo, span, degenerate = self.scale
         xs = _minmax_apply(x, lo, span, degenerate)
         return _sigmoid(xs @ self.weights["w"] + self.weights["b_enc"])
-
-    def save(self, path):
-        payload = {"config_json": np.frombuffer(
-            json.dumps(asdict(self.config), sort_keys=True).encode(), dtype=np.uint8
-        )}
-        if self.selected_indices is not None:
-            payload["selected_indices"] = self.selected_indices
-        if self.pca_info is not None:
-            payload["pca_mean"] = self.pca_info.mean
-            payload["pca_components"] = self.pca_info.components
-        if self.weights is not None:
-            for key, val in self.weights.items():
-                payload[f"weights_{key}"] = val
-        if self.scale is not None:
-            lo, span, degenerate = self.scale
-            payload["scale_lo"] = lo
-            payload["scale_span"] = span
-            payload["scale_degenerate"] = degenerate
-        np.savez(path, **payload)
-
-    @classmethod
-    def load(cls, path) -> "FeatureSelector":
-        with np.load(path) as data:
-            config = SelectorConfig(**json.loads(bytes(data["config_json"]).decode()))
-            sel = cls(config)
-            if "selected_indices" in data:
-                sel.selected_indices = data["selected_indices"].copy()
-            if "pca_mean" in data:
-                sel.pca_info = PcaInfo(
-                    mean=data["pca_mean"].copy(),
-                    components=data["pca_components"].copy(),
-                    explained_variance_ratio=np.zeros(config.target_c),
-                    cumulative_explained=0.0,
-                    rank=0,
-                    rank_deficient=False,
-                )
-            weights = {
-                key[len("weights_"):]: data[key].copy()
-                for key in data.files
-                if key.startswith("weights_")
-            }
-            if weights:
-                sel.weights = weights
-            if "scale_lo" in data:
-                sel.scale = (
-                    data["scale_lo"].copy(),
-                    data["scale_span"].copy(),
-                    data["scale_degenerate"].copy(),
-                )
-        sel.fitted = True
-        return sel

@@ -29,8 +29,7 @@ about 2-3 times slower.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +48,6 @@ from .spectral import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -405,39 +402,3 @@ def predict(model: GcnModel, scaled: LaplacianMatrix | None, x):
     probs = _stable_softmax(logits)
     return probs, np.argmax(probs, axis=1)
 
-
-def save_model(model: GcnModel, path):
-    """Versioned npz checkpoint: config, shapes, parameters, optimizer state."""
-    payload = {
-        "format_version": np.array(CHECKPOINT_VERSION),
-        "config_json": np.frombuffer(
-            json.dumps(asdict(model.config), sort_keys=True).encode(), dtype=np.uint8
-        ),
-        "n_layers": np.array(len(model.layers)),
-        "step": np.array(model.step),
-    }
-    for i, layer in enumerate(model.layers):
-        payload[f"weight_{i}"] = layer.weight
-        payload[f"bias_{i}"] = layer.bias
-    for i, (m, v) in enumerate(zip(model.moment1, model.moment2)):
-        payload[f"moment1_{i}"] = m
-        payload[f"moment2_{i}"] = v
-    np.savez(path, **payload)
-
-
-def load_model(path) -> GcnModel:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
-        cfg_dict = json.loads(bytes(data["config_json"]).decode())
-        config = GcnConfig(**cfg_dict)
-        n_layers = int(data["n_layers"])
-        layers = [
-            Layer(weight=data[f"weight_{i}"].copy(), bias=data[f"bias_{i}"].copy())
-            for i in range(n_layers)
-        ]
-        model = GcnModel(config=config, layers=layers, step=int(data["step"]))
-        model.moment1 = [data[f"moment1_{i}"].copy() for i in range(2 * n_layers)]
-        model.moment2 = [data[f"moment2_{i}"].copy() for i in range(2 * n_layers)]
-    return model

@@ -1,11 +1,15 @@
 import csv
 import math
+import multiprocessing
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popgcn import dataset
 from popgcn.baselines import ridge_classify
 from popgcn.dataset import (
     UNKNOWN_LABEL,
@@ -180,23 +184,30 @@ def outcome(loader, path):
     return fm.ids, fm.values.view(np.int64).tolist()
 
 
+def check_round_trip(path, features):
+    write_features(features, path)
+    expected = (features.ids, features.values.view(np.int64).tolist())
+    assert outcome(load_features, path) == outcome(load_features_reference, path) == expected
+
+
+def check_same_result(path, table):
+    n_features, rows = table
+    write_rows(path, rows, n_features)
+    assert outcome(load_features, path) == outcome(load_features_reference, path)
+
+
 class TestLoaderMatchesReference:
     """load_features against the csv + float() parser it replaced."""
 
     @given(features=feature_matrices())
     @settings(max_examples=100, deadline=None)
     def test_files_from_write_features(self, tmp_path_factory, features):
-        path = tmp_path_factory.mktemp("csv") / "f.csv"
-        write_features(features, path)
-        expected = (features.ids, features.values.view(np.int64).tolist())
-        assert outcome(load_features, path) == outcome(load_features_reference, path) == expected
+        check_round_trip(tmp_path_factory.mktemp("csv") / "f.csv", features)
 
     @given(table=st.one_of(feature_rows(), malformed_rows()))
     @settings(max_examples=200, deadline=None)
     def test_same_result(self, tmp_path_factory, table):
-        n_features, rows = table
-        path = write_rows(tmp_path_factory.mktemp("csv") / "f.csv", rows, n_features)
-        assert outcome(load_features, path) == outcome(load_features_reference, path)
+        check_same_result(tmp_path_factory.mktemp("csv") / "f.csv", table)
 
     def test_extreme_values_round_trip_bitwise(self, tmp_path):
         values = np.array([EXTREME_VALUES, EXTREME_VALUES[::-1]])
@@ -204,6 +215,249 @@ class TestLoaderMatchesReference:
         loaded = load_features(tmp_path / "f.csv")
         assert loaded.ids == [" a\t", 'x,"y']
         assert loaded.values.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+
+def parse_in_order(path, starts, workers):
+    """Stands in for the worker processes: parses each range here, in order."""
+    assert workers >= 2
+    return [dataset._parse_chunk(path, a, b) for a, b in zip(starts, starts[1:] + [None])]
+
+
+def in_ranges(range_bytes, scan_bytes, inline=False):
+    """A patch under which load_features cuts the data section into ranges of
+    about range_bytes, scanned in blocks of scan_bytes, and hands them to
+    two forked workers whatever the machine's core count, or parses them in
+    this process if `inline`."""
+    patches = {"_RANGE_BYTES": range_bytes, "_SCAN_BYTES": scan_bytes, "_fork_workers": lambda: 2}
+    if inline:
+        patches["_parse_in_workers"] = parse_in_order
+    return mock.patch.multiple(dataset, **patches)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+
+
+@needs_fork
+class TestLoadFeaturesInRanges(TestLoadFeatures):
+    """Every load_features test again, on ranges of about 16 bytes: most
+    rows start a range of their own, and the worker processes parse them."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def ranges(self):
+        with in_ranges(16, 7):
+            yield
+
+
+class TestLoaderMatchesReferenceInRanges:
+    """The reference comparisons again, on ranges of about 16 bytes scanned
+    in 7-byte blocks, so cuts, quotes and line ends fall at every offset. The
+    ranges are parsed in this process, in order, to keep the examples fast."""
+
+    @given(features=feature_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_files_from_write_features(self, tmp_path_factory, features):
+        with in_ranges(16, 7, inline=True):
+            check_round_trip(tmp_path_factory.mktemp("csv") / "f.csv", features)
+
+    @given(table=st.one_of(feature_rows(), malformed_rows()))
+    @settings(max_examples=200, deadline=None)
+    def test_same_result(self, tmp_path_factory, table):
+        with in_ranges(16, 7, inline=True):
+            check_same_result(tmp_path_factory.mktemp("csv") / "f.csv", table)
+
+
+def range_starts_of(path):
+    """Where load_features, under the active patch, starts each range."""
+    return dataset._range_starts(path, len(path.read_bytes().split(b"\n", 1)[0]) + 1)
+
+
+@needs_fork
+class TestLoadFeaturesInWorkers:
+    """Files of several ranges of about 300 bytes, parsed by two forked
+    worker processes, against one pass over the whole data section."""
+
+    HEADER = "acquisition_id,f0,f1\n"
+
+    @pytest.fixture(autouse=True, scope="class")
+    def ranges(self):
+        with in_ranges(300, 64):
+            yield
+
+    @staticmethod
+    def serial(path):
+        with mock.patch.object(dataset, "_fork_workers", lambda: 1):
+            return outcome(load_features, path)
+
+    @staticmethod
+    def rows(first, count, cells=2):
+        return "".join(
+            f"id{i:03d}," + ",".join(f"{i}.{j}5" for j in range(cells)) + "\n"
+            for i in range(first, first + count)
+        )
+
+    def test_bitwise_equal_to_one_pass(self, tmp_path):
+        features, _ = generate_synthetic(SyntheticConfig(n_subjects=12, n_features=12, seed=3))
+        path = tmp_path / "f.csv"
+        write_features(features, path)
+        assert len(range_starts_of(path)) >= 3
+        loaded = load_features(path)
+        assert outcome(load_features, path) == self.serial(path)
+        assert loaded.ids == features.ids
+        assert loaded.values.view(np.int64).tolist() == features.values.view(np.int64).tolist()
+        assert loaded.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_quoted_id_with_line_ends_straddles_a_cut(self, tmp_path, eol):
+        # The quoted id spans the first cut's target; the cut must follow it.
+        long_id = "x" + eol * 300 + "y"
+        text = self.HEADER + self.rows(0, 5) + '"' + long_id.replace("y", 'y""') + '",1,2\n'
+        text += self.rows(5, 30)
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        opening = text.index('"')
+        closing = text.index('",1,2')
+        starts = range_starts_of(path)
+        assert len(starts) >= 3
+        assert starts[1] > closing and starts[0] < opening
+        loaded = load_features(path)
+        assert loaded.ids[5] == long_id + '"'
+        assert outcome(load_features, path) == self.serial(path)
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes((self.HEADER + self.rows(0, 40)).replace("\n", "\r\n").encode())
+        data = path.read_bytes()
+        starts = range_starts_of(path)
+        assert len(starts) >= 3
+        assert all(data[s - 2:s] == b"\r\n" for s in starts)
+        fm = load_features(path)
+        assert fm.ids == [f"id{i:03d}" for i in range(40)]
+        assert outcome(load_features, path) == self.serial(path)
+
+    def test_range_of_blank_lines_only(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(self.HEADER + self.rows(0, 10) + "\n" * 700 + self.rows(10, 10))
+        data = path.read_bytes()
+        starts = range_starts_of(path)
+        ends = starts[1:] + [len(data)]
+        assert any(set(data[a:b]) == {ord("\n")} for a, b in zip(starts, ends))
+        fm = load_features(path)
+        assert fm.ids == [f"id{i:03d}" for i in range(20)]
+        assert outcome(load_features, path) == self.serial(path)
+
+    def test_only_blank_lines_after_header(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(self.HEADER + "\n" * 1000)
+        assert len(range_starts_of(path)) >= 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrityError, match="N >= 2 required, got 0 data rows"):
+                load_features(path)
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(self.HEADER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrityError, match="N >= 2"):
+                load_features(path)
+
+    def test_extra_cell_in_a_later_range_only(self, tmp_path):
+        # Rows from the second range on all have one cell more than the
+        # header, so each range parses and only the widths disagree.
+        path = tmp_path / "f.csv"
+        path.write_text(self.HEADER + self.rows(0, 40))
+        data = path.read_bytes()
+        starts = range_starts_of(path)
+        first = data[: starts[1]].count(b"\n") - 1
+        path.write_text(self.HEADER + self.rows(0, first) + self.rows(first, 40 - first, cells=3))
+        assert range_starts_of(path)[1] == starts[1]
+        with pytest.raises(FormatError, match=f"ragged row {first}: expected 3 cells, got 4"):
+            load_features(path)
+        assert outcome(load_features, path) == self.serial(path)
+
+    def test_bad_cell_in_a_later_range(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(self.HEADER + self.rows(0, 30) + "id030,1.0,abc\n" + self.rows(31, 9))
+        assert len(range_starts_of(path)) >= 3
+        with pytest.raises(ParseError, match="row 30, column 1") as exc:
+            load_features(path)
+        assert (exc.value.row, exc.value.col) == (30, 1)
+        assert outcome(load_features, path) == self.serial(path)
+
+    def test_non_utf8_byte_in_a_later_range(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes((self.HEADER + self.rows(0, 30)).encode() + b"a\xff,1,2\n"
+                         + self.rows(31, 9).encode())
+        assert len(range_starts_of(path)) >= 3
+        with pytest.raises(FormatError, match=r"not UTF-8 text \(invalid start byte\)") as exc:
+            load_features(path)
+        assert str(path) in str(exc.value)
+        assert outcome(load_features, path) == self.serial(path)
+
+    def test_fault_in_the_first_range_stops_every_worker(self, tmp_path):
+        # Each piece is larger than a pipe's buffer, so the second worker is
+        # still sending its first piece when the fault in range 0 is raised.
+        path = tmp_path / "f.csv"
+        cells = ",".join(["1.5"] * 99)
+        path.write_text(
+            "acquisition_id," + ",".join(f"f{j}" for j in range(100)) + "\n"
+            + f"id0,abc,{cells}\n" + "".join(f"id{i},2.5,{cells}\n" for i in range(1, 2000))
+        )
+        with mock.patch.object(dataset, "_RANGE_BYTES", 200_000):
+            assert len(range_starts_of(path)) >= 3
+            with pytest.raises(ParseError, match="row 0, column 0"):
+                load_features(path)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_reported(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(self.HEADER + self.rows(0, 40))
+        starts = range_starts_of(path)
+        parse = dataset._parse_chunk
+
+        def dies_on_the_last_range(path, start, stop):
+            if start == starts[-1]:
+                os._exit(3)
+            return parse(path, start, stop)
+
+        with mock.patch.object(dataset, "_parse_chunk", dies_on_the_last_range):
+            with pytest.raises(RuntimeError, match="worker process exited early"):
+                load_features(path)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("prefix", [1, 64], ids=["mid-block", "block-start"])
+    def test_stray_quote_keeps_one_range(self, tmp_path, prefix):
+        # The dialect reads a quote inside an unquoted field as text, so the
+        # count of quotes no longer tells where quoted fields are: by count,
+        # the line end inside the later quoted id would be a record's end.
+        # At prefix 64 the stray quote is the first byte of a scan block. Every
+        # later quote could open a field, so only the stray one tells.
+        stray = "a" * prefix + '"x'
+        text = self.HEADER + stray + ",1,2\n" + self.rows(0, 10) + '"p' + "\n" * 300 + '",3,4\n'
+        path = tmp_path / "f.csv"
+        path.write_text(text + self.rows(10, 20))
+        assert range_starts_of(path) == [len(self.HEADER)]
+        fm = load_features(path)
+        assert fm.ids[0] == stray and fm.ids[11] == "p" + "\n" * 300
+        assert outcome(load_features, path) == self.serial(path)
+
+
+@needs_fork
+def test_daemonic_process_parses_in_one_pass(tmp_path):
+    # A daemonic process may not start children, so it parses every range
+    # itself; with workers it would fail.
+    features, _ = generate_synthetic(SyntheticConfig(n_subjects=12, n_features=12, seed=3))
+    path = tmp_path / "f.csv"
+    write_features(features, path)
+    with mock.patch.object(dataset, "_RANGE_BYTES", 300):
+        assert len(range_starts_of(path)) >= 3
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            loaded = pool.apply_async(load_features, (path,)).get(timeout=60)
+    assert loaded.ids == features.ids
+    assert loaded.values.view(np.int64).tolist() == features.values.view(np.int64).tolist()
 
 
 class TestLoadPhenotypes:
@@ -240,6 +494,17 @@ class TestLoadPhenotypes:
         p = write(tmp_path / "p.csv", self.HEADER + "a,s1,0,x,F,1,\na,s2,1,x,F,2,\n")
         with pytest.raises(IntegrityError, match="duplicate"):
             load_phenotypes(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # Before, a trailing blank line was a ragged row of 0 cells.
+        rows = "a,s1,0,x,F,1,\n\nb,s2,1,x,M,2,\n\n"
+        records = load_phenotypes(write(tmp_path / "p.csv", self.HEADER + "\n" + rows))
+        assert [r.acquisition_id for r in records] == ["a", "b"]
+        # Row numbers count data rows, not lines.
+        p = write(tmp_path / "q.csv", self.HEADER + "a,s1,0,x,F,1,\n\nb,s2,1,x,M,old,\n")
+        with pytest.raises(ParseError, match="row 1") as exc:
+            load_phenotypes(p)
+        assert exc.value.row == 1
 
     def test_non_utf8_bytes_raise_format_error(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -383,13 +383,3 @@ class TestFeatureSelectorClass:
         sel = FeatureSelector(SelectorConfig(kind="rfe", target_c=2))
         with pytest.raises(ContractError):
             sel.transform(np.ones((3, 4)))
-
-    @pytest.mark.parametrize("kind", ["rfe", "pca", "mlp", "autoencoder"])
-    def test_save_load_roundtrip(self, kind, tmp_path):
-        x, y = separable(n=40, c=6)
-        config = SelectorConfig(kind=kind, target_c=2, mlp_epochs=5, ae_epochs=5)
-        sel = FeatureSelector(config).fit(x[:30], y[:30])
-        path = tmp_path / "selector.npz"
-        sel.save(path)
-        loaded = FeatureSelector.load(path)
-        np.testing.assert_array_equal(loaded.transform(x), sel.transform(x))

@@ -11,11 +11,9 @@ from popgcn.gcn import (
     cheb_conv_forward,
     forward,
     init_model,
-    load_model,
     loss_and_grads,
     masked_loss,
     predict,
-    save_model,
     scaled_operator,
     train,
 )
@@ -523,22 +521,3 @@ class TestPredict:
 
         probs = _stable_softmax(np.zeros((3, 2)))
         assert np.all(np.argmax(probs, axis=1) == 0)
-
-
-class TestCheckpoint:
-    def test_save_load_roundtrip(self, tmp_path):
-        scaled, x, labels = separable_case(n=24)
-        mask = np.ones(24, dtype=bool)
-        config = GcnConfig(epochs=8, hidden_width=5, seed=2)
-        model, _ = train(config, scaled, x, labels, mask)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        assert loaded.step == model.step
-        assert model_bytes(loaded) == model_bytes(model)
-        for a, b in zip(loaded.moment1 + loaded.moment2, model.moment1 + model.moment2):
-            np.testing.assert_array_equal(a, b)
-        p1, _ = predict(model, scaled, x)
-        p2, _ = predict(loaded, scaled, x)
-        np.testing.assert_array_equal(p1, p2)
