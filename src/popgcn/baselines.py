@@ -68,8 +68,9 @@ def mlp_classify(x_train, y_train, x_test, config: BaselineConfig, network: GcnC
     if not set(np.unique(y)) == {0, 1}:
         raise ContractError("both classes must be present in training labels")
 
-    # Test rows ride along unmasked: dropout draws its masks over every row,
-    # so leaving them out would change the random stream and the results.
+    # The test rows are passed unmasked only to size the dropout draw, which
+    # spans every row as it always has; at order 0 train keeps the masked
+    # rows, so they never enter a forward or backward pass.
     x_full = np.asarray(np.vstack([x_train, x_test]), dtype=np.float64)
     n_train = len(x_train)
     mask = np.arange(len(x_full)) < n_train
@@ -77,5 +78,5 @@ def mlp_classify(x_train, y_train, x_test, config: BaselineConfig, network: GcnC
 
     net_config = replace(network, n_classes=2, cheb_order=0, epochs=config.mlp_epochs)
     model, _ = train(net_config, None, x_full, labels_full, mask)
-    probs, labels = predict(model, None, x_full)
-    return labels[n_train:], probs[n_train:]
+    probs, labels = predict(model, None, x_full[n_train:])
+    return labels, probs

@@ -7,6 +7,16 @@ producing logits. The loss is softmax cross-entropy averaged over masked
 features into the convolutions but never touch the loss. Gradients are exact
 and hand-derived; the optimizer is Adam. Everything is float64 numpy.
 
+Training runs only on the rows the loss can reach: the connected components
+of a sparse operator that hold a masked node (each held-out subject of a
+longitudinal graph is a component of its own), or the masked rows of an
+order-0 network; a dense operator trains every row. No edge is dropped, so
+the trained rows' values equal the whole graph's, and dropout still draws
+its masks over every node, so the random stream is the whole graph's. Only
+the weight gradients' sums run over fewer rows, which BLAS may group
+differently: parameters agree with whole-graph training to the last bits.
+Predict runs on the whole graph.
+
 At cheb_order 0 the convolutions are plain dense layers and no operator is
 needed; this is the one dense network of the package, shared by the MLP
 baseline and the MLP feature selector (adam_update also steps the
@@ -32,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractError, DivergenceError, ParameterError
 from .popgraph import PopulationGraph
@@ -365,24 +376,98 @@ def _check_training_inputs(config, scaled, x, labels, mask):
     return x, labels, mask
 
 
+def _trained_rows(config: GcnConfig, scaled: LaplacianMatrix | None, mask):
+    """Sorted rows the masked loss can reach, or None when every row can.
+
+    A row reaches the loss only through a chain of operator entries to a
+    masked row, so the rows are the union of the operator's connected
+    components that hold a masked node; at cheb_order 0 no row affects
+    another, and they are the masked rows. A dense operator keeps every row:
+    it is stored dense only when it is dense or small, which leaves it
+    connected in practice.
+    """
+    if config.cheb_order == 0:
+        rows = np.flatnonzero(mask)
+    elif scaled.is_sparse:
+        # Imported here, as estimate_lambda_max imports eigsh. Every stored
+        # entry counts as an edge, explicit zeros included, so the rows'
+        # entries only ever point at other trained rows.
+        from scipy.sparse.csgraph import connected_components
+
+        _, component = connected_components(scaled.matrix, directed=False)
+        rows = np.flatnonzero(np.isin(component, component[mask]))
+    else:
+        return None
+    return None if len(rows) == len(mask) else rows
+
+
+def _principal_submatrix(scaled: LaplacianMatrix, rows) -> LaplacianMatrix:
+    """The CSR operator on `rows`, a union of its connected components.
+
+    Each row keeps its stored entries in their order, with the column indices
+    renumbered, so a product with the submatrix equals those rows of the full
+    product bit for bit. The scaling, and so lambda_max, is the whole graph's.
+    """
+    sub = scaled.matrix[rows]
+    position = np.empty(scaled.n, dtype=sub.indices.dtype)
+    position[rows] = np.arange(len(rows), dtype=sub.indices.dtype)
+    matrix = sp.csr_matrix(
+        (sub.data, position[sub.indices], sub.indptr), shape=(len(rows), len(rows))
+    )
+    return LaplacianMatrix(matrix=matrix, kind="scaled")
+
+
+class _RowDraws:
+    """The generator's uniform draws over all n nodes, cut to `rows`.
+
+    Dropout in a restricted training run draws what it would on the whole
+    graph, in the same order, so the random stream and the trained rows'
+    masks are unchanged.
+    """
+
+    def __init__(self, rng, n: int, rows):
+        self._rng = rng
+        self._n = n
+        self._rows = rows
+
+    def random(self, shape):
+        return self._rng.random((self._n, *shape[1:]))[self._rows]
+
+
 def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
-    """Full-graph semi-supervised training for config.epochs Adam steps.
+    """Semi-supervised training for config.epochs Adam steps.
 
     `scaled` is the graph's operator from scaled_operator, built once per
     graph and shared by every model trained and evaluated on it; a network of
     cheb_order 0 is a plain dense network and takes None. Returns
     (model, history) where history holds one record per epoch with the loss
     and masked training accuracy. Raises DivergenceError on a non-finite loss.
+
+    Only the rows the loss can reach train (_trained_rows): the operator's
+    connected components that hold a masked node, on the principal
+    submatrix of a CSR operator; the masked rows alone at cheb_order 0; every
+    row of a dense operator. The other rows' gradients are exactly zero.
+    Dropout still draws its masks over every node and keeps the trained
+    rows', so the random stream is the whole graph's. Forward values on the
+    trained rows equal the whole graph's bit for bit; the weight gradients
+    sum over fewer rows, and BLAS may group those sums differently, so
+    parameters can differ from whole-graph training in the last bits.
     """
     config.validate()
     x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
     rng = np.random.default_rng(config.seed)
+    draws = rng
+    rows = _trained_rows(config, scaled, mask)
+    if rows is not None:
+        draws = _RowDraws(rng, len(mask), rows)
+        scaled = None if config.cheb_order == 0 else _principal_submatrix(scaled, rows)
+        x, labels, mask = x[rows], labels[rows], mask[rows]
     model = init_model(config, x.shape[1], rng)
     y_train = labels[mask]
     history = []
     for epoch in range(config.epochs):
         loss, grads, logits = loss_and_grads(
-            model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=rng
+            model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=draws
         )
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)

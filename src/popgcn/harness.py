@@ -140,14 +140,12 @@ class EnsembleResult(NamedTuple):
     auc: float | None
 
 
-def ensemble_seeds(pred_labels, probs, true_labels, mode: str) -> EnsembleResult:
-    """Combine per-seed predictions over the same nodes.
+def ensemble_seeds(pred_labels, probs, true_labels) -> EnsembleResult:
+    """Majority vote of per-seed predictions over the same nodes.
 
-    'average': reported accuracy/AUC are the means of the per-seed metrics;
-    labels come from the mean positive probability (ties -> class 0).
-    'majority_vote': per-node modal label, even splits resolved by the mean
-    positive probability against 0.5; metrics are computed on the ensembled
-    labels / mean probabilities.
+    Each node takes its modal label; an even split is resolved by the mean
+    positive probability against 0.5 (exactly 0.5 -> class 0). Accuracy is
+    that of the ensembled labels, AUC that of the mean probabilities.
     """
     pred_labels = np.asarray(pred_labels, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -156,18 +154,8 @@ def ensemble_seeds(pred_labels, probs, true_labels, mode: str) -> EnsembleResult
         raise ContractError("need aligned (seeds, nodes) prediction arrays")
     if pred_labels.shape[0] < 1:
         raise ContractError("need at least one seed")
-    if mode not in ("average", "majority_vote"):
-        raise ParameterError(f"unknown ensemble mode {mode!r}")
 
     mean_probs = probs.mean(axis=0)
-    if mode == "average":
-        per_seed = [compute_metrics(probs[s], true_labels) for s in range(probs.shape[0])]
-        accuracy = float(np.mean([m.accuracy for m in per_seed]))
-        aucs = [m.auc for m in per_seed]
-        auc = None if any(a is None for a in aucs) else float(np.mean(aucs))
-        labels = (mean_probs > 0.5).astype(np.int64)
-        return EnsembleResult(labels=labels, accuracy=accuracy, auc=auc)
-
     votes_one = (pred_labels == 1).sum(axis=0)
     votes_zero = pred_labels.shape[0] - votes_one
     labels = np.where(
@@ -269,7 +257,6 @@ class ExperimentReport:
                 np.array([r.pred_labels for r in recs]),
                 np.array([r.probs for r in recs]),
                 np.array(recs[0].true_labels),
-                mode="majority_vote",
             )
             ens_accs.append(result.accuracy)
             ens_aucs.append(result.auc)
@@ -452,10 +439,14 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     training-node pairs (all pairs under sigma_pairs='all'); build its scaled
     operator once; train every seed on that operator with the training mask;
     score the held-out fold. jobs > 1 runs folds in that many worker
-    processes, with the same records. record_sink, when given, is called with
-    each FoldSeedRecord as its fold finishes, so partial results survive an
-    abort. Under glibc it first raises the process's allocator thresholds
+    processes, with the same records. record_sink, when given, is called
+    with each FoldSeedRecord as its fold finishes, so partial results survive
+    an abort. Under glibc it first raises the process's allocator thresholds
     (_reuse_freed_memory).
+
+    The same descriptor gives a byte-identical report only under the same
+    BLAS thread count: the correlation kernel's Gram product sums in an order
+    that depends on it, and training amplifies those last bits.
     """
     desc.validate()
     _reuse_freed_memory()

@@ -11,6 +11,7 @@ asserts.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,11 +99,12 @@ def estimate_lambda_max(lap: LaplacianMatrix) -> LambdaMaxEstimate:
     """Largest eigenvalue of a normalized Laplacian by an exact eigensolver.
 
     Dense operators use np.linalg.eigvalsh. Sparse operators use Lanczos
-    (ARPACK eigsh, largest algebraic) from a fixed start vector, so repeated
-    calls agree bit for bit; `iterations` counts its operator applications and
-    is 0 for the dense solver. The result is clamped to at most 2. An edgeless
-    graph (the operator is the identity) gets the analytic bound 2 with
-    `used_fallback` set.
+    (ARPACK eigsh, largest algebraic) from a fixed start vector, with every
+    restart vector ARPACK asks for drawn from the same seeded generator, so
+    repeated calls agree bit for bit; `iterations` counts its operator
+    applications and is 0 for the dense solver. The result is clamped to at
+    most 2. An edgeless graph (the operator is the identity) gets the
+    analytic bound 2 with `used_fallback` set.
     """
     if lap.kind != "normalized":
         raise ContractError(f"expected a normalized Laplacian, got kind {lap.kind!r}")
@@ -124,8 +126,17 @@ def estimate_lambda_max(lap: LaplacianMatrix) -> LambdaMaxEstimate:
         return lap.matrix @ v
 
     operator = LinearOperator(lap.matrix.shape, matvec=matvec, dtype=np.float64)
-    v0 = np.random.default_rng(12345).standard_normal(lap.n)
-    top = float(eigsh(operator, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    rng = np.random.default_rng(12345)
+    v0 = rng.standard_normal(lap.n)
+    # ARPACK restarts from a random vector when its Krylov space stops
+    # growing, as it does where lambda_max = 2 has many eigenvectors (one per
+    # bipartite component, such as each two-scan subject of a longitudinal
+    # graph). SciPy draws that vector from OS entropy unless given `rng`; a
+    # SciPy without the keyword uses ARPACK's own fixed seed.
+    seeded = {"rng": rng} if "rng" in inspect.signature(eigsh).parameters else {}
+    top = float(
+        eigsh(operator, k=1, which="LA", v0=v0, return_eigenvectors=False, **seeded)[0]
+    )
     return LambdaMaxEstimate(min(top, ANALYTIC_LAMBDA_MAX), False, applications)
 
 

@@ -173,31 +173,29 @@ class TestComputeMetrics:
 
 
 class TestEnsembleSeeds:
-    def test_unanimity_both_modes(self):
+    def test_unanimity(self):
         pred = np.array([[1, 0, 1], [1, 0, 1], [1, 0, 1]])
         probs = np.array([[0.9, 0.2, 0.8], [0.8, 0.3, 0.7], [0.7, 0.1, 0.9]])
         truth = np.array([1, 0, 0])
-        avg = ensemble_seeds(pred, probs, truth, "average")
-        vote = ensemble_seeds(pred, probs, truth, "majority_vote")
-        np.testing.assert_array_equal(avg.labels, vote.labels)
+        vote = ensemble_seeds(pred, probs, truth)
         np.testing.assert_array_equal(vote.labels, [1, 0, 1])
 
     def test_two_to_one_vote(self):
         pred = np.array([[1], [1], [0]])
         probs = np.array([[0.9], [0.6], [0.2]])
-        vote = ensemble_seeds(pred, probs, np.array([1]), "majority_vote")
+        vote = ensemble_seeds(pred, probs, np.array([1]))
         assert vote.labels.tolist() == [1]
 
     def test_even_split_resolved_by_mean_probability(self):
         pred = np.array([[1], [0]])
         probs = np.array([[0.9], [0.5]])  # mean 0.7 -> class 1
-        vote = ensemble_seeds(pred, probs, np.array([1]), "majority_vote")
+        vote = ensemble_seeds(pred, probs, np.array([1]))
         assert vote.labels.tolist() == [1]
 
     def test_even_split_mean_probability_half_goes_to_zero(self):
         pred = np.array([[1], [0]])
         probs = np.array([[0.6], [0.4]])  # mean exactly 0.5 -> class 0
-        vote = ensemble_seeds(pred, probs, np.array([1]), "majority_vote")
+        vote = ensemble_seeds(pred, probs, np.array([1]))
         assert vote.labels.tolist() == [0]
 
     def test_single_seed_matches_single_run(self):
@@ -206,20 +204,10 @@ class TestEnsembleSeeds:
         pred = (probs > 0.5).astype(int)
         truth = g.integers(0, 2, size=12)
         single = compute_metrics(probs[0], truth)
-        for mode in ("average", "majority_vote"):
-            result = ensemble_seeds(pred, probs, truth, mode)
-            assert result.accuracy == single.accuracy
-            assert result.auc == single.auc
-            np.testing.assert_array_equal(result.labels, pred[0])
-
-    def test_average_mode_accuracy_is_mean_of_per_seed(self):
-        g = np.random.default_rng(2)
-        probs = g.random((4, 9))
-        pred = (probs > 0.5).astype(int)
-        truth = g.integers(0, 2, size=9)
-        result = ensemble_seeds(pred, probs, truth, "average")
-        expected = np.mean([compute_metrics(probs[s], truth).accuracy for s in range(4)])
-        assert result.accuracy == pytest.approx(expected, abs=1e-15)
+        result = ensemble_seeds(pred, probs, truth)
+        assert result.accuracy == single.accuracy
+        assert result.auc == single.auc
+        np.testing.assert_array_equal(result.labels, pred[0])
 
 
 def mean_pair_distance(x):

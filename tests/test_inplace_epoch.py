@@ -1,7 +1,9 @@
 """The in-place training epoch against the allocating formulas it replaced.
 
 Every comparison is on the int64 view of the float64 results, so a signed
-zero or a last-bit difference fails it.
+zero or a last-bit difference fails it, except where training runs on fewer
+rows than the reference: there the weight gradients sum over fewer rows, and
+results agree to 1e-12.
 """
 
 import numpy as np
@@ -17,10 +19,13 @@ from reference_epoch import (
     train_reference,
 )
 
+from popgcn import gcn
 from popgcn.featsel import _sigmoid
 from popgcn.gcn import (
     GcnConfig,
     _output_side,
+    _principal_submatrix,
+    _trained_rows,
     adam_update,
     init_model,
     loss_and_grads,
@@ -28,6 +33,7 @@ from popgcn.gcn import (
     scaled_operator,
     train,
 )
+from popgcn.popgraph import PopulationGraph
 from popgcn.spectral import chebyshev_basis, chebyshev_weighted_sum
 
 
@@ -147,3 +153,137 @@ class TestPiecesMatchReference:
         out = _sigmoid(z)
         assert_bits_equal(out, sigmoid_reference(z))
         assert out.ravel()[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+
+
+def shuffled_components_case(n, n_components, masked_components, seed=0, density=0.04):
+    """A graph of n_components equal components whose nodes are interleaved.
+
+    Every node of component masked_components[0] is masked, about half of
+    each later listed component, and none of the others. Returns
+    (scaled, x, labels, mask, reached), where reached lists the nodes of the
+    listed components in ascending order.
+    """
+    block = make_random_graph(n, density=density, seed=seed, n_components=n_components)
+    rng = np.random.default_rng(seed + 20)
+    members = rng.permutation(n)  # block node i is graph node members[i]
+    u, v = members[block.edges_u], members[block.edges_v]
+    graph = PopulationGraph.from_edges(n, np.minimum(u, v), np.maximum(u, v), block.weights)
+    size = n // n_components
+    mask = np.zeros(n, dtype=bool)
+    for rank, c in enumerate(masked_components):
+        nodes = members[c * size:(c + 1) * size]
+        mask[nodes] = True if rank == 0 else rng.random(size) < 0.5
+        mask[nodes[0]] = True
+    reached = np.sort(np.concatenate(
+        [members[c * size:(c + 1) * size] for c in masked_components]
+    ))
+    x = rng.standard_normal((n, 6))
+    labels = rng.integers(0, 2, size=n)
+    return scaled_operator(graph), x, labels, mask, reached
+
+
+def trained_row_counts(monkeypatch):
+    """Record the row count of every loss_and_grads call train makes."""
+    counts = []
+    inner = gcn.loss_and_grads
+
+    def spy(model, scaled, x, *args, **kwargs):
+        counts.append(len(x))
+        return inner(model, scaled, x, *args, **kwargs)
+
+    monkeypatch.setattr(gcn, "loss_and_grads", spy)
+    return counts
+
+
+def assert_close_to_reference(config, operator, x, labels, mask):
+    model, history = train(config, operator, x, labels, mask)
+    ref_model, ref_losses = train_reference(config, operator, x, labels, mask)
+    np.testing.assert_allclose(
+        [entry["loss"] for entry in history], ref_losses, rtol=0, atol=1e-12
+    )
+    for p, ref in zip(model.parameters(), ref_model.parameters()):
+        np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12)
+    probs, labels_out = predict(model, operator, x)
+    ref_probs = predict_reference(ref_model, operator, x)
+    np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(labels_out, np.argmax(ref_probs, axis=1))
+
+
+TRAINED_ROWS_CONFIG = GcnConfig(
+    hidden_layers=1, hidden_width=5, cheb_order=3, dropout_rate=0.3,
+    l2_coeff=5e-4, learning_rate=0.01, epochs=6, seed=3,
+)
+
+
+class TestTrainedRows:
+    def test_csr_trains_the_components_of_masked_nodes(self, monkeypatch):
+        # Component 1 is fully masked, component 3 partly, 0 and 2 not at all.
+        scaled, x, labels, mask, reached = shuffled_components_case(240, 4, [1, 3])
+        assert scaled.is_sparse
+        assert not mask.all() and not mask[reached].all()
+        rows = _trained_rows(TRAINED_ROWS_CONFIG, scaled, mask)
+        np.testing.assert_array_equal(rows, reached)
+
+        counts = trained_row_counts(monkeypatch)
+        assert_close_to_reference(TRAINED_ROWS_CONFIG, scaled, x, labels, mask)
+        assert counts == [len(reached)] * TRAINED_ROWS_CONFIG.epochs
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    def test_order_zero_trains_the_masked_rows(self, monkeypatch, hidden_layers):
+        _, x, labels, mask = epoch_case(240, 7, seed=5, density=0.01)
+        config = GcnConfig(
+            hidden_layers=hidden_layers, hidden_width=5, cheb_order=0,
+            dropout_rate=0.3, epochs=6, seed=4,
+        )
+        assert not mask.all()
+        np.testing.assert_array_equal(_trained_rows(config, None, mask), np.flatnonzero(mask))
+
+        counts = trained_row_counts(monkeypatch)
+        assert_close_to_reference(config, None, x, labels, mask)
+        assert counts == [int(mask.sum())] * config.epochs
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_every_row_trains_bit_for_bit(self, monkeypatch, sparse):
+        if sparse:
+            # Every component holds a masked node.
+            scaled, x, labels, mask, reached = shuffled_components_case(240, 3, [0, 1, 2])
+            assert len(reached) == 240
+        else:
+            # A dense operator keeps every row, even one with an unmasked
+            # component.
+            scaled, x, labels, mask, reached = shuffled_components_case(
+                40, 2, [0], density=0.3
+            )
+            assert len(reached) < 40
+        assert scaled.is_sparse == sparse
+        assert not mask.all()
+        assert _trained_rows(TRAINED_ROWS_CONFIG, scaled, mask) is None
+
+        counts = trained_row_counts(monkeypatch)
+        model, history = train(TRAINED_ROWS_CONFIG, scaled, x, labels, mask)
+        ref_model, ref_losses = train_reference(TRAINED_ROWS_CONFIG, scaled, x, labels, mask)
+        assert counts == [len(mask)] * TRAINED_ROWS_CONFIG.epochs
+        assert [entry["loss"] for entry in history] == ref_losses
+        for p, ref in zip(model.parameters(), ref_model.parameters()):
+            assert_bits_equal(p, ref)
+        probs, _ = predict(model, scaled, x)
+        assert_bits_equal(probs, predict_reference(ref_model, scaled, x))
+
+    def test_restricted_operator_products_equal_full_rows(self, rng):
+        scaled, _, _, mask, reached = shuffled_components_case(300, 5, [4, 0], seed=2)
+        sub = _principal_submatrix(scaled, reached)
+        assert sub.kind == "scaled" and sub.n == len(reached)
+        full = scaled.matrix
+        # Each row keeps its stored entries, in their stored order.
+        for i, row in enumerate(reached):
+            lo, hi = full.indptr[row], full.indptr[row + 1]
+            sub_lo, sub_hi = sub.matrix.indptr[i], sub.matrix.indptr[i + 1]
+            assert_bits_equal(sub.matrix.data[sub_lo:sub_hi], full.data[lo:hi])
+            np.testing.assert_array_equal(
+                reached[sub.matrix.indices[sub_lo:sub_hi]], full.indices[lo:hi]
+            )
+        block = rng.standard_normal((300, 7))
+        assert_bits_equal(sub.matrix @ block[reached], (full @ block)[reached])
+        basis = chebyshev_basis(sub, block[reached], 3)
+        for term, ref in zip(basis.terms, chebyshev_basis(scaled, block, 3).terms):
+            assert_bits_equal(term, ref[reached])

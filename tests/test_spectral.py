@@ -156,6 +156,20 @@ class TestLambdaMax:
         assert abs(est.value - truth) <= 1e-9 * truth
         assert estimate_lambda_max(lap) == est
 
+    def test_reproducible_where_lanczos_restarts(self):
+        # Subjects with one to three scans: every two-scan subject is a
+        # bipartite component, so lambda_max = 2 is repeated many times, the
+        # Krylov space stops growing and ARPACK asks for restart vectors.
+        features, records = generate_synthetic(SyntheticConfig(
+            n_subjects=200, scans_per_subject=(1, 3), n_features=5, seed=3
+        ))
+        spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
+        lap = normalized_laplacian(build_graph(features, records, spec))
+        assert lap.is_sparse
+        estimates = [estimate_lambda_max(lap) for _ in range(6)]
+        assert abs(estimates[0].value - 2.0) <= 1e-9
+        assert estimates == [estimates[0]] * 6
+
     def test_requires_normalized_kind(self):
         lap = scale_laplacian(normalized_laplacian(k2_graph()), 2.0)
         with pytest.raises(ContractError):
