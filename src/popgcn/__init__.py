@@ -6,6 +6,10 @@ convolutions, and evaluate with a grouped stratified cross-validation
 harness. The CLI subcommands are described in popgcn.cli, and the feature and
 phenotype CSV formats in popgcn.dataset.load_features and load_phenotypes.
 
+The package holds only what the popgcn subcommands run. The scalar
+definitions of the graph weights and the eigendecomposition filter, which the
+tests check the vectorized code against, live in the tests.
+
 Features CSV contract: quoting follows the default `csv` dialect; blank lines
 are skipped; there is no comment character; feature cells are numbers in C
 `strtod` syntax, without digit separators ('1_0' is not a number).
@@ -31,19 +35,13 @@ from .popgraph import (
     build_knn_graph,
     build_phenotypic_graph,
     build_random_graph,
-    gamma_categorical,
-    gamma_quantitative,
-    longitudinal_sim,
-    similarity_kernel,
 )
 from .spectral import (
-    ChebyshevBasis,
     LaplacianMatrix,
     chebyshev_basis,
     estimate_lambda_max,
     normalized_laplacian,
     scale_laplacian,
-    spectral_filter_oracle,
 )
 from .gcn import GcnConfig, GcnModel, predict, train
 from .featsel import FeatureSelector, SelectorConfig

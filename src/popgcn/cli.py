@@ -24,7 +24,7 @@ from dataclasses import asdict, fields, replace
 
 from . import dataset as ds
 from .baselines import BaselineConfig
-from .errors import PopgcnError
+from .errors import FormatError, PopgcnError
 from .featsel import SelectorConfig
 from .gcn import GcnConfig
 from .harness import ExperimentDescriptor, ExperimentReport, run_experiment
@@ -190,8 +190,8 @@ FIELD_NAMES = {
 }
 
 # The config classes each section's keys fill, by field name. Keys that name
-# no field have code of their own: the dataset files and `synthetic`,
-# scans_min/scans_max and sigma.
+# no field have code of their own: the dataset files and `synthetic`, and
+# scans_min/scans_max.
 SECTION_CONFIGS = {
     "experiment": (ExperimentDescriptor,),
     "dataset": (ds.SyntheticConfig,),
@@ -223,12 +223,6 @@ def synthetic_config(config: dict) -> ds.SyntheticConfig:
     return replace(syn, scans_per_subject=(sec.get("scans_min", lo), sec.get("scans_max", hi)))
 
 
-def graph_spec(config: dict) -> GraphSpec:
-    sigma = config.get("graph", {}).get("sigma")  # None is 'auto'
-    fixed = {} if sigma is None else {"sigma_mode": "fixed", "sigma_value": sigma}
-    return _build(GraphSpec, config, **fixed)
-
-
 def _load_or_generate_dataset(config: dict):
     sec = config.get("dataset", {})
     if sec.get("synthetic"):
@@ -249,7 +243,7 @@ def build_descriptor(config: dict) -> ExperimentDescriptor:
         config,
         features=None,
         records=None,
-        graph_spec=graph_spec(config),
+        graph_spec=_build(GraphSpec, config),
         gcn_config=_build(GcnConfig, config),
         baseline_config=_build(BaselineConfig, config),
         selector_config=_build(SelectorConfig, config),
@@ -305,7 +299,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_graph(args) -> int:
     features, records = ds.load_dataset(args.features, args.phenotypes)
-    graph = build_graph(features, records, graph_spec({"graph": _given(args, "graph")}))
+    graph = build_graph(features, records, _build(GraphSpec, {"graph": _given(args, "graph")}))
     save_graph(graph, args.out)
     print(f"wrote graph with {graph.n_nodes} nodes, {graph.n_edges} edges to {args.out}")
     return 0
@@ -342,9 +336,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        report = ExperimentReport.from_json(fh.read())
-    print(report.summary_table())
+    try:
+        with open(args.report, encoding="utf-8") as fh:
+            report = ExperimentReport.from_json(fh.read())
+        table = report.summary_table()
+    except (ValueError, KeyError, TypeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise FormatError(
+            f"{args.report}: not a popgcn report ({type(exc).__name__}: {exc})"
+        ) from None
+    print(table)
     if args.csv:
         report.write_csv(args.csv)
     return 0

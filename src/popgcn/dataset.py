@@ -49,10 +49,6 @@ class AcquisitionRecord:
         if self.age < 0:
             raise IntegrityError(f"age must be >= 0; got {self.age}")
 
-    @property
-    def has_label(self) -> bool:
-        return self.label != UNKNOWN_LABEL
-
 
 @dataclass
 class FeatureMatrix:

@@ -280,10 +280,10 @@ class FeatureSelector:
                 epochs=cfg.mlp_epochs,
                 seed=cfg.seed,
             )
-            model, history = gcn.train(net, None, x_train, y, np.ones(len(y), dtype=bool))
+            model, losses = gcn.train(net, None, x_train, y, np.ones(len(y), dtype=bool))
             hidden = model.layers[0]
             self.weights = {"w1": hidden.weight[0], "b1": hidden.bias}
-            self.diagnostics["loss_history"] = [entry["loss"] for entry in history]
+            self.diagnostics["loss_history"] = losses
         else:  # autoencoder
             lo, span, degenerate = _minmax_scale_params(x_train)
             xs = _minmax_apply(x_train, lo, span, degenerate)

@@ -47,7 +47,6 @@ import scipy.sparse as sp
 from .errors import ContractError, DivergenceError, ParameterError
 from .popgraph import PopulationGraph
 from .spectral import (
-    ChebyshevBasis,
     LaplacianMatrix,
     chebyshev_basis,
     chebyshev_weighted_sum,
@@ -72,7 +71,6 @@ class GcnConfig:
     learning_rate: float = 0.005
     epochs: int = 150
     seed: int = 0
-    use_bias: bool = True
 
     def validate(self):
         if self.n_classes < 2:
@@ -133,9 +131,8 @@ def init_model(config: GcnConfig, n_features: int, rng=None) -> GcnModel:
     return model
 
 
-def cheb_conv_forward(basis, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """out[n, j] = sum_k sum_i basis[k][n, i] * weight[k, i, j] (+ bias[j])."""
-    terms = basis.terms if isinstance(basis, ChebyshevBasis) else list(basis)
+def cheb_conv_forward(terms, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """out[n, j] = sum_k sum_i terms[k][n, i] * weight[k, i, j] (+ bias[j])."""
     if len(terms) != weight.shape[0]:
         raise ContractError(
             f"basis has {len(terms)} orders, weight expects {weight.shape[0]}"
@@ -164,7 +161,7 @@ class _LayerCache:
     keep: np.ndarray | None  # dropout keep mask, None when not applied
     # Layer input H after dropout on output-side layers, else its basis
     # T_k(Ls) H (whose first term is H).
-    inputs: np.ndarray | ChebyshevBasis
+    inputs: np.ndarray | list[np.ndarray]
     z: np.ndarray  # pre-activation
 
 
@@ -207,10 +204,7 @@ def _forward(model, scaled, x, train, rng):
             z = chebyshev_weighted_sum(scaled, parts)
             z += layer.bias
         else:
-            if order == 0:
-                inputs = ChebyshevBasis(terms=[h], order=0)
-            else:
-                inputs = chebyshev_basis(scaled, h, order)
+            inputs = [h] if order == 0 else chebyshev_basis(scaled, h, order)
             z = cheb_conv_forward(inputs, layer.weight, layer.bias)
         caches.append(_LayerCache(keep=keep, inputs=inputs, z=z))
         h = np.maximum(z, 0.0) if li < last else z
@@ -252,23 +246,16 @@ def _masked_cross_entropy(logits, labels, mask):
 
 
 def _l2_penalty(l2_coeff: float, model: GcnModel) -> float:
+    """l2_coeff * sum(W^2) over the layers' weights; biases are not penalized."""
     return l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
-
-
-def masked_loss(logits, labels, mask, l2_coeff: float, model: GcnModel) -> float:
-    """Mean softmax cross-entropy over masked nodes + l2_coeff * sum(W^2).
-
-    Only labels at masked positions are ever read; biases are excluded from
-    the penalty.
-    """
-    data, _, _, _ = _masked_cross_entropy(logits, labels, mask)
-    return data + _l2_penalty(l2_coeff, model)
 
 
 def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None):
     """One forward/backward pass; dropout masks are shared between the two.
 
-    Returns (loss, grads, logits) with grads aligned to model.parameters().
+    The loss is the mean softmax cross-entropy over the masked rows, whose
+    labels alone are read, plus _l2_penalty. Returns (loss, grads, logits)
+    with grads aligned to model.parameters().
     """
     mask = np.asarray(mask, dtype=bool)
     logits, caches = _forward(model, scaled, x, train=train, rng=rng)
@@ -295,14 +282,13 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
         output_side = _output_side(layer.weight)
         grad_w = 2.0 * l2_coeff * layer.weight
         if output_side:
-            tg = np.hstack(chebyshev_basis(scaled, grad_z, k1 - 1).terms)
+            tg = np.hstack(chebyshev_basis(scaled, grad_z, k1 - 1))
             grad_w += (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
         else:
             for k in range(k1):
-                grad_w[k] += cache.inputs.terms[k].T @ grad_z
-        grad_b = grad_z.sum(axis=0) if cfg.use_bias else np.zeros_like(layer.bias)
+                grad_w[k] += cache.inputs[k].T @ grad_z
         grads[2 * li] = grad_w
-        grads[2 * li + 1] = grad_b
+        grads[2 * li + 1] = grad_z.sum(axis=0)
         if li == 0:
             break
         if output_side:
@@ -344,11 +330,11 @@ def adam_update(params, grads, moment1, moment2, step: int, lr: float):
         p -= update
 
 
-def adam_step(model: GcnModel, grads, lr: float | None = None) -> GcnModel:
-    """In-place Adam update of the model's parameters and optimizer state."""
-    if lr is None:
-        lr = model.config.learning_rate
+def adam_step(model: GcnModel, grads) -> GcnModel:
+    """In-place Adam update of the model's parameters and optimizer state, at
+    the config's learning rate."""
     model.step += 1
+    lr = model.config.learning_rate
     adam_update(model.parameters(), grads, model.moment1, model.moment2, model.step, lr)
     return model
 
@@ -440,8 +426,8 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     `scaled` is the graph's operator from scaled_operator, built once per
     graph and shared by every model trained and evaluated on it; a network of
     cheb_order 0 is a plain dense network and takes None. Returns
-    (model, history) where history holds one record per epoch with the loss
-    and masked training accuracy. Raises DivergenceError on a non-finite loss.
+    (model, losses), the training loss of each epoch as a float. Raises
+    DivergenceError on a non-finite loss.
 
     Only the rows the loss can reach train (_trained_rows): the operator's
     connected components that hold a masked node, on the principal
@@ -463,22 +449,16 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
         scaled = None if config.cheb_order == 0 else _principal_submatrix(scaled, rows)
         x, labels, mask = x[rows], labels[rows], mask[rows]
     model = init_model(config, x.shape[1], rng)
-    y_train = labels[mask]
-    history = []
+    losses = []
     for epoch in range(config.epochs):
-        loss, grads, logits = loss_and_grads(
+        loss, grads, _ = loss_and_grads(
             model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=draws
         )
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         adam_step(model, grads)
-        pred = np.argmax(logits, axis=1)
-        history.append({
-            "epoch": epoch,
-            "loss": loss,
-            "train_accuracy": float(np.mean(pred[mask] == y_train)),
-        })
-    return model, history
+        losses.append(loss)
+    return model, losses
 
 
 def predict(model: GcnModel, scaled: LaplacianMatrix | None, x):

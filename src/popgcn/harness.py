@@ -371,7 +371,7 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
         reduced = FeatureMatrix(ids=list(desc.features.ids), values=x_red)
         graph = build_graph(reduced, desc.records, spec, sigma_rows)
         # Records carry sigma only where it was estimated, not where it was given.
-        sigma = graph.provenance.get("sigma") if spec.sigma_mode == "mean_rho" else None
+        sigma = graph.provenance.get("sigma") if spec.sigma is None else None
         scaled = gcn_mod.scaled_operator(graph)
 
         # Test labels are hidden from training: only training-mask labels are

@@ -24,7 +24,6 @@ time that grow with its edges; so does the rewired random graph.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -54,8 +53,7 @@ class GraphSpec:
     theta: float = 2.0  # age window (years) for the quantitative step
     lam: float = 10.0  # same-subject link weight, > 1
     k: int = 10  # neighbour count, knn only
-    sigma_mode: str = "mean_rho"  # "mean_rho" or "fixed"
-    sigma_value: float | None = None
+    sigma: float | None = None  # kernel width; None: the mean correlation distance
     seed: int = 0  # random strategy only
 
     def validate(self):
@@ -72,10 +70,8 @@ class GraphSpec:
             raise ParameterError(f"theta must be > 0, got {self.theta}")
         if self.sim_mode == "longitudinal" and self.lam <= 1:
             raise ParameterError(f"lambda must be > 1, got {self.lam}")
-        if self.sigma_mode not in ("mean_rho", "fixed"):
-            raise ParameterError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if self.sigma_mode == "fixed" and (self.sigma_value is None or self.sigma_value <= 0):
-            raise ParameterError("sigma_mode='fixed' requires sigma_value > 0")
+        if self.sigma is not None and self.sigma <= 0:
+            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
 
 
 def _stored_dense(n_nodes: int, n_edges: int) -> bool:
@@ -90,9 +86,9 @@ class PopulationGraph:
     `adjacency` has a zero diagonal. It is a dense ndarray, or CSR for graphs
     of more than DENSE_NODE_LIMIT nodes with density at most
     DENSE_DENSITY_LIMIT, whichever way it was built. Builders that fill a
-    dense W pass it to from_upper; the longitudinal and random builders and
-    load_graph pass an edge list to from_edges. The edge views list each edge
-    once with u < v, in row-major order.
+    dense W pass it to from_upper; the longitudinal and random builders pass
+    an edge list to from_edges. The edge views list each edge once with
+    u < v, in row-major order.
     """
 
     adjacency: np.ndarray | sp.csr_matrix
@@ -173,18 +169,6 @@ class PopulationGraph:
         return list(zip(self.edges_u.tolist(), self.edges_v.tolist(), self.weights.tolist()))
 
 
-def gamma_categorical(a, b) -> int:
-    """Kronecker delta on category values."""
-    return 1 if a == b else 0
-
-
-def gamma_quantitative(a: float, b: float, theta: float) -> int:
-    """Unit step: 1 iff |a - b| < theta (strict)."""
-    if theta <= 0:
-        raise ParameterError(f"theta must be > 0, got {theta}")
-    return 1 if abs(a - b) < theta else 0
-
-
 def pairwise_correlation(x: np.ndarray) -> np.ndarray:
     """Pearson correlation between all row pairs of x (rows = nodes).
 
@@ -228,25 +212,6 @@ def _mean_pair_distance(rho: np.ndarray) -> float:
     return sigma
 
 
-def similarity_kernel(x_v, x_w, sigma: float) -> float:
-    """exp(-rho^2 / (2 sigma^2)) with rho the correlation distance; in (0, 1]."""
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
-    x_v = np.asarray(x_v, dtype=np.float64)
-    x_w = np.asarray(x_w, dtype=np.float64)
-    if x_v.shape != x_w.shape or x_v.ndim != 1 or len(x_v) < 2:
-        raise ContractError("vectors must be 1-D, equal length >= 2")
-    rho = correlation_distance_matrix(np.vstack([x_v, x_w]))[0, 1]
-    return float(np.exp(-(rho**2) / (2.0 * sigma**2)))
-
-
-def longitudinal_sim(subj_v: str, subj_w: str, lam: float) -> float:
-    """Same-subject link weight: lam if subj_v == subj_w else 0."""
-    if lam <= 1:
-        raise ParameterError(f"lambda must be > 1, got {lam}")
-    return float(lam) if subj_v == subj_w else 0.0
-
-
 def _gamma_sum(records: list[AcquisitionRecord], spec: GraphSpec, u, v) -> np.ndarray:
     """Number of spec.measures on which nodes u and v agree, elementwise over
     index arrays that broadcast together: every N x N pair from a column and
@@ -284,14 +249,14 @@ def _same_subject_pairs(records: list[AcquisitionRecord]) -> tuple[np.ndarray, n
 
 
 def _kernel_matrix(
-    features: FeatureMatrix, sigma_mode: str, sigma_value: float | None, sigma_rows
+    features: FeatureMatrix, sigma: float | None, sigma_rows
 ) -> tuple[np.ndarray, float]:
     """Gaussian kernel of the correlation distance between all rows, and its
-    width: sigma_value when fixed, else the mean distance over pairs of
-    sigma_rows (all rows when None)."""
+    width: sigma when given, else the mean distance over pairs of sigma_rows
+    (all rows when None)."""
     rho = correlation_distance_matrix(features.values)
-    if sigma_mode == "fixed":
-        sigma = float(sigma_value)
+    if sigma is not None:
+        sigma = float(sigma)
     elif sigma_rows is None:
         sigma = _mean_pair_distance(rho)
     else:
@@ -340,19 +305,13 @@ def build_phenotypic_graph(
     nodes = np.arange(n)
     w = _gamma_sum(records, spec, nodes[:, None], nodes)
     if spec.sim_mode == "correlation_kernel":
-        sim, provenance["sigma"] = _kernel_matrix(
-            features, spec.sigma_mode, spec.sigma_value, sigma_rows
-        )
+        sim, provenance["sigma"] = _kernel_matrix(features, spec.sigma, sigma_rows)
         w *= sim
     return PopulationGraph.from_upper(w, provenance)
 
 
 def build_knn_graph(
-    features: FeatureMatrix,
-    k: int,
-    sigma_mode: str = "mean_rho",
-    sigma_value: float | None = None,
-    sigma_rows=None,
+    features: FeatureMatrix, k: int, sigma: float | None = None, sigma_rows=None
 ) -> PopulationGraph:
     """k-nearest-neighbour graph under the correlation kernel, union-symmetrized.
 
@@ -362,7 +321,7 @@ def build_knn_graph(
     n = features.n_acquisitions
     if not 1 <= k < n:
         raise ParameterError(f"k must satisfy 1 <= k < N={n}, got {k}")
-    kern, sigma = _kernel_matrix(features, sigma_mode, sigma_value, sigma_rows)
+    kern, sigma = _kernel_matrix(features, sigma, sigma_rows)
     np.fill_diagonal(kern, -np.inf)
 
     w = np.zeros((n, n))
@@ -375,26 +334,8 @@ def build_knn_graph(
     return PopulationGraph.from_upper(w, provenance)
 
 
-def build_complete_graph(
-    n: int | None = None,
-    weighted: bool = False,
-    features: FeatureMatrix | None = None,
-    sigma_mode: str = "mean_rho",
-    sigma_value: float | None = None,
-    sigma_rows=None,
-) -> PopulationGraph:
-    """Complete graph: unit weights, or kernel weights when weighted=True."""
-    if weighted:
-        if features is None:
-            raise ParameterError("weighted complete graph requires features")
-        n = features.n_acquisitions
-        w, sigma = _kernel_matrix(features, sigma_mode, sigma_value, sigma_rows)
-        provenance = {"strategy": "all", "sigma": sigma, "n_nodes": n}
-        return PopulationGraph.from_upper(w, provenance)
-    if n is None:
-        if features is None:
-            raise ParameterError("need n or features")
-        n = features.n_acquisitions
+def build_complete_graph(n: int) -> PopulationGraph:
+    """Complete graph on n nodes with unit weights."""
     return PopulationGraph.from_upper(np.ones((n, n)), {"strategy": "complete", "n_nodes": n})
 
 
@@ -425,24 +366,21 @@ def build_graph(
 ) -> PopulationGraph:
     """Dispatch on spec.strategy; 'random' rewires the phenotypic graph.
 
-    A kernel covers every row; under sigma_mode 'mean_rho' its width is the
-    mean correlation distance over pairs of sigma_rows (all rows when None).
+    A kernel covers every row; unless spec.sigma gives its width, that is
+    the mean correlation distance over pairs of sigma_rows (all rows when
+    None). 'all' is the complete graph weighted by the kernel.
     """
     spec.validate()
     if spec.strategy == "phenotypic":
         return build_phenotypic_graph(features, records, spec, sigma_rows)
     if spec.strategy == "knn":
-        return build_knn_graph(features, spec.k, spec.sigma_mode, spec.sigma_value, sigma_rows)
+        return build_knn_graph(features, spec.k, spec.sigma, sigma_rows)
     if spec.strategy == "complete":
-        return build_complete_graph(n=features.n_acquisitions)
+        return build_complete_graph(features.n_acquisitions)
     if spec.strategy == "all":
-        return build_complete_graph(
-            weighted=True,
-            features=features,
-            sigma_mode=spec.sigma_mode,
-            sigma_value=spec.sigma_value,
-            sigma_rows=sigma_rows,
-        )
+        w, sigma = _kernel_matrix(features, spec.sigma, sigma_rows)
+        n = features.n_acquisitions
+        return PopulationGraph.from_upper(w, {"strategy": "all", "sigma": sigma, "n_nodes": n})
     reference = build_phenotypic_graph(
         features, records, replace(spec, strategy="phenotypic"), sigma_rows
     )
@@ -457,43 +395,3 @@ def save_graph(graph: PopulationGraph, path):
         fh.write("u,v,weight\n")
         for u, v, w in graph.edge_list():
             fh.write(f"{u},{v},{repr(w)}\n")
-
-
-def load_graph(path) -> PopulationGraph:
-    """Read a save_graph CSV; IntegrityError names the path, and the line for
-    a malformed row."""
-    provenance = {}
-    n_nodes = None
-    us, vs, ws = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("# provenance:"):
-                    provenance = json.loads(line.split(":", 1)[1])
-                    if not isinstance(provenance, dict):
-                        raise ValueError("provenance is not a JSON object")
-                elif line.startswith("# n_nodes:"):
-                    n_nodes = int(line.split(":", 1)[1])
-                elif line.startswith("#") or line == "u,v,weight":
-                    continue
-                else:
-                    u, v, w = line.split(",")
-                    us.append(int(u))
-                    vs.append(int(v))
-                    ws.append(float(w))
-                    if not math.isfinite(ws[-1]):
-                        raise IntegrityError(f"{path}, line {lineno}: non-finite weight {w!r}")
-            except ValueError:  # json.JSONDecodeError is a ValueError
-                expected = "a header value" if line.startswith("#") else "'u,v,weight'"
-                raise IntegrityError(
-                    f"{path}, line {lineno}: expected {expected}, got {line!r}"
-                ) from None
-    if n_nodes is None:
-        raise IntegrityError(f"{path}: missing '# n_nodes:' header")
-    try:
-        return PopulationGraph.from_edges(n_nodes, us, vs, ws, provenance)
-    except IntegrityError as exc:
-        raise IntegrityError(f"{path}: {exc}") from None

@@ -1,12 +1,9 @@
-"""Normalized graph Laplacian, Chebyshev polynomial machinery, and a dense
-eigendecomposition filtering path used as a test oracle.
+"""Normalized graph Laplacian and Chebyshev polynomial machinery.
 
 The pipeline computes one eigenvalue, lambda_max, to rescale the Laplacian
 into the Chebyshev domain; filters themselves are evaluated through the
 three-term Chebyshev recursion on the rescaled Laplacian, never through an
-eigenbasis. The oracle path applies the same polynomial to the eigenvalues
-directly; both must agree to floating-point accuracy, which the test suite
-asserts.
+eigenbasis.
 """
 
 from __future__ import annotations
@@ -43,9 +40,6 @@ class LaplacianMatrix:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray() if self.is_sparse else self.matrix
 
-    def __matmul__(self, other):
-        return self.matrix @ other
-
 
 class LambdaMaxEstimate(NamedTuple):
     value: float
@@ -73,18 +67,6 @@ def normalized_laplacian(graph: PopulationGraph) -> LaplacianMatrix:
         lap = np.eye(n) - d_inv_sqrt[:, None] * w * d_inv_sqrt[None, :]
         lap = (lap + lap.T) * 0.5
     return LaplacianMatrix(matrix=lap, kind="normalized")
-
-
-def laplacian_difference(graph: PopulationGraph, x, i: int) -> float:
-    """Unnormalized difference form at node i: sum_j W_ij (x[i] - x[j]).
-
-    Matches row i of (D - W) x; provided for verification against the matrix
-    form, not used by the model path.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) != graph.n_nodes:
-        raise ContractError(f"signal length {len(x)} != n_nodes {graph.n_nodes}")
-    return float((graph.adjacency[i] @ (x[i] - x)).sum())
 
 
 def _offdiag_nonzeros(lap: LaplacianMatrix) -> int:
@@ -154,22 +136,9 @@ def scale_laplacian(lap: LaplacianMatrix, lambda_max: float) -> LaplacianMatrix:
     return LaplacianMatrix(matrix=scaled, kind="scaled")
 
 
-@dataclass
-class ChebyshevBasis:
-    """Terms [T_0(Ls) X, ..., T_K(Ls) X]; T_0 X is X itself."""
-
-    terms: list[np.ndarray]
-    order: int
-
-    def __post_init__(self):
-        if len(self.terms) != self.order + 1:
-            raise ContractError(
-                f"basis has {len(self.terms)} terms for order {self.order}"
-            )
-
-
-def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> ChebyshevBasis:
-    """Three-term recursion: T_0 X = X, T_1 X = Ls X, T_k X = 2 Ls T_{k-1} X - T_{k-2} X.
+def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> list[np.ndarray]:
+    """Terms [T_0(Ls) X, ..., T_K(Ls) X] by the three-term recursion:
+    T_0 X = X, T_1 X = Ls X, T_k X = 2 Ls T_{k-1} X - T_{k-2} X.
 
     The first term is x itself (as float64), not a copy; each later term is
     formed in its own operator product.
@@ -187,7 +156,7 @@ def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> ChebyshevBasis:
         term *= 2.0
         term -= terms[-2]
         terms.append(term)
-    return ChebyshevBasis(terms=terms, order=order)
+    return terms
 
 
 def chebyshev_weighted_sum(scaled: LaplacianMatrix, parts: list[np.ndarray]) -> np.ndarray:
@@ -218,37 +187,3 @@ def chebyshev_weighted_sum(scaled: LaplacianMatrix, parts: list[np.ndarray]) -> 
     out += parts[0]
     out -= b2
     return out
-
-
-def spectral_filter_oracle(
-    lap: LaplacianMatrix, x, theta, lambda_max: float | None = None
-) -> np.ndarray:
-    """Filter a signal through the eigendecomposition path (test-only).
-
-    Computes U g(Lambda) U^T x where g applies the Chebyshev polynomial with
-    coefficients theta to the rescaled eigenvalues 2 lambda / lambda_max - 1.
-    Exact up to eigensolver precision; pass the same lambda_max the recursion
-    path uses when comparing the two.
-    """
-    if lap.kind != "normalized":
-        raise ContractError(f"expected a normalized Laplacian, got kind {lap.kind!r}")
-    theta = np.asarray(theta, dtype=np.float64)
-    if lambda_max is None:
-        lambda_max = estimate_lambda_max(lap).value
-    eigvals, eigvecs = np.linalg.eigh(lap.dense())
-    lam_tilde = 2.0 * eigvals / lambda_max - 1.0
-
-    gain = np.full_like(lam_tilde, theta[0])
-    if len(theta) > 1:
-        t_prev = np.ones_like(lam_tilde)
-        t_cur = lam_tilde.copy()
-        gain = gain + theta[1] * t_cur
-        for k in range(2, len(theta)):
-            t_prev, t_cur = t_cur, 2.0 * lam_tilde * t_cur - t_prev
-            gain = gain + theta[k] * t_cur
-
-    x = np.asarray(x, dtype=np.float64)
-    spectral = eigvecs.T @ x
-    if spectral.ndim == 1:
-        return eigvecs @ (gain * spectral)
-    return eigvecs @ (gain[:, None] * spectral)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ def make_tree_graph(n, seed=0, weighted=True):
         vs.append(max(i, j))
     weights = rng.uniform(0.5, 1.5, size=n - 1) if weighted else np.ones(n - 1)
     return PopulationGraph.from_edges(n, us, vs, weights)
+
+
+def read_graph_csv(path):
+    """The graph in a save_graph CSV: the provenance and node count header
+    comments, the `u,v,weight` header, then one row per edge."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    provenance = json.loads(lines[0].removeprefix("# provenance:"))
+    n_nodes = int(lines[1].removeprefix("# n_nodes:"))
+    assert lines[2] == "u,v,weight"
+    rows = [line.split(",") for line in lines[3:]]
+    return PopulationGraph.from_edges(
+        n_nodes,
+        [int(u) for u, _, _ in rows],
+        [int(v) for _, v, _ in rows],
+        [float(w) for _, _, w in rows],
+        provenance,
+    )
 
 
 def hop_distances(graph, source):

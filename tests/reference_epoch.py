@@ -118,9 +118,8 @@ def loss_and_grads_reference(model, scaled, x, labels, mask, l2_coeff, train, rn
         else:
             grad_w = np.stack([inputs[k].T @ grad_z for k in range(k1)])
         grad_w += 2.0 * l2_coeff * layer.weight
-        grad_b = grad_z.sum(axis=0) if cfg.use_bias else np.zeros_like(layer.bias)
         grads[2 * li] = grad_w
-        grads[2 * li + 1] = grad_b
+        grads[2 * li + 1] = grad_z.sum(axis=0)
         if li == 0:
             break
         if output_side:

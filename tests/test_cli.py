@@ -8,14 +8,15 @@ from popgcn.cli import (
     FIELD_NAMES,
     SECTION_CONFIGS,
     ConfigValidationError,
+    _build,
     build_descriptor,
     dispatch,
-    graph_spec,
     parse_config,
     synthetic_config,
 )
+from conftest import read_graph_csv
 from popgcn.dataset import SyntheticConfig
-from popgcn.popgraph import GraphSpec, load_graph
+from popgcn.popgraph import GraphSpec
 
 
 def run_cli(*argv):
@@ -104,7 +105,7 @@ class TestGraphCommand:
         assert code == 0
         text = out.read_text().splitlines()
         assert text[0].startswith("# provenance:")
-        g = load_graph(out)
+        g = read_graph_csv(out)
         assert g.n_nodes > 0 and g.n_edges > 0
 
     def test_empty_measures_exit_1(self, tmp_path, data_dir, capsys):
@@ -200,6 +201,7 @@ class TestRunCommand:
             ("cv.folds=1", "folds must be >= 2"),
             ("model.kind=bogus", "unknown model 'bogus'"),
             ("graph.sigma_pairs=bogus", "sigma_pairs must be 'train' or 'all'"),
+            ("graph.sigma=0", "sigma must be > 0, got 0.0"),
         ],
     )
     def test_bad_setting_exits_1_before_reading_data(
@@ -321,6 +323,29 @@ class TestReportCommand:
         assert "seed-averaged" in capsys.readouterr().out
         assert csv_out.read_text() == (out / "results.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("x\n", "JSONDecodeError"),
+            ('{"name": "x"}\n', "KeyError: 'config'"),
+            (
+                '{"name": "x", "config": {}, "summary": {}, "records": [{"bogus": 1}]}\n',
+                "unexpected keyword argument 'bogus'",
+            ),
+        ],
+        ids=["not-json", "missing-key", "unknown-record-field"],
+    )
+    def test_bad_report_exits_1_with_one_line(self, tmp_path, capsys, text, cause):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("report", "--report", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: FormatError: {path}: not a popgcn report")
+        assert cause in err[0]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -361,7 +386,7 @@ class TestConfigBuilders:
     # Keys that name no config field and have code of their own.
     OWN_CODE = {
         "dataset.features", "dataset.phenotypes", "dataset.synthetic",
-        "dataset.scans_min", "dataset.scans_max", "graph.sigma",
+        "dataset.scans_min", "dataset.scans_max",
     }
 
     def test_every_schema_key_reaches_a_field(self):
@@ -396,11 +421,14 @@ class TestConfigBuilders:
 
     def test_keys_left_out_keep_the_class_defaults(self):
         assert synthetic_config({}) == SyntheticConfig()
-        assert graph_spec({"graph": {"sigma": None}}) == GraphSpec()
 
     def test_keys_with_code_of_their_own(self):
         lo, hi = SyntheticConfig().scans_per_subject
         assert synthetic_config({"dataset": {"scans_max": 5}}).scans_per_subject == (lo, 5)
         assert synthetic_config({"dataset": {"scans_min": 2}}).scans_per_subject == (2, hi)
-        spec = graph_spec({"graph": {"sigma": 0.7}})
-        assert (spec.sigma_mode, spec.sigma_value) == ("fixed", 0.7)
+
+    @pytest.mark.parametrize("text, sigma", [("0.7", 0.7), ("auto", None)])
+    def test_sigma_resolves_through_build(self, tmp_path, text, sigma):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[graph]\nsigma = {text}\n", encoding="utf-8")
+        assert _build(GraphSpec, parse_config(str(cfg))) == GraphSpec(sigma=sigma)

@@ -472,7 +472,6 @@ class TestLoadPhenotypes:
         p = write(tmp_path / "p.csv", self.HEADER + "a,s1,?,siteA,F,30,\n")
         (rec,) = load_phenotypes(p)
         assert rec.label == UNKNOWN_LABEL
-        assert not rec.has_label
         assert rec.gene_flag is None
 
     def test_negative_age(self, tmp_path):

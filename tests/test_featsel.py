@@ -270,11 +270,11 @@ class TestMlpExtract:
             epochs=40,
             seed=7,
         )
-        model, history = train(net, None, x[:60], y[:60], np.ones(60, dtype=bool))
+        model, losses = train(net, None, x[:60], y[:60], np.ones(60, dtype=bool))
         hidden = model.layers[0]
         expected = np.maximum(x @ hidden.weight[0] + hidden.bias, 0.0)
         np.testing.assert_array_equal(sel.transform(x), expected)
-        assert sel.diagnostics["loss_history"] == [entry["loss"] for entry in history]
+        assert sel.diagnostics["loss_history"] == losses
 
 
 class TestAutoencoder:

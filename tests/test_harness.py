@@ -299,7 +299,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("strategy", ["phenotypic", "knn", "all", "random"])
     def test_fixed_sigma_is_not_recorded(self, strategy):
-        spec = GraphSpec(strategy=strategy, k=5, sigma_mode="fixed", sigma_value=0.7)
+        spec = GraphSpec(strategy=strategy, k=5, sigma=0.7)
         desc = dataclasses.replace(small_experiment(seeds=(0, 1)), graph_spec=spec)
         from popgcn.harness import stratified_group_kfold
 
@@ -345,6 +345,7 @@ class TestRunExperiment:
             ("gcn_config", GcnConfig(dropout_rate=1.5)),
             ("baseline_config", BaselineConfig(ridge_alpha=0.0)),
             ("selector_config", SelectorConfig(kind="rfe", target_c=0)),
+            ("graph_spec", GraphSpec(sigma=0.0)),
         ],
     )
     def test_sub_configs_validated_before_any_fold(self, field, value, monkeypatch):

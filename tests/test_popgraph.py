@@ -21,14 +21,11 @@ from popgcn.popgraph import (
     build_phenotypic_graph,
     build_random_graph,
     correlation_distance_matrix,
-    gamma_categorical,
-    gamma_quantitative,
-    load_graph,
-    longitudinal_sim,
     pairwise_correlation,
     save_graph,
-    similarity_kernel,
 )
+from conftest import read_graph_csv
+from oracles import gamma_categorical, gamma_quantitative, longitudinal_sim, similarity_kernel
 
 
 def rec(i, subject=None, label=0, site="siteA", sex="M", age=30.0, gene=None):
@@ -195,8 +192,8 @@ class TestPhenotypicGraph:
             for i in range(n)
         ]
         # Sim held fixed across specs via a fixed kernel width.
-        base = GraphSpec(measures=("SEX",), sigma_mode="fixed", sigma_value=0.9)
-        wider = GraphSpec(measures=("SEX", "SITE"), sigma_mode="fixed", sigma_value=0.9)
+        base = GraphSpec(measures=("SEX",), sigma=0.9)
+        wider = GraphSpec(measures=("SEX", "SITE"), sigma=0.9)
         w1 = build_phenotypic_graph(features, records, base).adjacency
         w2 = build_phenotypic_graph(features, records, wider).adjacency
         assert np.all(w2 >= w1 - 1e-12)
@@ -328,9 +325,9 @@ class TestLongitudinalGraph:
 class TestKnnGraph:
     def test_k_equals_n_minus_one_matches_weighted_complete(self, rng):
         features = feats(rng.standard_normal((7, 5)))
-        knn = build_knn_graph(features, k=6, sigma_mode="fixed", sigma_value=1.0)
-        allg = build_complete_graph(weighted=True, features=features,
-                                    sigma_mode="fixed", sigma_value=1.0)
+        knn = build_knn_graph(features, k=6, sigma=1.0)
+        records = [rec(i) for i in range(7)]
+        allg = build_graph(features, records, GraphSpec(strategy="all", sigma=1.0))
         assert knn.edge_list() == allg.edge_list()
 
     def test_four_nodes_k1_against_brute_force(self):
@@ -344,7 +341,7 @@ class TestKnnGraph:
             ]
         )
         features = feats(x)
-        g = build_knn_graph(features, k=1, sigma_mode="fixed", sigma_value=1.0)
+        g = build_knn_graph(features, k=1, sigma=1.0)
         # Brute-force oracle: rank every pair by the pairwise kernel.
         kern = np.zeros((4, 4))
         for i in range(4):
@@ -365,7 +362,7 @@ class TestKnnGraph:
 
     def test_edge_weights_are_kernel_values(self, rng):
         x = rng.standard_normal((6, 5))
-        g = build_knn_graph(feats(x), k=2, sigma_mode="fixed", sigma_value=0.8)
+        g = build_knn_graph(feats(x), k=2, sigma=0.8)
         for u, v, w in g.edge_list():
             assert w == pytest.approx(similarity_kernel(x[u], x[v], 0.8), abs=1e-12)
 
@@ -379,24 +376,20 @@ class TestKnnGraph:
 
 class TestCompleteGraph:
     def test_unweighted_four_nodes(self):
-        g = build_complete_graph(n=4)
+        g = build_complete_graph(4)
         assert g.n_edges == 6
         assert np.all(g.weights == 1.0)
 
     def test_weighted_identical_rows(self):
         features = feats([[1.0, 2.0, 3.0]] * 4)
-        g = build_complete_graph(weighted=True, features=features,
-                                 sigma_mode="fixed", sigma_value=1.0)
+        records = [rec(i) for i in range(4)]
+        g = build_graph(features, records, GraphSpec(strategy="all", sigma=1.0))
         assert g.n_edges == 6
         np.testing.assert_allclose(g.weights, 1.0, atol=1e-12)
 
     def test_two_nodes(self):
-        g = build_complete_graph(n=2)
+        g = build_complete_graph(2)
         assert g.edge_list() == [(0, 1, 1.0)]
-
-    def test_weighted_requires_features(self):
-        with pytest.raises(ParameterError):
-            build_complete_graph(n=3, weighted=True)
 
 
 class TestRandomGraph:
@@ -480,6 +473,24 @@ class TestGraphInvariants:
         np.fill_diagonal(expected, 0.0)
         np.testing.assert_array_equal(g.adjacency.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,1,1.0", "0,1,2.0"], "duplicate edge"),
+            (["1,1,1.0"], "u < v"),
+            (["2,1,1.0"], "u < v"),
+            (["0,3,1.0"], "out of range"),
+            (["-1,1,1.0"], "out of range"),
+            (["0,1,-0.5"], "negative edge weight"),
+            (["0,1,1.0", "1,2,nan"], "non-finite edge weight"),
+            (["1,2,inf"], "non-finite edge weight"),
+        ],
+    )
+    def test_from_edges_rejects_bad_edges(self, rows, message):
+        u, v, w = zip(*(row.split(",") for row in rows))
+        with pytest.raises(IntegrityError, match=message):
+            PopulationGraph.from_edges(3, list(map(int, u)), list(map(int, v)), list(map(float, w)))
+
     def test_edge_views_are_row_major_upper_triangle(self):
         g = PopulationGraph.from_edges(4, [0, 1, 0, 2], [3, 2, 1, 3], [1.0, 2.0, 3.0, 0.0])
         assert g.edge_list() == [(0, 1, 3.0), (0, 3, 1.0), (1, 2, 2.0)]
@@ -503,52 +514,15 @@ class TestGraphSerialization:
             g = build_phenotypic_graph(features, records, GraphSpec())
         path = tmp_path / "graph.csv"
         save_graph(g, path)
-        loaded = load_graph(path)
+        loaded = read_graph_csv(path)
         assert loaded.n_nodes == g.n_nodes
         assert loaded.edge_list() == g.edge_list()
         assert loaded.provenance == g.provenance
         assert sp.issparse(loaded.adjacency) == sparse
         assert abs(loaded.adjacency - g.adjacency).max() == 0
 
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            (["0,1,1.0", "0,1,2.0"], "duplicate edge"),
-            (["1,1,1.0"], "u < v"),
-            (["2,1,1.0"], "u < v"),
-            (["0,3,1.0"], "out of range"),
-            (["-1,1,1.0"], "out of range"),
-            (["0,1,-0.5"], "negative edge weight"),
-            (["0,1,1.0", "1,2,nan"], "line 5: non-finite weight"),
-            (["1,2,inf"], "line 4: non-finite weight"),
-            (["0,1"], "line 4: expected 'u,v,weight'"),
-            (["0,1,x"], "line 4: expected 'u,v,weight'"),
-        ],
-    )
-    def test_load_rejects_bad_edges(self, tmp_path, rows, message):
-        path = tmp_path / "graph.csv"
-        path.write_text("# provenance: {}\n# n_nodes: 3\nu,v,weight\n" + "\n".join(rows) + "\n")
-        with pytest.raises(IntegrityError, match=message) as info:
-            load_graph(path)
-        assert str(path) in str(info.value)
-
-    @pytest.mark.parametrize(
-        "header, line",
-        [
-            ("# provenance: {not json\n# n_nodes: 3\n", 1),
-            ("# provenance: 3\n# n_nodes: 3\n", 1),
-            ("# provenance: {}\n# n_nodes: three\n", 2),
-        ],
-    )
-    def test_load_rejects_bad_headers(self, tmp_path, header, line):
-        path = tmp_path / "graph.csv"
-        path.write_text(header + "u,v,weight\n0,1,1.0\n")
-        with pytest.raises(IntegrityError, match=f"line {line}: expected a header value") as info:
-            load_graph(path)
-        assert str(path) in str(info.value)
-
     def test_header_contains_provenance(self, tmp_path):
-        g = build_complete_graph(n=3)
+        g = build_complete_graph(3)
         path = tmp_path / "graph.csv"
         save_graph(g, path)
         first = path.read_text().splitlines()[0]
