@@ -59,24 +59,16 @@ def mlp_classify(x_train, y_train, x_test, config: BaselineConfig, network: GcnC
     """Multilayer perceptron classifier; returns (labels, probs for class 1..).
 
     Trains `network` at Chebyshev order 0 with no operator (identical to its
-    forward pass on an edgeless graph) for config.mlp_epochs epochs, so
-    layers, dropout, loss, gradients and Adam are the graph model's; train
-    validates the settings and raises DivergenceError on a non-finite loss.
-    Probabilities are softmax rows.
+    forward pass on an edgeless graph) on the training rows alone, for
+    config.mlp_epochs epochs, so layers, dropout, loss, gradients and Adam
+    are the graph model's; train validates the settings and raises
+    DivergenceError on a non-finite loss. Probabilities are softmax rows.
     """
     y = np.asarray(y_train, dtype=np.int64)
     if not set(np.unique(y)) == {0, 1}:
         raise ContractError("both classes must be present in training labels")
 
-    # The test rows are passed unmasked only to size the dropout draw, which
-    # spans every row as it always has; at order 0 train keeps the masked
-    # rows, so they never enter a forward or backward pass.
-    x_full = np.asarray(np.vstack([x_train, x_test]), dtype=np.float64)
-    n_train = len(x_train)
-    mask = np.arange(len(x_full)) < n_train
-    labels_full = np.concatenate([y, np.zeros(len(x_full) - n_train, dtype=np.int64)])
-
     net_config = replace(network, n_classes=2, cheb_order=0, epochs=config.mlp_epochs)
-    model, _ = train(net_config, None, x_full, labels_full, mask)
-    probs, labels = predict(model, None, x_full[n_train:])
+    model, _ = train(net_config, None, x_train, y, np.ones(len(y), dtype=bool))
+    probs, labels = predict(model, None, x_test)
     return labels, probs

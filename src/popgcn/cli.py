@@ -125,6 +125,8 @@ def parse_config(path: str, overrides: list[str] | None = None) -> dict:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigValidationError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     raw: dict[str, dict[str, str]] = {
         section: dict(parser.items(section)) for section in parser.sections()

@@ -11,11 +11,12 @@ Training runs only on the rows the loss can reach: the connected components
 of a sparse operator that hold a masked node (each held-out subject of a
 longitudinal graph is a component of its own), or the masked rows of an
 order-0 network; a dense operator trains every row. No edge is dropped, so
-the trained rows' values equal the whole graph's, and dropout still draws
-its masks over every node, so the random stream is the whole graph's. Only
-the weight gradients' sums run over fewer rows, which BLAS may group
-differently: parameters agree with whole-graph training to the last bits.
-Predict runs on the whole graph.
+the trained rows' forward values equal the whole graph's. Dropout draws its
+keep masks over the trained rows alone, as 16-bit lanes of full-range
+64-bit draws compared with round(rate * 65536) (_keep_mask), so rows that
+cannot reach the loss neither train nor consume random draws: an order-0
+network trains the same with or without unmasked rows appended. Predict
+runs on the whole graph.
 
 At cheb_order 0 the convolutions are plain dense layers and no operator is
 needed; this is the one dense network of the package, shared by the MLP
@@ -30,7 +31,9 @@ A training epoch applies dropout, the bias, the softmax terms, the backward
 masks and the Adam update in place rather than into fresh temporaries, in
 the operation order of the allocating formulas that tests/reference_epoch.py
 keeps, so its results equal theirs bit for bit. One exp pass over the
-masked logits serves both the loss and its gradient.
+masked logits serves both the loss and its gradient; the softmax's max and
+sum over the few class columns run column by column (_row_max, _row_sum),
+and when every row is masked the logits are used without a gather.
 The epoch's elementwise steps walk the feature matrix row by row: callers
 pass it C-ordered, as every `featsel` transform returns it. A
 Fortran-ordered matrix is accepted, but each elementwise step on it runs
@@ -181,6 +184,25 @@ def _stacked(weight) -> np.ndarray:
     return weight.transpose(1, 0, 2).reshape(c_in, k1 * c_out)
 
 
+def _keep_mask(rng, shape, rate: float) -> np.ndarray:
+    """Dropout keep mask: True with probability 1 - round(rate * 65536) / 65536.
+
+    Each full-range 64-bit draw is split into four 16-bit lanes, in the
+    machine's byte order, and a lane keeps its element when it is at least
+    round(rate * 65536); the keep rate is within 2^-17 of 1 - rate.
+    """
+    # The mask is allocated before the draw rather than returned by the
+    # comparison: with glibc's thresholds raised (harness._reuse_freed_memory)
+    # the other order leaves heap holes that later N x C arrays cannot reuse,
+    # which raised abide-wide's peak RSS by about 1.7 MB.
+    keep = np.empty(shape, dtype=bool)
+    words = rng.integers(
+        0, np.iinfo(np.uint64).max, size=-(-keep.size // 4), dtype=np.uint64, endpoint=True
+    )
+    np.greater_equal(words.view(np.uint16)[: keep.size], round(rate * 65536), out=keep.reshape(-1))
+    return keep
+
+
 def _forward(model, scaled, x, train, rng):
     cfg = model.config
     h = np.asarray(x, dtype=np.float64)
@@ -191,7 +213,7 @@ def _forward(model, scaled, x, train, rng):
         if li < last and train and cfg.dropout_rate > 0.0:
             if rng is None:
                 raise ContractError("train-mode forward with dropout requires an rng")
-            keep = rng.random(h.shape) >= cfg.dropout_rate
+            keep = _keep_mask(rng, h.shape, cfg.dropout_rate)
             # Equal to (h * keep) / keep_prob bit for bit, signed zeros included.
             h = h / (1.0 - cfg.dropout_rate)
             h *= keep
@@ -219,10 +241,31 @@ def forward(model: GcnModel, scaled: LaplacianMatrix | None, x, mode: str = "eva
     return logits
 
 
+def _row_max(z):
+    """z.max(axis=1), by one np.maximum pass per column after the first."""
+    out = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(out, z[:, j], out=out)
+    return out
+
+
+def _row_sum(z):
+    """Row sums added column by column from +0.0, left to right.
+
+    numpy sums fewer than 8 columns the same way, so for those this equals
+    z.sum(axis=1) bit for bit, signed zeros included.
+    """
+    out = np.zeros(len(z))
+    for j in range(z.shape[1]):
+        out += z[:, j]
+    return out
+
+
 def _stable_softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - _row_max(z)[:, None]
+    np.exp(e, out=e)
+    e /= _row_sum(e)[:, None]
+    return e
 
 
 def _masked_cross_entropy(logits, labels, mask):
@@ -230,17 +273,20 @@ def _masked_cross_entropy(logits, labels, mask):
 
     Also returns exp(z - max z) of those rows, their row sums and their
     labels, from which the rows' softmax follows without a second exp.
+    When every row is masked, the logits and labels are read in place.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    if mask.all():
+        z, y = logits, np.asarray(labels)
+    elif mask.any():
+        z, y = logits[mask], np.asarray(labels)[mask]
+    else:
         raise ContractError("mask must select at least one node")
-    z = logits[mask]
-    y = np.asarray(labels)[mask]
-    zmax = z.max(axis=1, keepdims=True)
-    e = z - zmax
+    zmax = _row_max(z)
+    e = z - zmax[:, None]
     np.exp(e, out=e)
-    e_sum = e.sum(axis=1)
-    log_norm = np.log(e_sum) + zmax[:, 0]
+    e_sum = _row_sum(e)
+    log_norm = np.log(e_sum) + zmax
     data = float(np.mean(log_norm - z[np.arange(len(y)), y]))
     return data, e, e_sum, y
 
@@ -266,8 +312,11 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
     probs /= e_sum[:, None]
     probs[np.arange(len(y)), y] -= 1.0
     probs /= len(y)
-    grad_z = np.zeros_like(logits)
-    grad_z[mask] = probs
+    if len(y) == len(logits):
+        grad_z = probs
+    else:
+        grad_z = np.zeros_like(logits)
+        grad_z[mask] = probs
 
     cfg = model.config
     grads: list[np.ndarray | None] = [None] * (2 * len(model.layers))
@@ -403,23 +452,6 @@ def _principal_submatrix(scaled: LaplacianMatrix, rows) -> LaplacianMatrix:
     return LaplacianMatrix(matrix=matrix, kind="scaled")
 
 
-class _RowDraws:
-    """The generator's uniform draws over all n nodes, cut to `rows`.
-
-    Dropout in a restricted training run draws what it would on the whole
-    graph, in the same order, so the random stream and the trained rows'
-    masks are unchanged.
-    """
-
-    def __init__(self, rng, n: int, rows):
-        self._rng = rng
-        self._n = n
-        self._rows = rows
-
-    def random(self, shape):
-        return self._rng.random((self._n, *shape[1:]))[self._rows]
-
-
 def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     """Semi-supervised training for config.epochs Adam steps.
 
@@ -433,26 +465,23 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     connected components that hold a masked node, on the principal
     submatrix of a CSR operator; the masked rows alone at cheb_order 0; every
     row of a dense operator. The other rows' gradients are exactly zero.
-    Dropout still draws its masks over every node and keeps the trained
-    rows', so the random stream is the whole graph's. Forward values on the
-    trained rows equal the whole graph's bit for bit; the weight gradients
-    sum over fewer rows, and BLAS may group those sums differently, so
-    parameters can differ from whole-graph training in the last bits.
+    Dropout draws its keep masks (_keep_mask) over the trained rows only, so
+    training equals training on those rows alone, the principal submatrix
+    and x[rows], bit for bit; the untrained rows change neither the result
+    nor the random stream.
     """
     config.validate()
     x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
     rng = np.random.default_rng(config.seed)
-    draws = rng
     rows = _trained_rows(config, scaled, mask)
     if rows is not None:
-        draws = _RowDraws(rng, len(mask), rows)
         scaled = None if config.cheb_order == 0 else _principal_submatrix(scaled, rows)
         x, labels, mask = x[rows], labels[rows], mask[rows]
     model = init_model(config, x.shape[1], rng)
     losses = []
     for epoch in range(config.epochs):
         loss, grads, _ = loss_and_grads(
-            model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=draws
+            model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=rng
         )
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)

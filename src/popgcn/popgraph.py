@@ -172,9 +172,11 @@ class PopulationGraph:
 def pairwise_correlation(x: np.ndarray) -> np.ndarray:
     """Pearson correlation between all row pairs of x (rows = nodes).
 
-    Raises DegenerateInputError when any row has zero variance.
+    x is read as a C-ordered copy when it is not one, so the row sums, and
+    so the result's last bits, do not depend on its memory layout. Raises
+    DegenerateInputError when any row has zero variance.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ContractError("need a 2-D matrix with at least 2 columns")
     centered = x - x.mean(axis=1, keepdims=True)

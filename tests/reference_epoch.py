@@ -5,7 +5,10 @@ did: dropout as (h * keep) / keep_prob, softmax cross-entropy and its gradient
 from two separate exp passes, Adam from whole-array expressions, the
 Chebyshev recursions as expressions, and the sigmoid by boolean masking. The
 in-place versions perform the same floating-point operations in the same
-order, so training with either must give bitwise-equal parameters.
+order, so training with either must give bitwise-equal parameters. The
+dropout keep mask and the softmax are spelled out here too, by shifts of the
+64-bit draws and by numpy's row reductions, so the package's versions are
+checked against an independent formula.
 """
 
 import numpy as np
@@ -16,7 +19,6 @@ from popgcn.gcn import (
     ADAM_EPS,
     _check_training_inputs,
     _output_side,
-    _stable_softmax,
     _stacked,
     init_model,
 )
@@ -51,8 +53,25 @@ def chebyshev_weighted_sum_reference(scaled, parts):
     return parts[0] + scaled.matrix @ b1 - b2
 
 
+def keep_mask_reference(rng, shape, rate):
+    """Four 16-bit lanes per full-range 64-bit draw, low bits first, each
+    kept when at least round(rate * 65536)."""
+    size = int(np.prod(shape))
+    words = rng.integers(
+        0, np.iinfo(np.uint64).max, size=(size + 3) // 4, dtype=np.uint64, endpoint=True
+    )
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    lanes = (words[:, None] >> shifts) & np.uint64(0xFFFF)
+    return (lanes.ravel()[:size] >= round(rate * 65536)).reshape(shape)
+
+
 def dropout_reference(h, keep, rate):
     return h * keep / (1.0 - rate)
+
+
+def softmax_reference(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _masked_loss(logits, labels, mask, l2_coeff, model):
@@ -74,7 +93,7 @@ def forward_reference(model, scaled, x, train, rng):
     for li, layer in enumerate(model.layers):
         keep = None
         if li < last and train and cfg.dropout_rate > 0.0:
-            keep = rng.random(h.shape) >= cfg.dropout_rate
+            keep = keep_mask_reference(rng, h.shape, cfg.dropout_rate)
             h = dropout_reference(h, keep, cfg.dropout_rate)
         order = layer.weight.shape[0] - 1
         if _output_side(layer.weight):
@@ -101,7 +120,7 @@ def loss_and_grads_reference(model, scaled, x, labels, mask, l2_coeff, train, rn
     n_masked = int(mask.sum())
     masked_idx = np.flatnonzero(mask)
     grad_z = np.zeros_like(logits)
-    grad_z[masked_idx] = _stable_softmax(logits[masked_idx])
+    grad_z[masked_idx] = softmax_reference(logits[masked_idx])
     grad_z[masked_idx, labels[masked_idx]] -= 1.0
     grad_z[masked_idx] /= n_masked
 
@@ -165,4 +184,4 @@ def train_reference(config, scaled, x, labels, mask):
 
 def predict_reference(model, scaled, x):
     logits, _ = forward_reference(model, scaled, x, False, None)
-    return _stable_softmax(logits)
+    return softmax_reference(logits)

@@ -346,6 +346,18 @@ class TestReportCommand:
         assert err[0].startswith(f"error: FormatError: {path}: not a popgcn report")
         assert cause in err[0]
 
+    def test_non_utf8_config_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[cv]\nfolds = \xff\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == [f"error: {path}: not UTF-8 text (invalid start byte)"]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):

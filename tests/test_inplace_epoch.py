@@ -1,9 +1,9 @@
 """The in-place training epoch against the allocating formulas it replaced.
 
 Every comparison is on the int64 view of the float64 results, so a signed
-zero or a last-bit difference fails it, except where training runs on fewer
-rows than the reference: there the weight gradients sum over fewer rows, and
-results agree to 1e-12.
+zero or a last-bit difference fails it. Where training keeps fewer rows than
+the graph has, the reference trains on those rows alone: the principal
+submatrix of the operator and x[rows].
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from reference_epoch import (
     adam_update_reference,
     chebyshev_basis_reference,
     chebyshev_weighted_sum_reference,
+    keep_mask_reference,
     loss_and_grads_reference,
     predict_reference,
     sigmoid_reference,
@@ -23,8 +24,11 @@ from popgcn import gcn
 from popgcn.featsel import _sigmoid
 from popgcn.gcn import (
     GcnConfig,
+    _keep_mask,
     _output_side,
     _principal_submatrix,
+    _row_max,
+    _row_sum,
     _trained_rows,
     adam_update,
     init_model,
@@ -64,6 +68,15 @@ NETWORKS = {
 }
 
 
+def train_reference_on_trained_rows(config, operator, x, labels, mask):
+    """train_reference on the rows train keeps (all of them when rows is None)."""
+    rows = _trained_rows(config, operator, mask)
+    if rows is not None:
+        operator = None if operator is None else _principal_submatrix(operator, rows)
+        x, labels, mask = x[rows], labels[rows], mask[rows]
+    return train_reference(config, operator, x, labels, mask)
+
+
 class TestTrainMatchesReference:
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     @pytest.mark.parametrize("sparse", [False, True])
@@ -78,7 +91,9 @@ class TestTrainMatchesReference:
         )
         operator = scaled if order > 0 else None
         model, losses = train(config, operator, x, labels, mask)
-        ref_model, ref_losses = train_reference(config, operator, x, labels, mask)
+        ref_model, ref_losses = train_reference_on_trained_rows(
+            config, operator, x, labels, mask
+        )
 
         sides = [_output_side(layer.weight) for layer in model.layers[:-1]]
         assert sides == [name == "output_side"] + [False] * (hidden_layers - 1)
@@ -145,6 +160,36 @@ class TestPiecesMatchReference:
         for p, b in zip(parts, before):
             assert_bits_equal(p, b)  # the parts are read, never written
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (5, 4), (30, 12)])
+    def test_keep_mask_lanes(self, shape):
+        # ceil(size / 4) 64-bit draws, each split into four 16-bit lanes.
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        keep = _keep_mask(rng, shape, 0.3)
+        assert keep.shape == shape and keep.dtype == bool
+        np.testing.assert_array_equal(keep, keep_mask_reference(ref_rng, shape, 0.3))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+    def test_keep_rate(self, rate):
+        n = 10**6
+        keep = _keep_mask(np.random.default_rng(11), (1000, 1000), rate)
+        p = 1.0 - round(rate * 65536) / 65536
+        assert abs(p - (1.0 - rate)) <= 2.0**-17
+        sigma = np.sqrt(p * (1.0 - p) / n)
+        assert abs(keep.mean() - p) <= 5.0 * sigma
+
+    @pytest.mark.parametrize("n_cols", range(2, 8))
+    def test_row_reductions_by_column(self, rng, n_cols):
+        z = rng.standard_normal((400, n_cols)) * 10.0 ** rng.integers(-6, 6, size=(400, n_cols))
+        z[rng.random(z.shape) < 0.2] = 0.0
+        z[rng.random(z.shape) < 0.2] = -0.0
+        z[:40] = np.where(rng.random((40, n_cols)) < 0.5, -0.0, 0.0)  # signed zeros
+        z[40:80] = rng.integers(-2, 3, size=(40, 1))  # whole rows tied
+        z[80:120, -1] = z[80:120, 0]  # first and last columns tied
+        for a in (z, -z):
+            assert_bits_equal(_row_max(a), a.max(axis=1))
+            assert_bits_equal(_row_sum(a), a.sum(axis=1))
+
     def test_sigmoid(self, rng):
         z = np.concatenate([
             [0.0, -0.0, 800.0, -800.0, 36.0, -36.0, 745.0, -745.0],
@@ -195,15 +240,18 @@ def trained_row_counts(monkeypatch):
     return counts
 
 
-def assert_close_to_reference(config, operator, x, labels, mask):
+def assert_matches_reference(config, operator, x, labels, mask, ref_operator, rows):
+    """train on the graph equals train_reference on `rows` alone, bit for bit."""
     model, losses = train(config, operator, x, labels, mask)
-    ref_model, ref_losses = train_reference(config, operator, x, labels, mask)
-    np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-12)
+    ref_model, ref_losses = train_reference(
+        config, ref_operator, x[rows], labels[rows], mask[rows]
+    )
+    assert losses == ref_losses
     for p, ref in zip(model.parameters(), ref_model.parameters()):
-        np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12)
+        assert_bits_equal(p, ref)
     probs, labels_out = predict(model, operator, x)
     ref_probs = predict_reference(ref_model, operator, x)
-    np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+    assert_bits_equal(probs, ref_probs)
     np.testing.assert_array_equal(labels_out, np.argmax(ref_probs, axis=1))
 
 
@@ -223,7 +271,8 @@ class TestTrainedRows:
         np.testing.assert_array_equal(rows, reached)
 
         counts = trained_row_counts(monkeypatch)
-        assert_close_to_reference(TRAINED_ROWS_CONFIG, scaled, x, labels, mask)
+        sub = _principal_submatrix(scaled, reached)
+        assert_matches_reference(TRAINED_ROWS_CONFIG, scaled, x, labels, mask, sub, reached)
         assert counts == [len(reached)] * TRAINED_ROWS_CONFIG.epochs
 
     @pytest.mark.parametrize("hidden_layers", [1, 2])
@@ -237,8 +286,29 @@ class TestTrainedRows:
         np.testing.assert_array_equal(_trained_rows(config, None, mask), np.flatnonzero(mask))
 
         counts = trained_row_counts(monkeypatch)
-        assert_close_to_reference(config, None, x, labels, mask)
+        assert_matches_reference(config, None, x, labels, mask, None, np.flatnonzero(mask))
         assert counts == [int(mask.sum())] * config.epochs
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    def test_order_zero_ignores_appended_unmasked_rows(self, rng, hidden_layers):
+        # Unmasked rows, anywhere in the matrix, are neither trained nor given
+        # dropout draws, so they leave the training run unchanged.
+        _, x, labels, _ = epoch_case(60, 7, seed=6)
+        config = GcnConfig(
+            hidden_layers=hidden_layers, hidden_width=5, cheb_order=0,
+            dropout_rate=0.3, epochs=6, seed=4,
+        )
+        model, losses = train(config, None, x, labels, np.ones(60, dtype=bool))
+
+        mask = np.ones(90, dtype=bool)
+        mask[rng.choice(90, size=30, replace=False)] = False
+        x_more = rng.standard_normal((90, 7))
+        labels_more = np.full(90, -1)
+        x_more[mask], labels_more[mask] = x, labels
+        more_model, more_losses = train(config, None, x_more, labels_more, mask)
+        assert more_losses == losses
+        for p, ref in zip(more_model.parameters(), model.parameters()):
+            assert_bits_equal(p, ref)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_every_row_trains_bit_for_bit(self, monkeypatch, sparse):

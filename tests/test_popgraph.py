@@ -460,9 +460,11 @@ class TestGraphInvariants:
 
     def test_kernel_matches_allocating_formula_bitwise(self, rng):
         # The in-place kernel performs the same operations as these
-        # expressions, on a Fortran-ordered input as RFE once returned.
+        # expressions on the C-ordered copy it takes of a Fortran-ordered
+        # input, as RFE once returned.
         x = np.asfortranarray(rng.standard_normal((300, 500)))
-        centered = x - x.mean(axis=1, keepdims=True)
+        c = np.ascontiguousarray(x)
+        centered = c - c.mean(axis=1, keepdims=True)
         z = centered / np.linalg.norm(centered, axis=1)[:, None]
         rho = 1.0 - np.clip(z @ z.T, -1.0, 1.0)
         rho[rho < 1e-12] = 0.0
@@ -472,6 +474,17 @@ class TestGraphInvariants:
         assert g.provenance["sigma"] == sigma
         np.fill_diagonal(expected, 0.0)
         np.testing.assert_array_equal(g.adjacency.view(np.int64), expected.view(np.int64))
+
+    def test_memory_layout_does_not_change_bits(self, rng):
+        x = rng.standard_normal((120, 300)) * rng.uniform(0.1, 10.0, size=300)
+        f = np.asfortranarray(x)
+        assert x.flags.c_contiguous and f.flags.f_contiguous
+        corr_c, corr_f = pairwise_correlation(x), pairwise_correlation(f)
+        np.testing.assert_array_equal(corr_f.view(np.int64), corr_c.view(np.int64))
+        records = [rec(i, sex="MF"[i % 2], site=f"s{i % 3}") for i in range(120)]
+        g_c, g_f = (build_graph(feats(v), records, GraphSpec()) for v in (x, f))
+        assert g_c.provenance["sigma"] == g_f.provenance["sigma"]
+        np.testing.assert_array_equal(g_f.adjacency.view(np.int64), g_c.adjacency.view(np.int64))
 
     @pytest.mark.parametrize(
         "rows, message",
