@@ -8,7 +8,10 @@ The MLP is the graph network of `gcn` at Chebyshev order 0 (one dense ReLU
 layer of target_c units, softmax output), trained by `gcn.train` without
 dropout or weight penalty; its codes are the hidden activations. The
 autoencoder's tied weights do not fit that layer stack, so it keeps its own
-loss and gradients and steps with `gcn.adam_update`.
+loss and gradients and steps with `gcn.adam_update`: its w, b_enc and b_dec
+are views into one parameter vector, and each epoch writes their gradients
+into views of one gradient vector, so Adam makes one pass per term over all
+three.
 """
 
 from __future__ import annotations
@@ -171,18 +174,30 @@ def _minmax_apply(x, lo, span, degenerate):
 
 def _sigmoid(z):
     """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise, so
-    exp never overflows; both branches share e = exp(-|z|)."""
+    exp never overflows; both branches share e = exp(-|z|).
+
+    The numerator is max(e, z >= 0): 1 where z >= 0, as e <= 1, and e
+    elsewhere, NaN included. Unlike np.where it runs at one speed whatever
+    the mix of signs.
+    """
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, z >= 0)
     e += 1.0
     out /= e
     return out
 
 
-def _ae_loss_and_grads(xs, w, b_enc, b_dec):
-    """MSE loss of the tied-weight autoencoder and its exact gradients."""
+def _ae_loss_and_grads(xs, w, b_enc, b_dec, out=None):
+    """MSE loss of the tied-weight autoencoder and its exact gradients.
+
+    The gradients (dw, db_enc, db_dec) are views into `out`, a vector laid
+    out as w, b_enc, b_dec, or into a new one when out is None.
+    """
+    if out is None:
+        out = np.empty(w.size + b_enc.size + b_dec.size)
+    dw, db_enc, db_dec = gcn.flat_views(out, [w.shape, b_enc.shape, b_dec.shape])
     z1 = xs @ w + b_enc
     h = _sigmoid(z1)
     z2 = h @ w.T + b_dec
@@ -190,30 +205,31 @@ def _ae_loss_and_grads(xs, w, b_enc, b_dec):
     diff = recon - xs
     loss = float(np.mean(diff**2))
     dz2 = (2.0 / diff.size) * diff * (1.0 - recon**2)
-    db_dec = dz2.sum(axis=0)
+    dz2.sum(axis=0, out=db_dec)
     dz1 = (dz2 @ w) * h * (1.0 - h)
-    db_enc = dz1.sum(axis=0)
-    dw = xs.T @ dz1 + dz2.T @ h  # encoder + tied decoder contributions
+    dz1.sum(axis=0, out=db_enc)
+    np.matmul(xs.T, dz1, out=dw)  # encoder contribution
+    dw += dz2.T @ h  # tied decoder contribution
     return loss, (dw, db_enc, db_dec)
 
 
 def _fit_autoencoder(xs, width, epochs, lr, seed):
     c = xs.shape[1]
     rng = np.random.default_rng(seed)
+    params = np.zeros(c * width + width + c)
+    w, b_enc, b_dec = gcn.flat_views(params, [(c, width), (width,), (c,)])
     limit = np.sqrt(6.0 / (c + width))  # Glorot-uniform
-    w = rng.uniform(-limit, limit, size=(c, width))  # tied: decoder uses w.T
-    b_enc = np.zeros(width)
-    b_dec = np.zeros(c)
-    params = [w, b_enc, b_dec]
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
+    w[...] = rng.uniform(-limit, limit, size=(c, width))  # tied: decoder uses w.T
+    grad = np.empty_like(params)
+    moment1 = np.zeros_like(params)
+    moment2 = np.zeros_like(params)
     history = []
     for epoch in range(epochs):
-        loss, grads = _ae_loss_and_grads(xs, w, b_enc, b_dec)
+        loss, _ = _ae_loss_and_grads(xs, w, b_enc, b_dec, out=grad)
         if not np.isfinite(loss):
             raise DivergenceError(f"autoencoder diverged at epoch {epoch}", epoch=epoch)
         history.append(loss)
-        gcn.adam_update(params, grads, moment1, moment2, epoch + 1, lr)
+        gcn.adam_update(params, grad, moment1, moment2, epoch + 1, lr)
     return w, b_enc, b_dec, history
 
 

@@ -27,13 +27,26 @@ A convolution sum_k T_k(Ls) H W_k applies the N x N operator on the narrower
 side of its layer: to the C_in columns of H, or, when C_out < C_in, to the
 C_out columns of each H W_k. Both orders give the same function.
 
-A training epoch applies dropout, the bias, the softmax terms, the backward
-masks and the Adam update in place rather than into fresh temporaries, in
-the operation order of the allocating formulas that tests/reference_epoch.py
-keeps, so its results equal theirs bit for bit. One exp pass over the
-masked logits serves both the loss and its gradient; the softmax's max and
-sum over the few class columns run column by column (_row_max, _row_sum),
-and when every row is masked the logits are used without a gather.
+A model's weights and biases are views into one contiguous float64 vector
+(GcnModel.flat), and its two Adam moments are vectors of the same layout.
+`train` allocates one gradient vector of that layout, into which each
+epoch's loss_and_grads writes every gradient, and adam_update makes its
+passes once over the whole vector; Adam is elementwise, so this equals a
+per-parameter update bit for bit.
+
+Dropout zeroes the dropped inputs (H * keep) and carries its 1 / (1 - rate)
+on the layer's small weight instead of the N x C_in input: the forward pass
+runs on W / (1 - rate), and the backward pass divides the weight gradient
+by 1 - rate, so the mask is the only pass over the input in either
+direction. The bias gradients are BLAS products of a ones vector with the
+logit gradient. A training epoch applies the bias, the softmax terms, the
+backward masks and the Adam update in place rather than into fresh
+temporaries, in the operation order of the allocating formulas that
+tests/reference_epoch.py keeps, so its results equal theirs bit for bit.
+One exp pass over the masked logits serves both the loss and its gradient;
+the softmax's max and sum over the few class columns run column by column
+(_row_max, _row_sum), and when every row is masked the logits are used
+without a gather.
 The epoch's elementwise steps walk the feature matrix row by row: callers
 pass it C-ordered, as every `featsel` transform returns it. A
 Fortran-ordered matrix is accepted, but each elementwise step on it runs
@@ -42,7 +55,8 @@ about 2-3 times slower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,6 +75,8 @@ from .spectral import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+_UINT64_MAX = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True)
@@ -100,13 +116,29 @@ class Layer:
     bias: np.ndarray  # (C_out,)
 
 
+def flat_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of a 1-D vector, reshaped (as views) to `shapes`."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[start:start + size].reshape(shape))
+        start += size
+    if start != vector.size:
+        raise ContractError(f"vector of {vector.size} values for shapes of {start}")
+    return views
+
+
 @dataclass
 class GcnModel:
+    """Layers whose weights and biases are views into `flat`, layer by layer,
+    weight before bias; moment1 and moment2 are Adam's vectors of that layout."""
+
     config: GcnConfig
     layers: list[Layer]
+    flat: np.ndarray
+    moment1: np.ndarray
+    moment2: np.ndarray
     step: int = 0
-    moment1: list[np.ndarray] = field(default_factory=list)
-    moment2: list[np.ndarray] = field(default_factory=list)
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -114,6 +146,10 @@ class GcnModel:
             out.append(layer.weight)
             out.append(layer.bias)
         return out
+
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """A vector of flat's layout as views aligned to parameters()."""
+        return flat_views(vector, [p.shape for p in self.parameters()])
 
 
 def init_model(config: GcnConfig, n_features: int, rng=None) -> GcnModel:
@@ -123,15 +159,21 @@ def init_model(config: GcnConfig, n_features: int, rng=None) -> GcnModel:
     width = config.hidden_width if config.hidden_width is not None else n_features
     sizes = [n_features] + [width] * config.hidden_layers + [config.n_classes]
     k1 = config.cheb_order + 1
-    layers = []
+    shapes = []
     for c_in, c_out in zip(sizes[:-1], sizes[1:]):
+        shapes += [(k1, c_in, c_out), (c_out,)]
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    views = flat_views(flat, shapes)
+    layers = []
+    for weight, bias in zip(views[::2], views[1::2]):
+        _, c_in, c_out = weight.shape
         limit = np.sqrt(6.0 / (c_in * k1 + c_out))
-        weight = rng.uniform(-limit, limit, size=(k1, c_in, c_out))
-        layers.append(Layer(weight=weight, bias=np.zeros(c_out)))
-    model = GcnModel(config=config, layers=layers)
-    model.moment1 = [np.zeros_like(p) for p in model.parameters()]
-    model.moment2 = [np.zeros_like(p) for p in model.parameters()]
-    return model
+        weight[...] = rng.uniform(-limit, limit, size=weight.shape)
+        layers.append(Layer(weight=weight, bias=bias))
+    return GcnModel(
+        config=config, layers=layers, flat=flat,
+        moment1=np.zeros_like(flat), moment2=np.zeros_like(flat),
+    )
 
 
 def cheb_conv_forward(terms, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -162,8 +204,8 @@ def scaled_operator(graph: PopulationGraph) -> LaplacianMatrix:
 @dataclass
 class _LayerCache:
     keep: np.ndarray | None  # dropout keep mask, None when not applied
-    # Layer input H after dropout on output-side layers, else its basis
-    # T_k(Ls) H (whose first term is H).
+    # Layer input H (H * keep under dropout) on output-side layers, else its
+    # basis T_k(Ls) H (whose first term is H).
     inputs: np.ndarray | list[np.ndarray]
     z: np.ndarray  # pre-activation
 
@@ -197,7 +239,7 @@ def _keep_mask(rng, shape, rate: float) -> np.ndarray:
     # which raised abide-wide's peak RSS by about 1.7 MB.
     keep = np.empty(shape, dtype=bool)
     words = rng.integers(
-        0, np.iinfo(np.uint64).max, size=-(-keep.size // 4), dtype=np.uint64, endpoint=True
+        0, _UINT64_MAX, size=-(-keep.size // 4), dtype=np.uint64, endpoint=True
     )
     np.greater_equal(words.view(np.uint16)[: keep.size], round(rate * 65536), out=keep.reshape(-1))
     return keep
@@ -209,25 +251,24 @@ def _forward(model, scaled, x, train, rng):
     caches = []
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        keep = None
+        keep, weight = None, layer.weight
         if li < last and train and cfg.dropout_rate > 0.0:
             if rng is None:
                 raise ContractError("train-mode forward with dropout requires an rng")
             keep = _keep_mask(rng, h.shape, cfg.dropout_rate)
-            # Equal to (h * keep) / keep_prob bit for bit, signed zeros included.
-            h = h / (1.0 - cfg.dropout_rate)
-            h *= keep
-        order = layer.weight.shape[0] - 1
+            h = np.multiply(h, keep)
+            weight = weight / (1.0 - cfg.dropout_rate)
+        order = weight.shape[0] - 1
         if order > 0 and scaled is None:
             raise ContractError("cheb_order > 0 requires a scaled Laplacian")
-        if _output_side(layer.weight):
-            parts = np.hsplit(h @ _stacked(layer.weight), order + 1)
+        if _output_side(weight):
+            parts = np.hsplit(h @ _stacked(weight), order + 1)
             inputs = h
             z = chebyshev_weighted_sum(scaled, parts)
             z += layer.bias
         else:
             inputs = [h] if order == 0 else chebyshev_basis(scaled, h, order)
-            z = cheb_conv_forward(inputs, layer.weight, layer.bias)
+            z = cheb_conv_forward(inputs, weight, layer.bias)
         caches.append(_LayerCache(keep=keep, inputs=inputs, z=z))
         h = np.maximum(z, 0.0) if li < last else z
     return h, caches
@@ -296,12 +337,14 @@ def _l2_penalty(l2_coeff: float, model: GcnModel) -> float:
     return l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
 
 
-def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None):
+def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None, out=None):
     """One forward/backward pass; dropout masks are shared between the two.
 
     The loss is the mean softmax cross-entropy over the masked rows, whose
     labels alone are read, plus _l2_penalty. Returns (loss, grads, logits)
-    with grads aligned to model.parameters().
+    with grads aligned to model.parameters(): views into `out`, a vector of
+    model.flat's layout that every gradient is written into, or into a new
+    one when out is None.
     """
     mask = np.asarray(mask, dtype=bool)
     logits, caches = _forward(model, scaled, x, train=train, rng=rng)
@@ -318,73 +361,86 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
         grad_z = np.zeros_like(logits)
         grad_z[mask] = probs
 
-    cfg = model.config
-    grads: list[np.ndarray | None] = [None] * (2 * len(model.layers))
+    keep_prob = 1.0 - model.config.dropout_rate
+    grads = model.views(np.empty_like(model.flat) if out is None else out)
+    ones = np.ones(len(logits))
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
         cache = caches[li]
-        k1, c_in, c_out = layer.weight.shape
+        grad_w = grads[2 * li]
+        k1, c_in, c_out = grad_w.shape
         # dL/dW_k = (T_k(Ls) H)^T G = H^T (T_k(Ls) G), as T_k(Ls) is symmetric;
         # dL/dH = sum_k T_k(Ls) G W_k^T. An input-side layer reuses its forward
         # basis and evaluates dL/dH by one Clenshaw pass; an output-side layer
-        # builds the basis of G, which is C_out columns wide.
+        # builds the basis of G, which is C_out columns wide. Under dropout
+        # the forward weight was W / keep_prob, so dL/dW carries 1 / keep_prob
+        # and dL/dH uses that weight. It is divided again here: holding the
+        # forward pass's copy through the backward pass raised abide-wide's
+        # peak RSS by about 1 MB.
         output_side = _output_side(layer.weight)
-        grad_w = 2.0 * l2_coeff * layer.weight
         if output_side:
             tg = np.hstack(chebyshev_basis(scaled, grad_z, k1 - 1))
-            grad_w += (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
+            product = (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
+            if cache.keep is None:
+                grad_w[...] = product
+            else:
+                np.divide(product, keep_prob, out=grad_w)
         else:
             for k in range(k1):
-                grad_w[k] += cache.inputs[k].T @ grad_z
-        grads[2 * li] = grad_w
-        grads[2 * li + 1] = grad_z.sum(axis=0)
+                np.matmul(cache.inputs[k].T, grad_z, out=grad_w[k])
+            if cache.keep is not None:
+                grad_w /= keep_prob
+        grad_w += 2.0 * l2_coeff * layer.weight
+        np.matmul(ones, grad_z, out=grads[2 * li + 1])
         if li == 0:
             break
+        weight = layer.weight if cache.keep is None else layer.weight / keep_prob
         if output_side:
-            grad_h = tg @ _stacked(layer.weight).T
+            grad_h = tg @ _stacked(weight).T
         else:
-            parts = [grad_z @ layer.weight[k].T for k in range(k1)]
+            parts = [grad_z @ weight[k].T for k in range(k1)]
             grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum(scaled, parts)
         if cache.keep is not None:
-            grad_h /= 1.0 - cfg.dropout_rate
             grad_h *= cache.keep
         grad_h *= caches[li - 1].z > 0.0
         grad_z = grad_h
     return loss, grads, logits
 
 
-def adam_update(params, grads, moment1, moment2, step: int, lr: float):
-    """In-place Adam update of params at 1-based step, with bias correction.
+def adam_update(param, grad, moment1, moment2, step: int, lr: float):
+    """In-place Adam update of the vector param at 1-based step, with bias
+    correction.
 
-    Two scratch arrays per parameter hold the update terms; the arithmetic is
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    param, grad and the two moments are equal-length vectors, each model's
+    parameters laid out in one (GcnModel.flat), so the update is one pass
+    per term over all of them. Two scratch vectors hold the update terms;
+    the arithmetic is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order.
     """
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
-    for p, g, m, v in zip(params, grads, moment1, moment2):
-        m *= ADAM_BETA1
-        update = np.multiply(g, 1.0 - ADAM_BETA1)
-        m += update
-        v *= ADAM_BETA2
-        denom = np.multiply(g, 1.0 - ADAM_BETA2)
-        denom *= g
-        v += denom
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, bc1, out=update)
-        update *= lr
-        update /= denom
-        p -= update
+    moment1 *= ADAM_BETA1
+    update = np.multiply(grad, 1.0 - ADAM_BETA1)
+    moment1 += update
+    moment2 *= ADAM_BETA2
+    denom = np.multiply(grad, 1.0 - ADAM_BETA2)
+    denom *= grad
+    moment2 += denom
+    np.divide(moment2, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(moment1, bc1, out=update)
+    update *= lr
+    update /= denom
+    param -= update
 
 
-def adam_step(model: GcnModel, grads) -> GcnModel:
+def adam_step(model: GcnModel, grad: np.ndarray) -> GcnModel:
     """In-place Adam update of the model's parameters and optimizer state, at
-    the config's learning rate."""
+    the config's learning rate; grad is a vector of model.flat's layout."""
     model.step += 1
     lr = model.config.learning_rate
-    adam_update(model.parameters(), grads, model.moment1, model.moment2, model.step, lr)
+    adam_update(model.flat, grad, model.moment1, model.moment2, model.step, lr)
     return model
 
 
@@ -469,6 +525,11 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     training equals training on those rows alone, the principal submatrix
     and x[rows], bit for bit; the untrained rows change neither the result
     nor the random stream.
+
+    One gradient vector of model.flat's layout is allocated per call; each
+    epoch's loss_and_grads writes into it and adam_step steps the whole
+    parameter vector by it. Dropout's 1 / (1 - rate) rides on the weights
+    (see the module docstring).
     """
     config.validate()
     x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
@@ -478,14 +539,15 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
         scaled = None if config.cheb_order == 0 else _principal_submatrix(scaled, rows)
         x, labels, mask = x[rows], labels[rows], mask[rows]
     model = init_model(config, x.shape[1], rng)
+    grad = np.empty_like(model.flat)
     losses = []
     for epoch in range(config.epochs):
-        loss, grads, _ = loss_and_grads(
-            model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=rng
+        loss, _, _ = loss_and_grads(
+            model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=rng, out=grad
         )
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-        adam_step(model, grads)
+        adam_step(model, grad)
         losses.append(loss)
     return model, losses
 

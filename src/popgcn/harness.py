@@ -95,16 +95,17 @@ class Metrics(NamedTuple):
 
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each run of equal values given its mid-rank.
+
+    A run at sorted positions i..j ranks 0.5 * (i + j) + 1, which is exact
+    in float64. Values that compare unequal (each NaN) rank alone.
+    """
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x))
     sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
+    ends = np.append(starts[1:], len(x)) - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

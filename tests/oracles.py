@@ -1,10 +1,11 @@
 """Scalar and eigendecomposition reference definitions, kept as test oracles.
 
 The package evaluates the phenotypic measures, the correlation kernel and the
-same-subject links over whole index arrays, and Chebyshev filters by the
-three-term recursion on the rescaled Laplacian. These functions state the
-same quantities one pair, one node or one eigenbasis at a time, as the paper
-defines them, and the tests check the vectorized code against them.
+same-subject links over whole index arrays, Chebyshev filters by the
+three-term recursion on the rescaled Laplacian, and the AUC's tie-averaged
+ranks from the boundaries of runs of equal values. These functions state the
+same quantities one pair, one node, one run or one eigenbasis at a time, as
+the paper defines them, and the tests check the vectorized code against them.
 """
 
 import numpy as np
@@ -86,3 +87,20 @@ def spectral_filter_oracle(lap, x, theta, lambda_max: float | None = None) -> np
     if spectral.ndim == 1:
         return eigvecs @ (gain * spectral)
     return eigvecs @ (gain[:, None] * spectral)
+
+
+def fractional_ranks(x) -> np.ndarray:
+    """1-based ranks with ties at their mid-rank, one run of equal sorted
+    values at a time."""
+    x = np.asarray(x)
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x))
+    sx = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -7,6 +7,7 @@ from conftest import hop_distances, make_random_graph, make_tree_graph
 from popgcn.errors import ContractError, DivergenceError, ParameterError
 from popgcn.gcn import (
     GcnConfig,
+    _forward,
     _l2_penalty,
     _masked_cross_entropy,
     adam_step,
@@ -230,6 +231,20 @@ class TestBackward:
         case = gradient_case(n_features=12, width=3, hidden_layers=hidden_layers)
         assert worst_fd_error(*case) < 1e-4
 
+    # (n_features, width, cheb_order): input-side hidden layers, an
+    # output-side first layer, and the dense network.
+    @pytest.mark.parametrize("case", [(4, 5, 2), (12, 3, 2), (5, 4, 0)])
+    def test_gradients_through_hidden_dropout_match_finite_differences(self, case):
+        # Two hidden layers, so the backward pass crosses the second layer's
+        # dropout mask, which is held fixed by drawing it from one seed.
+        n_features, width, cheb_order = case
+        model, scaled, x, labels, mask, l2 = gradient_case(
+            n_features, width, hidden_layers=2, cheb_order=cheb_order, dropout_rate=0.4
+        )
+        _, caches = _forward(model, scaled, x, train=True, rng=np.random.default_rng(3))
+        assert [c.keep is not None and not c.keep.all() for c in caches] == [True, True, False]
+        assert worst_fd_error(model, scaled, x, labels, mask, l2, mask_seed=3) < 1e-4
+
     @pytest.mark.parametrize("hidden_layers", [1, 0])
     def test_output_side_layers_match_input_side_reference(self, hidden_layers):
         model, scaled, x, labels, mask, l2 = gradient_case(
@@ -255,9 +270,9 @@ class TestBackward:
             assert np.array_equal(a, b)
 
 
-def gradient_case(n_features, width, hidden_layers, cheb_order=2):
-    """12 nodes, dropout off: (model, scaled, x, labels, mask, l2); scaled is
-    None at cheb_order 0."""
+def gradient_case(n_features, width, hidden_layers, cheb_order=2, dropout_rate=0.0):
+    """12 nodes, dropout off by default: (model, scaled, x, labels, mask, l2);
+    scaled is None at cheb_order 0."""
     g = make_random_graph(12, density=0.45, seed=21)
     scaled = scaled_operator(g) if cheb_order > 0 else None
     rng = np.random.default_rng(77)
@@ -266,18 +281,30 @@ def gradient_case(n_features, width, hidden_layers, cheb_order=2):
     mask = np.zeros(12, dtype=bool)
     mask[:8] = True
     config = GcnConfig(
-        hidden_layers=hidden_layers, hidden_width=width, cheb_order=cheb_order, dropout_rate=0.0
+        hidden_layers=hidden_layers, hidden_width=width, cheb_order=cheb_order,
+        dropout_rate=dropout_rate,
     )
     model = init_model(config, n_features, np.random.default_rng(5))
     return model, scaled, x, labels, mask, 5e-4
 
 
-def fd_gradients(model, scaled, x, labels, mask, l2):
-    """(analytic, central-difference) gradient pairs per parameter tensor."""
-    _, grads, _ = loss_and_grads(model, scaled, x, labels, mask, l2)
+def fd_gradients(model, scaled, x, labels, mask, l2, mask_seed=None):
+    """(analytic, central-difference) gradient pairs per parameter tensor.
+
+    With mask_seed, every evaluation is a train-mode pass whose dropout masks
+    come from a new generator of that seed, so all of them share one mask.
+    """
+
+    def pass_now():
+        if mask_seed is None:
+            return loss_and_grads(model, scaled, x, labels, mask, l2)
+        rng = np.random.default_rng(mask_seed)
+        return loss_and_grads(model, scaled, x, labels, mask, l2, train=True, rng=rng)
+
+    _, grads, _ = pass_now()
 
     def loss_now():
-        return loss_and_grads(model, scaled, x, labels, mask, l2)[0]
+        return pass_now()[0]
 
     h = 1e-5
     pairs = []
@@ -298,10 +325,10 @@ def fd_gradients(model, scaled, x, labels, mask, l2):
     return pairs
 
 
-def worst_fd_error(model, scaled, x, labels, mask, l2):
+def worst_fd_error(model, scaled, x, labels, mask, l2, mask_seed=None):
     """Largest relative gap between analytic and central-difference gradients."""
     worst = 0.0
-    for g_analytic, fd in fd_gradients(model, scaled, x, labels, mask, l2):
+    for g_analytic, fd in fd_gradients(model, scaled, x, labels, mask, l2, mask_seed):
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(g_analytic)), 1e-8)
         worst = max(worst, float(np.max(np.abs(fd - g_analytic) / denom)))
     return worst
@@ -340,8 +367,7 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         *_, model = small_setup()
         before = model_bytes(model)
-        grads = [np.zeros_like(p) for p in model.parameters()]
-        adam_step(model, grads)
+        adam_step(model, np.zeros_like(model.flat))
         assert model_bytes(model) == before
 
     def test_first_step_closed_form(self):
@@ -349,8 +375,7 @@ class TestAdam:
         lr = 0.013
         *_, model = small_setup(learning_rate=lr)
         params_before = [p.copy() for p in model.parameters()]
-        grads = [np.full_like(p, 0.25) for p in model.parameters()]
-        adam_step(model, grads)
+        adam_step(model, np.full_like(model.flat, 0.25))
         for before, after in zip(params_before, model.parameters()):
             expected = before - lr * 0.25 / (0.25 + 1e-8)
             np.testing.assert_allclose(after, expected, atol=1e-15)

@@ -21,6 +21,7 @@ from popgcn import harness
 from popgcn.harness import (
     ExperimentDescriptor,
     ExperimentReport,
+    _fractional_ranks,
     _run_fold,
     compute_metrics,
     ensemble_seeds,
@@ -28,6 +29,7 @@ from popgcn.harness import (
     stratified_group_kfold,
 )
 from popgcn.popgraph import GraphSpec, correlation_distance_matrix
+from oracles import fractional_ranks
 
 
 def rec(i, subject, label, scans_suffix="t0", **kw):
@@ -156,6 +158,19 @@ class TestComputeMetrics:
             expected = brute_force_auc(probs, labels)
             got = compute_metrics(probs, labels).auc
             assert abs(got - expected) < 1e-12
+
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324, np.nan]), max_size=60
+        ),
+        spread=st.lists(st.floats(0, 1), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_match_run_by_run_oracle(self, values, spread):
+        # Few distinct values make long runs of ties, signed zeros among them.
+        x = np.array(values + spread, dtype=np.float64)
+        ranks = _fractional_ranks(x)
+        np.testing.assert_array_equal(ranks.view(np.int64), fractional_ranks(x).view(np.int64))
 
     def test_single_class_auc_absent(self):
         m = compute_metrics(np.array([0.2, 0.9]), np.array([1, 1]))

@@ -31,6 +31,7 @@ from popgcn.gcn import (
     _row_sum,
     _trained_rows,
     adam_update,
+    flat_views,
     init_model,
     loss_and_grads,
     predict,
@@ -68,13 +69,13 @@ NETWORKS = {
 }
 
 
-def train_reference_on_trained_rows(config, operator, x, labels, mask):
+def train_reference_on_trained_rows(config, operator, x, labels, mask, scale_inputs=False):
     """train_reference on the rows train keeps (all of them when rows is None)."""
     rows = _trained_rows(config, operator, mask)
     if rows is not None:
         operator = None if operator is None else _principal_submatrix(operator, rows)
         x, labels, mask = x[rows], labels[rows], mask[rows]
-    return train_reference(config, operator, x, labels, mask)
+    return train_reference(config, operator, x, labels, mask, scale_inputs)
 
 
 class TestTrainMatchesReference:
@@ -105,6 +106,29 @@ class TestTrainMatchesReference:
         probs, _ = predict(model, operator, x)
         assert_bits_equal(probs, predict_reference(ref_model, operator, x))
 
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_close_to_input_scaled_formulas(self, name, sparse):
+        # The older order, dropout's scale on the N x C input and numpy's
+        # bias sums, computes the same function with other roundings.
+        n_features, width, hidden_layers, order = NETWORKS[name]
+        n, density = (240, 0.01) if sparse else (30, 0.4)
+        scaled, x, labels, mask = epoch_case(n, n_features, density=density)
+        config = GcnConfig(
+            hidden_layers=hidden_layers, hidden_width=width, cheb_order=order,
+            dropout_rate=0.3, l2_coeff=5e-4, learning_rate=0.01, epochs=4, seed=3,
+        )
+        operator = scaled if order > 0 else None
+        model, losses = train(config, operator, x, labels, mask)
+        old_model, old_losses = train_reference_on_trained_rows(
+            config, operator, x, labels, mask, scale_inputs=True
+        )
+        np.testing.assert_allclose(losses, old_losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.flat, old_model.flat, rtol=0, atol=1e-12)
+        probs, _ = predict(model, operator, x)
+        old_probs, _ = predict(old_model, operator, x)
+        np.testing.assert_allclose(probs, old_probs, rtol=0, atol=1e-12)
+
     def test_fortran_ordered_features(self):
         scaled, x, labels, mask = epoch_case(30, 40)
         x = np.asfortranarray(x)
@@ -132,17 +156,36 @@ class TestPiecesMatchReference:
             assert_bits_equal(g, ref)
 
     def test_adam_update(self, rng):
+        # One update over the whole vector against one per parameter array.
         shapes = [(4, 3, 2), (2,), (5, 5)]
-        params = [rng.standard_normal(s) for s in shapes]
-        ref_params = [p.copy() for p in params]
-        state = [np.zeros(s) for s in shapes * 2]
+        ref_params = [rng.standard_normal(s) for s in shapes]
         ref_state = [np.zeros(s) for s in shapes * 2]
+        params = np.concatenate([p.ravel() for p in ref_params])
+        moment1, moment2 = np.zeros_like(params), np.zeros_like(params)
         for step in range(1, 5):
-            grads = [rng.standard_normal(s) for s in shapes]
-            adam_update(params, grads, state[:3], state[3:], step, 0.01)
-            adam_update_reference(ref_params, grads, ref_state[:3], ref_state[3:], step, 0.01)
-        for a, b in zip(params + state, ref_params + ref_state):
-            assert_bits_equal(a, b)
+            ref_grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-9, 3) for s in shapes]
+            grad = np.concatenate([g.ravel() for g in ref_grads])
+            adam_update(params, grad, moment1, moment2, step, 0.01)
+            adam_update_reference(
+                ref_params, ref_grads, ref_state[:3], ref_state[3:], step, 0.01
+            )
+        for flat, refs in [(params, ref_params), (moment1, ref_state[:3]),
+                           (moment2, ref_state[3:])]:
+            for view, ref in zip(flat_views(flat, shapes), refs):
+                assert_bits_equal(view, ref)
+
+    def test_model_parameters_are_views_of_one_vector(self):
+        config = GcnConfig(hidden_layers=2, hidden_width=5, cheb_order=2)
+        model = init_model(config, 7)
+        params = model.parameters()
+        assert [p.shape for p in params] == [(3, 7, 5), (5,), (3, 5, 5), (5,), (3, 5, 2), (2,)]
+        assert model.flat.size == sum(p.size for p in params)
+        assert model.moment1.shape == model.moment2.shape == model.flat.shape
+        for p, view in zip(params, model.views(model.flat)):
+            assert np.shares_memory(p, model.flat)
+            assert_bits_equal(p, view)
+        model.flat[:] = np.arange(model.flat.size)
+        assert model.layers[1].bias.tolist() == list(range(185, 190))  # after 105 + 5 + 75
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
@@ -193,11 +236,20 @@ class TestPiecesMatchReference:
     def test_sigmoid(self, rng):
         z = np.concatenate([
             [0.0, -0.0, 800.0, -800.0, 36.0, -36.0, 745.0, -745.0],
-            rng.standard_normal(200) * 10.0,
+            [np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300, -np.nan],
+            rng.standard_normal(192) * 10.0,
         ]).reshape(13, 16)
-        out = _sigmoid(z)
-        assert_bits_equal(out, sigmoid_reference(z))
+        with np.errstate(invalid="ignore"):
+            out = _sigmoid(z)
+            expected = sigmoid_reference(z)
+        # NaN stays NaN; the sign bit of a NaN result is not specified by
+        # IEEE 754 (here exp(-|NaN|) sets it), so NaNs are compared by place.
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        assert np.flatnonzero(nan).tolist() == [10, 15]
+        assert_bits_equal(out[~nan], expected[~nan])
         assert out.ravel()[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+        assert out.ravel()[8:10].tolist() == [1.0, 0.0]
 
 
 def shuffled_components_case(n, n_components, masked_components, seed=0, density=0.04):
