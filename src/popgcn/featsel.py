@@ -189,14 +189,12 @@ def _sigmoid(z):
     return out
 
 
-def _ae_loss_and_grads(xs, w, b_enc, b_dec, out=None):
+def _ae_loss_and_grads(xs, w, b_enc, b_dec, out):
     """MSE loss of the tied-weight autoencoder and its exact gradients.
 
     The gradients (dw, db_enc, db_dec) are views into `out`, a vector laid
-    out as w, b_enc, b_dec, or into a new one when out is None.
+    out as w, b_enc, b_dec.
     """
-    if out is None:
-        out = np.empty(w.size + b_enc.size + b_dec.size)
     dw, db_enc, db_dec = gcn.flat_views(out, [w.shape, b_enc.shape, b_dec.shape])
     z1 = xs @ w + b_enc
     h = _sigmoid(z1)

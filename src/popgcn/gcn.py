@@ -34,12 +34,8 @@ epoch's loss_and_grads writes every gradient, and adam_update makes its
 passes once over the whole vector; Adam is elementwise, so this equals a
 per-parameter update bit for bit.
 
-Dropout zeroes the dropped inputs (H * keep) and carries its 1 / (1 - rate)
-on the layer's small weight instead of the N x C_in input: the forward pass
-runs on W / (1 - rate), and the backward pass divides the weight gradient
-by 1 - rate, so the mask is the only pass over the input in either
-direction. The bias gradients are BLAS products of a ones vector with the
-logit gradient. A training epoch applies the bias, the softmax terms, the
+The bias gradients are BLAS products of a ones vector with the logit
+gradient. A training epoch applies dropout, the bias, the softmax terms, the
 backward masks and the Adam update in place rather than into fresh
 temporaries, in the operation order of the allocating formulas that
 tests/reference_epoch.py keeps, so its results equal theirs bit for bit.
@@ -204,8 +200,8 @@ def scaled_operator(graph: PopulationGraph) -> LaplacianMatrix:
 @dataclass
 class _LayerCache:
     keep: np.ndarray | None  # dropout keep mask, None when not applied
-    # Layer input H (H * keep under dropout) on output-side layers, else its
-    # basis T_k(Ls) H (whose first term is H).
+    # Layer input H after dropout on output-side layers, else its basis
+    # T_k(Ls) H (whose first term is H).
     inputs: np.ndarray | list[np.ndarray]
     z: np.ndarray  # pre-activation
 
@@ -251,24 +247,25 @@ def _forward(model, scaled, x, train, rng):
     caches = []
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        keep, weight = None, layer.weight
+        keep = None
         if li < last and train and cfg.dropout_rate > 0.0:
             if rng is None:
                 raise ContractError("train-mode forward with dropout requires an rng")
             keep = _keep_mask(rng, h.shape, cfg.dropout_rate)
-            h = np.multiply(h, keep)
-            weight = weight / (1.0 - cfg.dropout_rate)
-        order = weight.shape[0] - 1
+            # Equal to (h * keep) / keep_prob bit for bit, signed zeros included.
+            h = h / (1.0 - cfg.dropout_rate)
+            h *= keep
+        order = layer.weight.shape[0] - 1
         if order > 0 and scaled is None:
             raise ContractError("cheb_order > 0 requires a scaled Laplacian")
-        if _output_side(weight):
-            parts = np.hsplit(h @ _stacked(weight), order + 1)
+        if _output_side(layer.weight):
+            parts = np.hsplit(h @ _stacked(layer.weight), order + 1)
             inputs = h
             z = chebyshev_weighted_sum(scaled, parts)
             z += layer.bias
         else:
             inputs = [h] if order == 0 else chebyshev_basis(scaled, h, order)
-            z = cheb_conv_forward(inputs, weight, layer.bias)
+            z = cheb_conv_forward(inputs, layer.weight, layer.bias)
         caches.append(_LayerCache(keep=keep, inputs=inputs, z=z))
         h = np.maximum(z, 0.0) if li < last else z
     return h, caches
@@ -337,14 +334,13 @@ def _l2_penalty(l2_coeff: float, model: GcnModel) -> float:
     return l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
 
 
-def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None, out=None):
+def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None, *, out):
     """One forward/backward pass; dropout masks are shared between the two.
 
     The loss is the mean softmax cross-entropy over the masked rows, whose
     labels alone are read, plus _l2_penalty. Returns (loss, grads, logits)
     with grads aligned to model.parameters(): views into `out`, a vector of
-    model.flat's layout that every gradient is written into, or into a new
-    one when out is None.
+    model.flat's layout that every gradient is written into.
     """
     mask = np.asarray(mask, dtype=bool)
     logits, caches = _forward(model, scaled, x, train=train, rng=rng)
@@ -361,8 +357,8 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
         grad_z = np.zeros_like(logits)
         grad_z[mask] = probs
 
-    keep_prob = 1.0 - model.config.dropout_rate
-    grads = model.views(np.empty_like(model.flat) if out is None else out)
+    cfg = model.config
+    grads = model.views(out)
     ones = np.ones(len(logits))
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
@@ -372,35 +368,25 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
         # dL/dW_k = (T_k(Ls) H)^T G = H^T (T_k(Ls) G), as T_k(Ls) is symmetric;
         # dL/dH = sum_k T_k(Ls) G W_k^T. An input-side layer reuses its forward
         # basis and evaluates dL/dH by one Clenshaw pass; an output-side layer
-        # builds the basis of G, which is C_out columns wide. Under dropout
-        # the forward weight was W / keep_prob, so dL/dW carries 1 / keep_prob
-        # and dL/dH uses that weight. It is divided again here: holding the
-        # forward pass's copy through the backward pass raised abide-wide's
-        # peak RSS by about 1 MB.
+        # builds the basis of G, which is C_out columns wide.
         output_side = _output_side(layer.weight)
         if output_side:
             tg = np.hstack(chebyshev_basis(scaled, grad_z, k1 - 1))
-            product = (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
-            if cache.keep is None:
-                grad_w[...] = product
-            else:
-                np.divide(product, keep_prob, out=grad_w)
+            grad_w[...] = (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
         else:
             for k in range(k1):
                 np.matmul(cache.inputs[k].T, grad_z, out=grad_w[k])
-            if cache.keep is not None:
-                grad_w /= keep_prob
         grad_w += 2.0 * l2_coeff * layer.weight
         np.matmul(ones, grad_z, out=grads[2 * li + 1])
         if li == 0:
             break
-        weight = layer.weight if cache.keep is None else layer.weight / keep_prob
         if output_side:
-            grad_h = tg @ _stacked(weight).T
+            grad_h = tg @ _stacked(layer.weight).T
         else:
-            parts = [grad_z @ weight[k].T for k in range(k1)]
+            parts = [grad_z @ layer.weight[k].T for k in range(k1)]
             grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum(scaled, parts)
         if cache.keep is not None:
+            grad_h /= 1.0 - cfg.dropout_rate
             grad_h *= cache.keep
         grad_h *= caches[li - 1].z > 0.0
         grad_z = grad_h
@@ -528,8 +514,7 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
 
     One gradient vector of model.flat's layout is allocated per call; each
     epoch's loss_and_grads writes into it and adam_step steps the whole
-    parameter vector by it. Dropout's 1 / (1 - rate) rides on the weights
-    (see the module docstring).
+    parameter vector by it.
     """
     config.validate()
     x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)

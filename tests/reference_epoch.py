@@ -1,8 +1,7 @@
 """The training epoch's formulas before they were made in-place, kept as oracles.
 
 Each function here allocates a fresh array at every step, as the package once
-did: dropout as h * keep with the layer weight divided by keep_prob, the
-weight gradient divided by keep_prob, bias gradients as products of a ones
+did: dropout as (h * keep) / keep_prob, bias gradients as products of a ones
 vector with the logit gradient, softmax cross-entropy and its gradient from
 two separate exp passes, Adam from whole-array expressions on each parameter
 in turn, the Chebyshev recursions as expressions, and the sigmoid by boolean
@@ -11,11 +10,6 @@ the same order, so training with either must give bitwise-equal parameters.
 The dropout keep mask and the softmax are spelled out here too, by shifts of
 the 64-bit draws and by numpy's row reductions, so the package's versions are
 checked against an independent formula.
-
-With scale_inputs=True the functions follow the older order instead, which
-scales the layer input by 1 / keep_prob and sums the bias gradients with
-numpy's column sums. That is the same function with other roundings, so it
-is a tolerance oracle only.
 """
 
 import numpy as np
@@ -72,12 +66,12 @@ def keep_mask_reference(rng, shape, rate):
     return (lanes.ravel()[:size] >= round(rate * 65536)).reshape(shape)
 
 
-def dropout_reference(h, keep, rate, scale_inputs=False):
-    return h * keep / (1.0 - rate) if scale_inputs else h * keep
+def dropout_reference(h, keep, rate):
+    return h * keep / (1.0 - rate)
 
 
-def bias_grad_reference(grad_z, scale_inputs=False):
-    return grad_z.sum(axis=0) if scale_inputs else np.ones(len(grad_z)) @ grad_z
+def bias_grad_reference(grad_z):
+    return np.ones(len(grad_z)) @ grad_z
 
 
 def softmax_reference(z):
@@ -95,41 +89,37 @@ def _masked_loss(logits, labels, mask, l2_coeff, model):
     return data + reg
 
 
-def forward_reference(model, scaled, x, train, rng, scale_inputs=False):
-    """Logits and per-layer (keep, inputs, weight applied, z) caches."""
+def forward_reference(model, scaled, x, train, rng):
+    """Logits and per-layer (keep, inputs, z) caches."""
     cfg = model.config
     h = np.asarray(x, dtype=np.float64)
     caches = []
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        keep, weight = None, layer.weight
+        keep = None
         if li < last and train and cfg.dropout_rate > 0.0:
             keep = keep_mask_reference(rng, h.shape, cfg.dropout_rate)
-            h = dropout_reference(h, keep, cfg.dropout_rate, scale_inputs)
-            if not scale_inputs:
-                weight = weight / (1.0 - cfg.dropout_rate)
-        order = weight.shape[0] - 1
-        if _output_side(weight):
-            parts = np.hsplit(h @ _stacked(weight), order + 1)
+            h = dropout_reference(h, keep, cfg.dropout_rate)
+        order = layer.weight.shape[0] - 1
+        if _output_side(layer.weight):
+            parts = np.hsplit(h @ _stacked(layer.weight), order + 1)
             inputs = h
             z = chebyshev_weighted_sum_reference(scaled, parts) + layer.bias
         else:
             inputs = [h] if order == 0 else chebyshev_basis_reference(scaled, h, order)
-            z = inputs[0] @ weight[0]
+            z = inputs[0] @ layer.weight[0]
             for k in range(1, order + 1):
-                z += inputs[k] @ weight[k]
+                z += inputs[k] @ layer.weight[k]
             z = z + layer.bias
-        caches.append((keep, inputs, weight, z))
+        caches.append((keep, inputs, z))
         h = np.maximum(z, 0.0) if li < last else z
     return h, caches
 
 
-def loss_and_grads_reference(
-    model, scaled, x, labels, mask, l2_coeff, train, rng, scale_inputs=False
-):
+def loss_and_grads_reference(model, scaled, x, labels, mask, l2_coeff, train, rng):
     mask = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels)
-    logits, caches = forward_reference(model, scaled, x, train, rng, scale_inputs)
+    logits, caches = forward_reference(model, scaled, x, train, rng)
     loss = _masked_loss(logits, labels, mask, l2_coeff, model)
 
     n_masked = int(mask.sum())
@@ -143,7 +133,7 @@ def loss_and_grads_reference(
     grads = [None] * (2 * len(model.layers))
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
-        keep, inputs, weight, _ = caches[li]
+        keep, inputs, _ = caches[li]
         k1, c_in, c_out = layer.weight.shape
         output_side = _output_side(layer.weight)
         if output_side:
@@ -151,21 +141,19 @@ def loss_and_grads_reference(
             grad_w = (inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
         else:
             grad_w = np.stack([inputs[k].T @ grad_z for k in range(k1)])
-        if keep is not None and not scale_inputs:
-            grad_w = grad_w / (1.0 - cfg.dropout_rate)
         grad_w += 2.0 * l2_coeff * layer.weight
         grads[2 * li] = grad_w
-        grads[2 * li + 1] = bias_grad_reference(grad_z, scale_inputs)
+        grads[2 * li + 1] = bias_grad_reference(grad_z)
         if li == 0:
             break
         if output_side:
-            grad_h = tg @ _stacked(weight).T
+            grad_h = tg @ _stacked(layer.weight).T
         else:
-            parts = [grad_z @ weight[k].T for k in range(k1)]
+            parts = [grad_z @ layer.weight[k].T for k in range(k1)]
             grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum_reference(scaled, parts)
         if keep is not None:
-            grad_h = dropout_reference(grad_h, keep, cfg.dropout_rate, scale_inputs)
-        grad_z = grad_h * (caches[li - 1][3] > 0.0)
+            grad_h = dropout_reference(grad_h, keep, cfg.dropout_rate)
+        grad_z = grad_h * (caches[li - 1][2] > 0.0)
     return loss, grads, logits
 
 
@@ -181,7 +169,7 @@ def adam_update_reference(params, grads, moment1, moment2, step, lr):
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def train_reference(config, scaled, x, labels, mask, scale_inputs=False):
+def train_reference(config, scaled, x, labels, mask):
     """`gcn.train` built from the formulas above; returns (model, losses).
 
     Adam steps each parameter and its moments as separate arrays (views of
@@ -193,7 +181,7 @@ def train_reference(config, scaled, x, labels, mask, scale_inputs=False):
     losses = []
     for _ in range(config.epochs):
         loss, grads, _ = loss_and_grads_reference(
-            model, scaled, x, labels, mask, config.l2_coeff, True, rng, scale_inputs
+            model, scaled, x, labels, mask, config.l2_coeff, True, rng
         )
         model.step += 1
         adam_update_reference(

@@ -312,7 +312,8 @@ class TestAutoencoder:
         w = rng.standard_normal((6, 3)) * 0.4
         b_enc = rng.standard_normal(3) * 0.1
         b_dec = rng.standard_normal(6) * 0.1
-        _, grads = _ae_loss_and_grads(xs, w, b_enc, b_dec)
+        _, grads = _ae_loss_and_grads(xs, w, b_enc, b_dec, np.empty(6 * 3 + 3 + 6))
+        scratch = np.empty(6 * 3 + 3 + 6)  # the difference quotients' gradients
         params = [w, b_enc, b_dec]
         h = 1e-6
         for p, g in zip(params, grads):
@@ -322,9 +323,9 @@ class TestAutoencoder:
                 idx = it.multi_index
                 orig = p[idx]
                 p[idx] = orig + h
-                up = _ae_loss_and_grads(xs, w, b_enc, b_dec)[0]
+                up = _ae_loss_and_grads(xs, w, b_enc, b_dec, scratch)[0]
                 p[idx] = orig - h
-                down = _ae_loss_and_grads(xs, w, b_enc, b_dec)[0]
+                down = _ae_loss_and_grads(xs, w, b_enc, b_dec, scratch)[0]
                 p[idx] = orig
                 fd[idx] = (up - down) / (2 * h)
                 it.iternext()

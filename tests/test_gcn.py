@@ -191,7 +191,9 @@ class TestMaskedLoss:
 class TestBackward:
     def test_zero_features_zero_weight_grads_except_bias(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
-        _, grads, _ = loss_and_grads(model, scaled, np.zeros_like(x), labels, mask, 0.0)
+        _, grads, _ = loss_and_grads(
+            model, scaled, np.zeros_like(x), labels, mask, 0.0, out=empty_grad(model)
+        )
         for i, layer in enumerate(model.layers):
             assert np.all(grads[2 * i] == 0.0)  # weights: no signal anywhere
         assert np.any(grads[2 * len(model.layers) - 1] != 0.0)  # output bias moves
@@ -199,16 +201,22 @@ class TestBackward:
     def test_l2_only_gradient_is_2_l2_w(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
         l2 = 0.37
-        _, grads, _ = loss_and_grads(model, scaled, np.zeros_like(x), labels, mask, l2)
+        _, grads, _ = loss_and_grads(
+            model, scaled, np.zeros_like(x), labels, mask, l2, out=empty_grad(model)
+        )
         for i, layer in enumerate(model.layers):
             np.testing.assert_array_equal(grads[2 * i], 2.0 * l2 * layer.weight)
 
     def test_semi_supervision_boundary_bitwise(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
-        loss_a, grads_a, _ = loss_and_grads(model, scaled, x, labels, mask, 5e-4)
+        loss_a, grads_a, _ = loss_and_grads(
+            model, scaled, x, labels, mask, 5e-4, out=empty_grad(model)
+        )
         tampered = labels.copy()
         tampered[~mask] = 1 - tampered[~mask]
-        loss_b, grads_b, _ = loss_and_grads(model, scaled, x, tampered, mask, 5e-4)
+        loss_b, grads_b, _ = loss_and_grads(
+            model, scaled, x, tampered, mask, 5e-4, out=empty_grad(model)
+        )
         assert loss_a == loss_b
         for ga, gb in zip(grads_a, grads_b):
             assert np.array_equal(ga, gb)
@@ -250,7 +258,9 @@ class TestBackward:
         model, scaled, x, labels, mask, l2 = gradient_case(
             n_features=12, width=3, hidden_layers=hidden_layers
         )
-        _, grads, logits = loss_and_grads(model, scaled, x, labels, mask, l2)
+        _, grads, logits = loss_and_grads(
+            model, scaled, x, labels, mask, l2, out=empty_grad(model)
+        )
         ref_logits, ref_grads = input_side_reference(model, scaled, x, labels, mask, l2)
         np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-10)
         for g, ref in zip(grads, ref_grads):
@@ -260,14 +270,21 @@ class TestBackward:
         # With a fixed rng state, loss_and_grads must be reproducible.
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.4)
         l1, g1, _ = loss_and_grads(
-            model, scaled, x, labels, mask, 0.0, train=True, rng=np.random.default_rng(9)
+            model, scaled, x, labels, mask, 0.0, train=True, rng=np.random.default_rng(9),
+            out=empty_grad(model),
         )
         l2_, g2, _ = loss_and_grads(
-            model, scaled, x, labels, mask, 0.0, train=True, rng=np.random.default_rng(9)
+            model, scaled, x, labels, mask, 0.0, train=True, rng=np.random.default_rng(9),
+            out=empty_grad(model),
         )
         assert l1 == l2_
         for a, b in zip(g1, g2):
             assert np.array_equal(a, b)
+
+
+def empty_grad(model):
+    """A new gradient vector of model.flat's layout, for loss_and_grads' out."""
+    return np.empty_like(model.flat)
 
 
 def gradient_case(n_features, width, hidden_layers, cheb_order=2, dropout_rate=0.0):
@@ -297,9 +314,11 @@ def fd_gradients(model, scaled, x, labels, mask, l2, mask_seed=None):
 
     def pass_now():
         if mask_seed is None:
-            return loss_and_grads(model, scaled, x, labels, mask, l2)
+            return loss_and_grads(model, scaled, x, labels, mask, l2, out=empty_grad(model))
         rng = np.random.default_rng(mask_seed)
-        return loss_and_grads(model, scaled, x, labels, mask, l2, train=True, rng=rng)
+        return loss_and_grads(
+            model, scaled, x, labels, mask, l2, train=True, rng=rng, out=empty_grad(model)
+        )
 
     _, grads, _ = pass_now()
 

@@ -8,6 +8,7 @@ submatrix of the operator and x[rows].
 
 import numpy as np
 import pytest
+import reference_epoch
 from conftest import make_random_graph
 from reference_epoch import (
     adam_update_reference,
@@ -69,13 +70,13 @@ NETWORKS = {
 }
 
 
-def train_reference_on_trained_rows(config, operator, x, labels, mask, scale_inputs=False):
+def train_reference_on_trained_rows(config, operator, x, labels, mask):
     """train_reference on the rows train keeps (all of them when rows is None)."""
     rows = _trained_rows(config, operator, mask)
     if rows is not None:
         operator = None if operator is None else _principal_submatrix(operator, rows)
         x, labels, mask = x[rows], labels[rows], mask[rows]
-    return train_reference(config, operator, x, labels, mask, scale_inputs)
+    return train_reference(config, operator, x, labels, mask)
 
 
 class TestTrainMatchesReference:
@@ -101,16 +102,17 @@ class TestTrainMatchesReference:
         assert losses == ref_losses
         for p, ref in zip(model.parameters(), ref_model.parameters()):
             assert_bits_equal(p, ref)
-        for m, ref in zip(model.moment1 + model.moment2, ref_model.moment1 + ref_model.moment2):
-            assert_bits_equal(m, ref)
+        assert_bits_equal(model.moment1, ref_model.moment1)
+        assert_bits_equal(model.moment2, ref_model.moment2)
         probs, _ = predict(model, operator, x)
         assert_bits_equal(probs, predict_reference(ref_model, operator, x))
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_close_to_input_scaled_formulas(self, name, sparse):
-        # The older order, dropout's scale on the N x C input and numpy's
-        # bias sums, computes the same function with other roundings.
+    def test_close_to_column_sum_bias_gradients(self, name, sparse, monkeypatch):
+        # The older bias gradient, numpy's column sums, is the same function
+        # with other roundings, so it is a tolerance oracle only.
+        monkeypatch.setattr(reference_epoch, "bias_grad_reference", lambda g: g.sum(axis=0))
         n_features, width, hidden_layers, order = NETWORKS[name]
         n, density = (240, 0.01) if sparse else (30, 0.4)
         scaled, x, labels, mask = epoch_case(n, n_features, density=density)
@@ -121,7 +123,7 @@ class TestTrainMatchesReference:
         operator = scaled if order > 0 else None
         model, losses = train(config, operator, x, labels, mask)
         old_model, old_losses = train_reference_on_trained_rows(
-            config, operator, x, labels, mask, scale_inputs=True
+            config, operator, x, labels, mask
         )
         np.testing.assert_allclose(losses, old_losses, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.flat, old_model.flat, rtol=0, atol=1e-12)
@@ -145,7 +147,8 @@ class TestPiecesMatchReference:
         config = GcnConfig(hidden_layers=2, hidden_width=5, dropout_rate=0.4, seed=2)
         model = init_model(config, 12)
         loss, grads, logits = loss_and_grads(
-            model, scaled, x, labels, mask, 1e-3, train=True, rng=np.random.default_rng(7)
+            model, scaled, x, labels, mask, 1e-3, train=True, rng=np.random.default_rng(7),
+            out=np.empty_like(model.flat),
         )
         ref_loss, ref_grads, ref_logits = loss_and_grads_reference(
             model, scaled, x, labels, mask, 1e-3, True, np.random.default_rng(7)
