@@ -27,7 +27,7 @@ from .baselines import BaselineConfig
 from .errors import FormatError, PopgcnError
 from .featsel import SelectorConfig
 from .gcn import GcnConfig
-from .harness import ExperimentDescriptor, ExperimentReport, run_experiment
+from .harness import ExperimentDescriptor, ExperimentReport, check_jobs, run_experiment
 from .popgraph import SIM_MODES, STRATEGIES, GraphSpec, build_graph, save_graph
 
 
@@ -308,12 +308,14 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    check_jobs(args.jobs)
     report = _run(parse_config(args.config, args.set or []), args.out, args.jobs)
     print(report.summary_table())
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    check_jobs(args.jobs)
     if "." not in args.param:
         raise ConfigValidationError(f"--param must look like section.key, got {args.param!r}")
     values = [v for v in args.values.split(",") if v != ""]

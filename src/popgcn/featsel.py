@@ -12,6 +12,13 @@ loss and gradients and steps with `gcn.adam_update`: its w, b_enc and b_dec
 are views into one parameter vector, and each epoch writes their gradients
 into views of one gradient vector, so Adam makes one pass per term over all
 three.
+
+An autoencoder fit builds its parameter, gradient and moment vectors once.
+Each epoch recomputes the codes, the reconstruction, the loss and the
+gradients, in place: the bias adds, tanh, the squares and the chain of
+output and code gradients overwrite the arrays they read, so an epoch makes
+three rows x features arrays (the reconstruction, the difference and the
+output gradient) where the allocating formulas made nine.
 """
 
 from __future__ import annotations
@@ -193,18 +200,31 @@ def _ae_loss_and_grads(xs, w, b_enc, b_dec, out):
     """MSE loss of the tied-weight autoencoder and its exact gradients.
 
     The gradients (dw, db_enc, db_dec) are views into `out`, a vector laid
-    out as w, b_enc, b_dec.
+    out as w, b_enc, b_dec. Each step runs in place, in the operation order
+    of the allocating formulas that tests/reference_epoch.py keeps, so the
+    results equal theirs bit for bit.
     """
     dw, db_enc, db_dec = gcn.flat_views(out, [w.shape, b_enc.shape, b_dec.shape])
-    z1 = xs @ w + b_enc
+    z1 = xs @ w
+    z1 += b_enc
     h = _sigmoid(z1)
-    z2 = h @ w.T + b_dec
-    recon = np.tanh(z2)
+    recon = h @ w.T
+    recon += b_dec
+    np.tanh(recon, out=recon)
     diff = recon - xs
-    loss = float(np.mean(diff**2))
-    dz2 = (2.0 / diff.size) * diff * (1.0 - recon**2)
+    dz2 = np.square(diff)
+    loss = float(np.mean(dz2))
+    # dz2 = (2 / size) diff (1 - recon^2)
+    np.multiply(diff, 2.0 / diff.size, out=dz2)
+    np.square(recon, out=recon)
+    np.subtract(1.0, recon, out=recon)
+    dz2 *= recon
     dz2.sum(axis=0, out=db_dec)
-    dz1 = (dz2 @ w) * h * (1.0 - h)
+    # dz1 = (dz2 w) h (1 - h), with 1 - h in z1's place
+    dz1 = dz2 @ w
+    dz1 *= h
+    np.subtract(1.0, h, out=z1)
+    dz1 *= z1
     dz1.sum(axis=0, out=db_enc)
     np.matmul(xs.T, dz1, out=dw)  # encoder contribution
     dw += dz2.T @ h  # tied decoder contribution

@@ -29,10 +29,16 @@ C_out columns of each H W_k. Both orders give the same function.
 
 A model's weights and biases are views into one contiguous float64 vector
 (GcnModel.flat), and its two Adam moments are vectors of the same layout.
-`train` allocates one gradient vector of that layout, into which each
-epoch's loss_and_grads writes every gradient, and adam_update makes its
-passes once over the whole vector; Adam is elementwise, so this equals a
-per-parameter update bit for bit.
+adam_update makes its passes once over the whole vector; Adam is
+elementwise, so this equals a per-parameter update bit for bit.
+
+`train` builds once per call what its epochs read unchanged
+(epoch_constants): the gradient vector and its views per parameter, the
+ones vector of the bias gradients, the bool mask and whether it selects
+every row, and, from the masked labels, each label logit's flat index and
+the one-hot matrix. Each epoch recomputes only what depends on the weights
+or on the random stream: the dropout masks, the forward pass, the loss, the
+gradients written into those views, and the Adam step.
 
 The bias gradients are BLAS products of a ones vector with the logit
 gradient. A training epoch applies dropout, the bias, the softmax terms, the
@@ -42,7 +48,9 @@ tests/reference_epoch.py keeps, so its results equal theirs bit for bit.
 One exp pass over the masked logits serves both the loss and its gradient;
 the softmax's max and sum over the few class columns run column by column
 (_row_max, _row_sum), and when every row is masked the logits are used
-without a gather.
+without a gather. The loss reads each label logit at its flat index, and
+the gradient subtracts the one-hot matrix (p - 0.0 is p), which give the
+bits of the fancy-indexed forms.
 The epoch's elementwise steps walk the feature matrix row by row: callers
 pass it C-ordered, as every `featsel` transform returns it. A
 Fortran-ordered matrix is accepted, but each elementwise step on it runs
@@ -71,8 +79,6 @@ from .spectral import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-_UINT64_MAX = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True)
@@ -225,18 +231,19 @@ def _stacked(weight) -> np.ndarray:
 def _keep_mask(rng, shape, rate: float) -> np.ndarray:
     """Dropout keep mask: True with probability 1 - round(rate * 65536) / 65536.
 
-    Each full-range 64-bit draw is split into four 16-bit lanes, in the
-    machine's byte order, and a lane keeps its element when it is at least
-    round(rate * 65536); the keep rate is within 2^-17 of 1 - rate.
+    Each raw 64-bit word of the generator is split into four 16-bit lanes,
+    in the machine's byte order, and a lane keeps its element when it is at
+    least round(rate * 65536); the keep rate is within 2^-17 of 1 - rate.
+    For default_rng's PCG64 the raw words, and the state they leave, are
+    those of rng.integers(0, 2**64 - 1, endpoint=True, dtype=np.uint64),
+    without the bounded-draw call around them.
     """
     # The mask is allocated before the draw rather than returned by the
     # comparison: with glibc's thresholds raised (harness._reuse_freed_memory)
     # the other order leaves heap holes that later N x C arrays cannot reuse,
     # which raised abide-wide's peak RSS by about 1.7 MB.
     keep = np.empty(shape, dtype=bool)
-    words = rng.integers(
-        0, _UINT64_MAX, size=-(-keep.size // 4), dtype=np.uint64, endpoint=True
-    )
+    words = rng.bit_generator.random_raw(-(-keep.size // 4))
     np.greater_equal(words.view(np.uint16)[: keep.size], round(rate * 65536), out=keep.reshape(-1))
     return keep
 
@@ -306,27 +313,56 @@ def _stable_softmax(z):
     return e
 
 
-def _masked_cross_entropy(logits, labels, mask):
-    """Mean softmax cross-entropy over the masked rows.
+@dataclass
+class EpochConstants:
+    """What every epoch of one `train` call reads unchanged (epoch_constants)."""
 
-    Also returns exp(z - max z) of those rows, their row sums and their
-    labels, from which the rows' softmax follows without a second exp.
-    When every row is masked, the logits and labels are read in place.
+    grads: list[np.ndarray]  # views of the gradient vector, aligned to parameters()
+    ones: np.ndarray  # one per row; its products with G are the bias gradients
+    mask: np.ndarray  # bool, one per row
+    all_masked: bool  # then the loss reads the logits without a gather
+    flat_index: np.ndarray  # row * n_classes + label of each masked row
+    one_hot: np.ndarray  # (masked rows, n_classes): 1.0 at the label, else 0.0
+
+
+def epoch_constants(model: GcnModel, labels, mask, grad: np.ndarray) -> EpochConstants:
+    """The epoch constants of a training run on these rows.
+
+    grad is the vector, of model.flat's layout, that each epoch's gradients
+    are written into. Only the masked rows' labels are read.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.all():
-        z, y = logits, np.asarray(labels)
-    elif mask.any():
-        z, y = logits[mask], np.asarray(labels)[mask]
-    else:
+    if not mask.any():
         raise ContractError("mask must select at least one node")
+    y = np.asarray(labels)[mask]
+    n_classes = model.config.n_classes
+    rows = np.arange(len(y))
+    one_hot = np.zeros((len(y), n_classes))
+    one_hot[rows, y] = 1.0
+    return EpochConstants(
+        grads=model.views(grad), ones=np.ones(len(mask)), mask=mask,
+        all_masked=bool(mask.all()), flat_index=rows * n_classes + y, one_hot=one_hot,
+    )
+
+
+def _masked_cross_entropy(logits, constants: EpochConstants):
+    """Mean softmax cross-entropy over the masked rows.
+
+    Also returns exp(z - max z) of those rows and their row sums, from which
+    the rows' softmax follows without a second exp. Each row's label logit
+    is read at its flat index, and the mean is np.mean's: the pairwise sum
+    divided by the count.
+    """
+    z = logits if constants.all_masked else logits[constants.mask]
     zmax = _row_max(z)
     e = z - zmax[:, None]
     np.exp(e, out=e)
     e_sum = _row_sum(e)
-    log_norm = np.log(e_sum) + zmax
-    data = float(np.mean(log_norm - z[np.arange(len(y)), y]))
-    return data, e, e_sum, y
+    terms = np.log(e_sum)
+    terms += zmax
+    terms -= z.take(constants.flat_index)
+    data = float(np.add.reduce(terms) / len(terms))
+    return data, e, e_sum
 
 
 def _l2_penalty(l2_coeff: float, model: GcnModel) -> float:
@@ -334,32 +370,30 @@ def _l2_penalty(l2_coeff: float, model: GcnModel) -> float:
     return l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
 
 
-def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=None, *, out):
+def loss_and_grads(model, scaled, x, constants: EpochConstants, l2_coeff, train=False, rng=None):
     """One forward/backward pass; dropout masks are shared between the two.
 
-    The loss is the mean softmax cross-entropy over the masked rows, whose
-    labels alone are read, plus _l2_penalty. Returns (loss, grads, logits)
-    with grads aligned to model.parameters(): views into `out`, a vector of
-    model.flat's layout that every gradient is written into.
+    The loss is the mean softmax cross-entropy over the rows that
+    constants.mask selects, whose labels alone are read, plus _l2_penalty.
+    Returns (loss, grads, logits) with grads = constants.grads, views of the
+    gradient vector that every gradient is written into.
     """
-    mask = np.asarray(mask, dtype=bool)
     logits, caches = _forward(model, scaled, x, train=train, rng=rng)
-    data, probs, e_sum, y = _masked_cross_entropy(logits, labels, mask)
+    data, probs, e_sum = _masked_cross_entropy(logits, constants)
     loss = data + _l2_penalty(l2_coeff, model)
 
-    # Softmax minus one-hot, averaged over the masked rows.
+    # Softmax minus one-hot, averaged over the masked rows; p - 0.0 is p.
     probs /= e_sum[:, None]
-    probs[np.arange(len(y)), y] -= 1.0
-    probs /= len(y)
-    if len(y) == len(logits):
+    probs -= constants.one_hot
+    probs /= len(probs)
+    if constants.all_masked:
         grad_z = probs
     else:
         grad_z = np.zeros_like(logits)
-        grad_z[mask] = probs
+        grad_z[constants.mask] = probs
 
     cfg = model.config
-    grads = model.views(out)
-    ones = np.ones(len(logits))
+    grads = constants.grads
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
         cache = caches[li]
@@ -377,7 +411,7 @@ def loss_and_grads(model, scaled, x, labels, mask, l2_coeff, train=False, rng=No
             for k in range(k1):
                 np.matmul(cache.inputs[k].T, grad_z, out=grad_w[k])
         grad_w += 2.0 * l2_coeff * layer.weight
-        np.matmul(ones, grad_z, out=grads[2 * li + 1])
+        np.matmul(constants.ones, grad_z, out=grads[2 * li + 1])
         if li == 0:
             break
         if output_side:
@@ -512,8 +546,9 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     and x[rows], bit for bit; the untrained rows change neither the result
     nor the random stream.
 
-    One gradient vector of model.flat's layout is allocated per call; each
-    epoch's loss_and_grads writes into it and adam_step steps the whole
+    One gradient vector of model.flat's layout and the other epoch
+    constants are built per call (epoch_constants); each epoch's
+    loss_and_grads writes into that vector and adam_step steps the whole
     parameter vector by it.
     """
     config.validate()
@@ -525,10 +560,11 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
         x, labels, mask = x[rows], labels[rows], mask[rows]
     model = init_model(config, x.shape[1], rng)
     grad = np.empty_like(model.flat)
+    constants = epoch_constants(model, labels, mask, grad)
     losses = []
     for epoch in range(config.epochs):
         loss, _, _ = loss_and_grads(
-            model, scaled, x, labels, mask, config.l2_coeff, train=True, rng=rng, out=grad
+            model, scaled, x, constants, config.l2_coeff, train=True, rng=rng
         )
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)

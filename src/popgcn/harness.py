@@ -432,6 +432,12 @@ def _reuse_freed_memory():
     libc.mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
+def check_jobs(jobs: int):
+    """Raise ParameterError unless jobs, the fold worker count, is >= 1."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+
+
 def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) -> ExperimentReport:
     """Cross-validated experiment over folds x seeds.
 
@@ -440,15 +446,18 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     training-node pairs (all pairs under sigma_pairs='all'); build its scaled
     operator once; train every seed on that operator with the training mask;
     score the held-out fold. jobs > 1 runs folds in that many worker
-    processes, with the same records. record_sink, when given, is called
-    with each FoldSeedRecord as its fold finishes, so partial results survive
-    an abort. Under glibc it first raises the process's allocator thresholds
-    (_reuse_freed_memory).
+    processes, with the same records; jobs < 1 raises ParameterError.
+    record_sink, when given, is called with each FoldSeedRecord as its fold
+    finishes, so partial results survive an abort. Under glibc it first
+    raises the process's allocator thresholds (_reuse_freed_memory).
 
     The same descriptor gives a byte-identical report only under the same
-    BLAS thread count: the correlation kernel's Gram product sums in an order
-    that depends on it, and training amplifies those last bits.
+    BLAS thread count. Every BLAS product may sum in an order that depends
+    on it, the correlation kernel's Gram product and the network's layer
+    products alike (an (871 x 2000) @ (2000 x 64) product differs at 1 and 2
+    OpenBLAS threads), and training amplifies those last bits.
     """
+    check_jobs(jobs)
     desc.validate()
     _reuse_freed_memory()
     assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)

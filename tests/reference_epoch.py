@@ -8,8 +8,12 @@ in turn, the Chebyshev recursions as expressions, and the sigmoid by boolean
 masking. The in-place versions perform the same floating-point operations in
 the same order, so training with either must give bitwise-equal parameters.
 The dropout keep mask and the softmax are spelled out here too, by shifts of
-the 64-bit draws and by numpy's row reductions, so the package's versions are
-checked against an independent formula.
+the 64-bit draws (taken through rng.integers) and by numpy's row reductions,
+so the package's versions are checked against an independent formula. The
+loss gathers each masked row's label logit by fancy indexing and subtracts
+1.0 there, where the package reads a flat index and subtracts a one-hot
+matrix. The tied-weight autoencoder's loss, gradients and fit are kept in
+their allocating form as well.
 """
 
 import numpy as np
@@ -195,3 +199,38 @@ def train_reference(config, scaled, x, labels, mask):
 def predict_reference(model, scaled, x):
     logits, _ = forward_reference(model, scaled, x, False, None)
     return softmax_reference(logits)
+
+
+def ae_loss_and_grads_reference(xs, w, b_enc, b_dec):
+    """The autoencoder's MSE loss and (dw, db_enc, db_dec), one fresh array
+    per step."""
+    z1 = xs @ w + b_enc
+    h = sigmoid_reference(z1)
+    z2 = h @ w.T + b_dec
+    recon = np.tanh(z2)
+    diff = recon - xs
+    loss = float(np.mean(diff**2))
+    dz2 = (2.0 / diff.size) * diff * (1.0 - recon**2)
+    db_dec = dz2.sum(axis=0)
+    dz1 = (dz2 @ w) * h * (1.0 - h)
+    db_enc = dz1.sum(axis=0)
+    dw = xs.T @ dz1  # encoder contribution
+    dw += dz2.T @ h  # tied decoder contribution
+    return loss, (dw, db_enc, db_dec)
+
+
+def fit_autoencoder_reference(xs, width, epochs, lr, seed):
+    """`featsel._fit_autoencoder` from the formulas above, with Adam on w,
+    b_enc and b_dec as separate arrays; returns (w, b_enc, b_dec, history)."""
+    c = xs.shape[1]
+    rng = np.random.default_rng(seed)
+    limit = np.sqrt(6.0 / (c + width))
+    params = [rng.uniform(-limit, limit, size=(c, width)), np.zeros(width), np.zeros(c)]
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    history = []
+    for epoch in range(epochs):
+        loss, grads = ae_loss_and_grads_reference(xs, *params)
+        history.append(loss)
+        adam_update_reference(params, grads, moment1, moment2, epoch + 1, lr)
+    return (*params, history)

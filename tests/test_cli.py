@@ -202,19 +202,25 @@ class TestRunCommand:
             ("model.kind=bogus", "unknown model 'bogus'"),
             ("graph.sigma_pairs=bogus", "sigma_pairs must be 'train' or 'all'"),
             ("graph.sigma=0", "sigma must be > 0, got 0.0"),
+            ("--jobs=0", "jobs must be >= 1, got 0"),
+            ("--jobs=-1", "jobs must be >= 1, got -1"),
         ],
     )
     def test_bad_setting_exits_1_before_reading_data(
         self, tmp_path, data_dir, capsys, monkeypatch, override, message
     ):
+        # An override is a config entry for --set, or a flag of its own.
         def no_load(*args):
             raise AssertionError("load_dataset called")
 
         monkeypatch.setattr("popgcn.dataset.load_dataset", no_load)
         cfg = write_config(tmp_path, data_dir)
         out = tmp_path / "out"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out), "--set", override) == 1
-        assert message in capsys.readouterr().err
+        given = [override] if override.startswith("--") else ["--set", override]
+        assert run_cli("run", "--config", str(cfg), "--out", str(out), *given) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
 
     def test_missing_features_file_exits_1_naming_path(self, tmp_path, capsys):
@@ -303,6 +309,23 @@ class TestSweepCommand:
             assert len((point / "records.jsonl").read_text().splitlines()) == len(report["records"])
             rows += (point / "results.csv").read_text().splitlines()[1:]
         assert (out / "results.csv").read_text().splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_exits_1_before_reading_data(
+        self, tmp_path, data_dir, capsys, monkeypatch, jobs
+    ):
+        def no_load(*args):
+            raise AssertionError("load_dataset called")
+
+        monkeypatch.setattr("popgcn.dataset.load_dataset", no_load)
+        cfg = write_config(tmp_path, data_dir)
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                       "--param", "model.cheb_order", "--values", "1,2", "--jobs", jobs)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ParameterError: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_bad_param_format(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path, data_dir)

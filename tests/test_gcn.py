@@ -12,6 +12,7 @@ from popgcn.gcn import (
     _masked_cross_entropy,
     adam_step,
     cheb_conv_forward,
+    epoch_constants,
     forward,
     init_model,
     loss_and_grads,
@@ -31,7 +32,8 @@ def empty_graph(n):
 
 def masked_loss(logits, labels, mask, l2, model):
     """The loss that loss_and_grads reports, at the given logits."""
-    return _masked_cross_entropy(logits, labels, mask)[0] + _l2_penalty(l2, model)
+    data = _masked_cross_entropy(logits, constants(model, labels, mask))[0]
+    return data + _l2_penalty(l2, model)
 
 
 def model_bytes(model):
@@ -192,7 +194,7 @@ class TestBackward:
     def test_zero_features_zero_weight_grads_except_bias(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
         _, grads, _ = loss_and_grads(
-            model, scaled, np.zeros_like(x), labels, mask, 0.0, out=empty_grad(model)
+            model, scaled, np.zeros_like(x), constants(model, labels, mask), 0.0
         )
         for i, layer in enumerate(model.layers):
             assert np.all(grads[2 * i] == 0.0)  # weights: no signal anywhere
@@ -202,20 +204,18 @@ class TestBackward:
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
         l2 = 0.37
         _, grads, _ = loss_and_grads(
-            model, scaled, np.zeros_like(x), labels, mask, l2, out=empty_grad(model)
+            model, scaled, np.zeros_like(x), constants(model, labels, mask), l2
         )
         for i, layer in enumerate(model.layers):
             np.testing.assert_array_equal(grads[2 * i], 2.0 * l2 * layer.weight)
 
     def test_semi_supervision_boundary_bitwise(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
-        loss_a, grads_a, _ = loss_and_grads(
-            model, scaled, x, labels, mask, 5e-4, out=empty_grad(model)
-        )
+        loss_a, grads_a, _ = loss_and_grads(model, scaled, x, constants(model, labels, mask), 5e-4)
         tampered = labels.copy()
         tampered[~mask] = 1 - tampered[~mask]
         loss_b, grads_b, _ = loss_and_grads(
-            model, scaled, x, tampered, mask, 5e-4, out=empty_grad(model)
+            model, scaled, x, constants(model, tampered, mask), 5e-4
         )
         assert loss_a == loss_b
         for ga, gb in zip(grads_a, grads_b):
@@ -258,9 +258,7 @@ class TestBackward:
         model, scaled, x, labels, mask, l2 = gradient_case(
             n_features=12, width=3, hidden_layers=hidden_layers
         )
-        _, grads, logits = loss_and_grads(
-            model, scaled, x, labels, mask, l2, out=empty_grad(model)
-        )
+        _, grads, logits = loss_and_grads(model, scaled, x, constants(model, labels, mask), l2)
         ref_logits, ref_grads = input_side_reference(model, scaled, x, labels, mask, l2)
         np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-10)
         for g, ref in zip(grads, ref_grads):
@@ -270,21 +268,21 @@ class TestBackward:
         # With a fixed rng state, loss_and_grads must be reproducible.
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.4)
         l1, g1, _ = loss_and_grads(
-            model, scaled, x, labels, mask, 0.0, train=True, rng=np.random.default_rng(9),
-            out=empty_grad(model),
+            model, scaled, x, constants(model, labels, mask), 0.0, train=True,
+            rng=np.random.default_rng(9),
         )
         l2_, g2, _ = loss_and_grads(
-            model, scaled, x, labels, mask, 0.0, train=True, rng=np.random.default_rng(9),
-            out=empty_grad(model),
+            model, scaled, x, constants(model, labels, mask), 0.0, train=True,
+            rng=np.random.default_rng(9),
         )
         assert l1 == l2_
         for a, b in zip(g1, g2):
             assert np.array_equal(a, b)
 
 
-def empty_grad(model):
-    """A new gradient vector of model.flat's layout, for loss_and_grads' out."""
-    return np.empty_like(model.flat)
+def constants(model, labels, mask):
+    """loss_and_grads' epoch constants, over a new gradient vector."""
+    return epoch_constants(model, labels, mask, np.empty_like(model.flat))
 
 
 def gradient_case(n_features, width, hidden_layers, cheb_order=2, dropout_rate=0.0):
@@ -314,10 +312,10 @@ def fd_gradients(model, scaled, x, labels, mask, l2, mask_seed=None):
 
     def pass_now():
         if mask_seed is None:
-            return loss_and_grads(model, scaled, x, labels, mask, l2, out=empty_grad(model))
+            return loss_and_grads(model, scaled, x, constants(model, labels, mask), l2)
         rng = np.random.default_rng(mask_seed)
         return loss_and_grads(
-            model, scaled, x, labels, mask, l2, train=True, rng=rng, out=empty_grad(model)
+            model, scaled, x, constants(model, labels, mask), l2, train=True, rng=rng
         )
 
     _, grads, _ = pass_now()

@@ -353,6 +353,15 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match=r"repeated: \[0\]"):
             run_experiment(desc)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs, monkeypatch):
+        def no_fold(*args):
+            raise AssertionError("a fold ran")
+
+        monkeypatch.setattr("popgcn.harness._run_fold", no_fold)
+        with pytest.raises(ParameterError, match=rf"jobs must be >= 1, got {jobs}$"):
+            run_experiment(small_experiment(), jobs=jobs)
+
     @pytest.mark.parametrize(
         "field, value",
         [

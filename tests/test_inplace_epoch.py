@@ -6,14 +6,18 @@ the graph has, the reference trains on those rows alone: the principal
 submatrix of the operator and x[rows].
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import reference_epoch
 from conftest import make_random_graph
 from reference_epoch import (
     adam_update_reference,
+    ae_loss_and_grads_reference,
     chebyshev_basis_reference,
     chebyshev_weighted_sum_reference,
+    fit_autoencoder_reference,
     keep_mask_reference,
     loss_and_grads_reference,
     predict_reference,
@@ -22,7 +26,13 @@ from reference_epoch import (
 )
 
 from popgcn import gcn
-from popgcn.featsel import _sigmoid
+from popgcn.featsel import (
+    _ae_loss_and_grads,
+    _fit_autoencoder,
+    _minmax_apply,
+    _minmax_scale_params,
+    _sigmoid,
+)
 from popgcn.gcn import (
     GcnConfig,
     _keep_mask,
@@ -32,6 +42,7 @@ from popgcn.gcn import (
     _row_sum,
     _trained_rows,
     adam_update,
+    epoch_constants,
     flat_views,
     init_model,
     loss_and_grads,
@@ -146,9 +157,9 @@ class TestPiecesMatchReference:
         scaled, x, labels, mask = epoch_case(30, 12, seed=4)
         config = GcnConfig(hidden_layers=2, hidden_width=5, dropout_rate=0.4, seed=2)
         model = init_model(config, 12)
+        constants = epoch_constants(model, labels, mask, np.empty_like(model.flat))
         loss, grads, logits = loss_and_grads(
-            model, scaled, x, labels, mask, 1e-3, train=True, rng=np.random.default_rng(7),
-            out=np.empty_like(model.flat),
+            model, scaled, x, constants, 1e-3, train=True, rng=np.random.default_rng(7)
         )
         ref_loss, ref_grads, ref_logits = loss_and_grads_reference(
             model, scaled, x, labels, mask, 1e-3, True, np.random.default_rng(7)
@@ -206,14 +217,29 @@ class TestPiecesMatchReference:
         for p, b in zip(parts, before):
             assert_bits_equal(p, b)  # the parts are read, never written
 
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (5, 4), (30, 12)])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 3), (5, 4), (30, 12), (0,), (1,), (3,), (4,), (5,), (871, 2000)]
+    )
     def test_keep_mask_lanes(self, shape):
-        # ceil(size / 4) 64-bit draws, each split into four 16-bit lanes.
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        keep = _keep_mask(rng, shape, 0.3)
-        assert keep.shape == shape and keep.dtype == bool
-        np.testing.assert_array_equal(keep, keep_mask_reference(ref_rng, shape, 0.3))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # ceil(size / 4) 64-bit words, each split into four 16-bit lanes.
+        # _keep_mask reads the generator's raw words; they, and the state
+        # they leave, are those of the full-range rng.integers draw that the
+        # reference makes, so every later draw of a training run is unchanged.
+        n_words = -(-int(np.prod(shape)) // 4)
+        raw, drawn = np.random.default_rng(13), np.random.default_rng(13)
+        words = raw.bit_generator.random_raw(n_words)
+        ref_words = drawn.integers(
+            0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
+        )
+        assert words.dtype == ref_words.dtype == np.uint64
+        np.testing.assert_array_equal(words, ref_words)
+        assert raw.bit_generator.state == drawn.bit_generator.state
+        for rate in (0.3, 0.5):
+            rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+            keep = _keep_mask(rng, shape, rate)
+            assert keep.shape == shape and keep.dtype == bool
+            np.testing.assert_array_equal(keep, keep_mask_reference(ref_rng, shape, rate))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
     def test_keep_rate(self, rate):
@@ -253,6 +279,75 @@ class TestPiecesMatchReference:
         assert_bits_equal(out[~nan], expected[~nan])
         assert out.ravel()[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
         assert out.ravel()[8:10].tolist() == [1.0, 0.0]
+
+
+class TestAutoencoderMatchesReference:
+    @staticmethod
+    def scaled_cohort(n, c, constant_column=None, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c)) * rng.uniform(0.5, 3.0, size=c)
+        if constant_column is not None:
+            x[:, constant_column] = 4.25
+        lo, span, degenerate = _minmax_scale_params(x)
+        return _minmax_apply(x, lo, span, degenerate)
+
+    @pytest.mark.parametrize("constant_column", [None, 3])
+    def test_loss_and_gradients(self, rng, constant_column):
+        xs = self.scaled_cohort(45, 9, constant_column)
+        if constant_column is not None:
+            assert not xs[:, constant_column].any()
+        w = rng.standard_normal((9, 4)) * 0.5
+        b_enc = rng.standard_normal(4) * 0.1
+        b_dec = rng.standard_normal(9) * 0.1
+        before = [a.copy() for a in (xs, w, b_enc, b_dec)]
+        out = np.full(9 * 4 + 4 + 9, np.nan)
+        loss, grads = _ae_loss_and_grads(xs, w, b_enc, b_dec, out)
+        ref_loss, ref_grads = ae_loss_and_grads_reference(xs, w, b_enc, b_dec)
+        assert loss == ref_loss
+        for g, ref in zip(grads, ref_grads):
+            assert np.shares_memory(g, out)
+            assert_bits_equal(g, ref)
+        for a, b in zip((xs, w, b_enc, b_dec), before):
+            assert_bits_equal(a, b)  # the inputs are read, never written
+
+    @pytest.mark.parametrize("constant_column", [None, 5])
+    def test_fit(self, constant_column):
+        xs = self.scaled_cohort(132, 14, constant_column, seed=4)
+        w, b_enc, b_dec, history = _fit_autoencoder(xs, 6, 12, 5e-3, seed=9)
+        ref_w, ref_b_enc, ref_b_dec, ref_history = fit_autoencoder_reference(
+            xs, 6, 12, 5e-3, seed=9
+        )
+        assert len(history) == 12
+        assert history == ref_history
+        assert_bits_equal(w, ref_w)
+        assert_bits_equal(b_enc, ref_b_enc)
+        assert_bits_equal(b_dec, ref_b_dec)
+
+
+class TestNoStateBetweenTrainCalls:
+    @pytest.mark.parametrize("case", ["dense_partly_masked", "order_zero_all_masked"])
+    def test_retraining_repeats_the_first_run(self, case):
+        # Train A, then B with other labels, mask and width, then A again:
+        # the second A is the first bit for bit.
+        if case == "dense_partly_masked":
+            scaled, x, labels, mask = epoch_case(30, 6, seed=7)
+            assert not scaled.is_sparse and not mask.all()
+            config = GcnConfig(hidden_width=5, cheb_order=2, dropout_rate=0.3, epochs=5, seed=2)
+        else:
+            _, x, labels, _ = epoch_case(40, 6, seed=8)
+            scaled, mask = None, np.ones(40, dtype=bool)
+            config = GcnConfig(hidden_width=5, cheb_order=0, dropout_rate=0.3, epochs=5, seed=2)
+        other_mask = np.roll(mask, 3)
+        other_mask[:12] = ~other_mask[:12]
+        other = replace(config, hidden_width=3)
+
+        first, first_losses = train(config, scaled, x, labels, mask)
+        train(other, scaled, x, 1 - labels, other_mask)
+        again, again_losses = train(config, scaled, x, labels, mask)
+        assert again_losses == first_losses
+        for a, b in [(again.flat, first.flat), (again.moment1, first.moment1),
+                     (again.moment2, first.moment2)]:
+            assert_bits_equal(a, b)
 
 
 def shuffled_components_case(n, n_components, masked_components, seed=0, density=0.04):
