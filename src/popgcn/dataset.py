@@ -3,15 +3,22 @@
 A dataset is a pair (FeatureMatrix, list[AcquisitionRecord]) with identical row
 order. Acquisitions are the unit of analysis: one subject may contribute several
 acquisitions (longitudinal scans), all sharing the subject's label.
+
+`fork_map`, popgcn's one way to start processes, runs the loader's byte ranges and
+`harness.run_experiment`'s folds on a fork-context pool held to one malloc arena, or in
+this process at one item or worker, without `fork`, or in a daemonic process.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import multiprocessing
 import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -24,6 +31,7 @@ from .errors import (
     IntegrityError,
     ParameterError,
     ParseError,
+    WorkerError,
 )
 
 UNKNOWN_LABEL = -1
@@ -161,22 +169,24 @@ def load_features(path) -> FeatureMatrix:
     The data section is cut into record-aligned byte ranges of about
     `_RANGE_BYTES` (`_range_starts`), and each range goes through one
     `np.loadtxt` pass (`_parse_chunk`); the id column goes through a
-    converter, so the values never exist as Python floats. The ranges are
-    parsed by worker processes forked from this one, one per usable core and
-    at most one per range. A data section that fits in one range, and every
-    file where there is one usable core, no `fork`, or a daemonic process that
-    may not have children, is parsed in this process as a single range. Either
-    way the result, and every error, is what one pass over the whole data
-    section gives. Forking is safe here because the workers only parse and
-    return their rows, and popgcn starts no threads before it loads its data.
-    Row and column indices in error messages are 0-based over the data rows
-    (header, blank lines and id column excluded).
+    converter, so the values never exist as Python floats. `fork_map` parses
+    the ranges on a pool of one forked process per usable core, at most one
+    per range, which holds this process to one malloc arena from then on. A
+    data section that fits in one range, and every file where there is one
+    usable core, no `fork`, or a daemonic process that may not have children,
+    is parsed in this process as a single range. Either way the result, and
+    every error, is what one pass over the whole data section gives. Forking
+    is safe here because the workers only parse and return their rows, and
+    popgcn starts no threads before it loads its data. Row and column indices
+    in error messages are 0-based over the data rows (header, blank lines and
+    id column excluded).
 
     Raises:
         FormatError: text that is not UTF-8, missing header, no feature
             columns, or ragged rows.
         ParseError: non-numeric cell, citing (row, col).
         IntegrityError: duplicate ids, fewer than 2 rows, non-finite values.
+        WorkerError: a parsing process exited before it returned its rows.
     """
     header, start = _read_header(path)
     if not header or header[0] != "acquisition_id":
@@ -188,11 +198,9 @@ def load_features(path) -> FeatureMatrix:
     size = os.path.getsize(path)
     workers = _fork_workers()
     starts = _range_starts(path, start) if workers > 1 and size - start > _RANGE_BYTES else [start]
+    ranges = [(path, a, b) for a, b in zip(starts, starts[1:] + [None])]
     try:
-        if len(starts) == 1:
-            pieces = [_parse_chunk(path, start, None)]
-        else:
-            pieces = _parse_in_workers(path, starts, min(workers, len(starts)))
+        pieces = list(fork_map(_parse_range, ranges, workers))
     except ValueError as exc:  # UnicodeDecodeError included: the re-read reports it
         raise _locate_bad_cell(path, n_cols, exc) from exc
 
@@ -231,9 +239,9 @@ def _read_header(path) -> tuple[list[str], int]:
 
 
 def _fork_workers() -> int:
-    """Processes the data section may be parsed in: one per usable core, or
-    none where the platform cannot fork or this process may not have
-    children (a daemonic pool worker)."""
+    """Processes worth forking: one per usable core, or none where the
+    platform cannot fork or this process may not have children (a daemonic
+    pool worker)."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return 0
     if multiprocessing.current_process().daemon:
@@ -242,6 +250,74 @@ def _fork_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def fork_map(fn, items, workers: int):
+    """Yield `fn(*item)` for each of `items` in item order, each as soon as
+    it and those before it are done.
+
+    In this process when `workers` or the item count is at most 1, or where
+    `_fork_workers` finds none. Otherwise on a fork-context process pool of
+    at most one process per item (it forks them all at the first submit),
+    which pickles `fn` by name. The first error in item order is raised once
+    the items not yet started are cancelled and the pool is joined; a process
+    that dies raises WorkerError. Before the pool starts, glibc's malloc is
+    held to one arena for good: the pool unpickles results in a thread whose
+    own arena would keep their freed memory from the rest of the run (after
+    an abide-shape load, peak RSS read 190-192 MB in 2 of 3 runs, not 154).
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1 or not _fork_workers():
+        yield from (fn(*item) for item in items)
+        return
+    _mallopt((_M_ARENA_MAX, 1))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        for future in [pool.submit(fn, *item) for item in items]:
+            yield future.result()
+    except BrokenProcessPool:
+        raise WorkerError("a worker process exited early") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# glibc mallopt parameters, and the highest values glibc's own dynamic
+# thresholds reach: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, and twice that.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _mallopt(*settings: tuple[int, int]):
+    """Set each (parameter, value) of glibc's malloc; elsewhere a no-op."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (ValueError, OSError):  # the name is unknown outside glibc
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)  # returns int, ctypes's default
+    for param, value in settings:
+        mallopt(param, value)
+
+
+def _reuse_freed_memory():
+    """Have glibc keep freed memory for the next epoch; elsewhere a no-op.
+
+    Every training epoch allocates and frees the same N x C temporaries.
+    glibc serves an array above its mmap threshold with fresh pages, and
+    returns a freed heap top above its trim threshold to the kernel, so the
+    next epoch faults those pages in again. Both thresholds start at 128 KiB
+    and rise only when an array above them is freed. A run that frees no
+    large array first, such as one on a longitudinal graph, which is built
+    from its edges, keeps them low: at 1633 x 138 an epoch then took about
+    2600 page faults. This sets them, for the whole process, where glibc's
+    own rule would leave them at most. Set before an abide-shape load, not
+    after it, they raised a run's peak RSS from 154 to 157-161 MB.
+    """
+    _mallopt((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX), (_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX))
 
 
 def _range_starts(path, start: int) -> list[int]:
@@ -284,58 +360,9 @@ def _range_starts(path, start: int) -> list[int]:
     return starts
 
 
-def _parse_in_workers(path, starts: list[int], workers: int) -> list[tuple[list[str], np.ndarray]]:
-    """Parse the ranges at `starts` in `workers` forked processes.
-
-    Range i goes to process i % workers, which sends each piece back in
-    order over a pipe of its own, or the exception that stopped it; the
-    first exception in file order is raised here. The pieces are received
-    in this thread: a process pool would unpickle them in a thread of its
-    own, whose malloc arena keeps their freed memory from the rest of the
-    run (at abide shape, peak RSS after a run rose by 6 to 40 MB).
-    """
-    fork = multiprocessing.get_context("fork")
-    stops = starts[1:] + [None]
-    procs, readers = [], []
-    try:
-        for w in range(workers):
-            reader, writer = fork.Pipe(duplex=False)
-            readers.append(reader)
-            procs.append(fork.Process(
-                target=_send_pieces, args=(writer, path, starts[w::workers], stops[w::workers])
-            ))
-            procs[-1].start()
-            writer.close()
-        pieces = []
-        for i in range(len(starts)):
-            try:
-                piece = readers[i % workers].recv()
-            except EOFError:
-                raise RuntimeError(f"{path}: a parsing worker process exited early") from None
-            if isinstance(piece, Exception):
-                raise piece
-            pieces.append(piece)
-        return pieces
-    except BaseException:
-        for proc in procs:  # a worker may be blocked sending a piece no one will read
-            proc.terminate()
-        raise
-    finally:
-        for proc, reader in zip(procs, readers):
-            proc.join()
-            reader.close()
-
-
-def _send_pieces(writer, path, starts: list[int], stops: list[int | None]):
-    """Worker process body: parse each range and send its piece, or the
-    exception that stopped the parse, to the parent."""
-    for start, stop in zip(starts, stops):
-        try:
-            piece = _parse_chunk(path, start, stop)
-        except Exception as exc:  # raised again by the parent, in file order
-            writer.send(exc)
-            return
-        writer.send(piece)
+def _parse_range(path, start: int, stop: int | None) -> tuple[list[str], np.ndarray]:
+    """`_parse_chunk` looked up at the call: a forked worker runs the one it inherited."""
+    return _parse_chunk(path, start, stop)
 
 
 def _parse_chunk(path, start: int, stop: int | None) -> tuple[list[str], np.ndarray]:

@@ -44,3 +44,7 @@ class DivergenceError(PopgcnError):
     def __init__(self, message, epoch=None):
         super().__init__(message)
         self.epoch = epoch
+
+
+class WorkerError(PopgcnError, RuntimeError):
+    """A worker process exited before it returned its result."""

@@ -239,7 +239,7 @@ def _keep_mask(rng, shape, rate: float) -> np.ndarray:
     without the bounded-draw call around them.
     """
     # The mask is allocated before the draw rather than returned by the
-    # comparison: with glibc's thresholds raised (harness._reuse_freed_memory)
+    # comparison: with glibc's thresholds raised (dataset._reuse_freed_memory)
     # the other order leaves heap holes that later N x C arrays cannot reuse,
     # which raised abide-wide's peak RSS by about 1.7 MB.
     keep = np.empty(shape, dtype=bool)

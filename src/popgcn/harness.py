@@ -11,18 +11,15 @@ from training-node pairs only, and hide test labels from training entirely.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace, asdict
 from typing import NamedTuple
 
-import ctypes
 import json
-import os
 import numpy as np
 
 from .baselines import BaselineConfig, mlp_classify, ridge_classify
 from .dataset import UNKNOWN_LABEL, AcquisitionRecord, FeatureMatrix, labels_array
+from .dataset import _reuse_freed_memory, fork_map
 from .errors import ContractError, IntegrityError, ParameterError
 from .featsel import FeatureSelector, SelectorConfig
 from .gcn import GcnConfig
@@ -402,36 +399,6 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
     return records
 
 
-# glibc mallopt parameters, and the highest values glibc's own dynamic
-# thresholds reach: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, and twice that.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-
-
-def _reuse_freed_memory():
-    """Have glibc keep freed memory for the next epoch; elsewhere a no-op.
-
-    Every training epoch allocates and frees the same N x C temporaries.
-    glibc serves an array above its mmap threshold with fresh pages, and
-    returns a freed heap top above its trim threshold to the kernel, so the
-    next epoch faults those pages in again. Both thresholds start at 128 KiB
-    and rise only when an array above them is freed. A run that frees no
-    large array first, such as one on a longitudinal graph, which is built
-    from its edges, keeps them low: at 1633 x 138 an epoch then took about
-    2600 page faults. This sets them, for the whole process, where glibc's
-    own rule would leave them at most.
-    """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (ValueError, OSError):  # the name is unknown outside glibc
-        return
-    libc = ctypes.CDLL(None)
-    libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    libc.mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 def check_jobs(jobs: int):
     """Raise ParameterError unless jobs, the fold worker count, is >= 1."""
     if jobs < 1:
@@ -445,11 +412,13 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     nodes with build_graph, whose kernel width, if estimated, comes from
     training-node pairs (all pairs under sigma_pairs='all'); build its scaled
     operator once; train every seed on that operator with the training mask;
-    score the held-out fold. jobs > 1 runs folds in that many worker
-    processes, with the same records; jobs < 1 raises ParameterError.
-    record_sink, when given, is called with each FoldSeedRecord as its fold
-    finishes, so partial results survive an abort. Under glibc it first
-    raises the process's allocator thresholds (_reuse_freed_memory).
+    score the held-out fold. jobs > 1 runs folds through fork_map, on
+    min(jobs, folds) forked processes (one malloc arena from then on), with
+    the same records; a daemonic caller, or no `fork`, runs them in this
+    process. jobs < 1 raises ParameterError. record_sink, when given, is
+    called with each FoldSeedRecord as its fold finishes, so partial results
+    survive an abort. Under glibc it first raises the process's allocator
+    thresholds (_reuse_freed_memory).
 
     The same descriptor gives a byte-identical report only under the same
     BLAS thread count. Every BLAS product may sum in an order that depends
@@ -462,14 +431,12 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     _reuse_freed_memory()
     assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
     all_records: list[FoldSeedRecord] = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        fold_map = map if pool is None else pool.map
-        n = desc.folds
-        for fold_records in fold_map(_run_fold, [desc] * n, [assignment] * n, range(n)):
-            all_records.extend(fold_records)
-            if record_sink is not None:
-                for rec in fold_records:
-                    record_sink(rec)
+    folds = [(desc, assignment, fold) for fold in range(desc.folds)]
+    for fold_records in fork_map(_run_fold, folds, jobs):
+        all_records.extend(fold_records)
+        if record_sink is not None:
+            for rec in fold_records:
+                record_sink(rec)
     all_records.sort(key=lambda r: (r.fold, r.seed))
     report = ExperimentReport(
         name=desc.name, config=_config_echo(desc), records=all_records, summary={}

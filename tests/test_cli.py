@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from popgcn import dataset, harness
 from popgcn.cli import (
     CONFIG_SCHEMA,
     FIELD_NAMES,
@@ -17,6 +20,11 @@ from popgcn.cli import (
 from conftest import read_graph_csv
 from popgcn.dataset import SyntheticConfig
 from popgcn.popgraph import GraphSpec
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
 
 
 def run_cli(*argv):
@@ -148,6 +156,29 @@ class TestGraphCommand:
         assert str(features) in err
         assert not (tmp_path / "g.csv").exists()
 
+    @needs_fork
+    def test_dying_parse_worker_exits_1_with_one_line(
+        self, tmp_path, data_dir, capfd, monkeypatch
+    ):
+        # Ranges of about 300 bytes, parsed by two forked workers that die.
+        parent = os.getpid()
+
+        def dies(path, start, stop):
+            assert os.getpid() != parent, "parsed in the test process"
+            os._exit(3)
+
+        monkeypatch.setattr(dataset, "_RANGE_BYTES", 300)
+        monkeypatch.setattr(dataset, "_fork_workers", lambda: 2)
+        monkeypatch.setattr(dataset, "_parse_chunk", dies)
+        code = run_cli(
+            "graph", "--features", str(data_dir / "features.csv"),
+            "--phenotypes", str(data_dir / "phenotypes.csv"), "--out", str(tmp_path / "g.csv"),
+        )
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err == "error: WorkerError: a worker process exited early\n"
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestRunCommand:
     def test_run_writes_all_outputs(self, tmp_path, data_dir, capsys):
@@ -222,6 +253,21 @@ class TestRunCommand:
         assert message in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+
+    @needs_fork
+    def test_dying_fold_worker_exits_1_with_one_line(self, tmp_path, data_dir, capfd, monkeypatch):
+        parent = os.getpid()
+
+        def dies(records):
+            assert os.getpid() != parent, "fold run in the test process"
+            os._exit(3)
+
+        monkeypatch.setattr(harness, "labels_array", dies)
+        cfg = write_config(tmp_path, data_dir)
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "2")
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err == "error: WorkerError: a worker process exited early\n"
 
     def test_missing_features_file_exits_1_naming_path(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

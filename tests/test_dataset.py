@@ -2,7 +2,10 @@ import csv
 import math
 import multiprocessing
 import os
+import threading
+import time
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from popgcn.dataset import (
     FeatureMatrix,
     SyntheticConfig,
     fisher_transform,
+    fork_map,
     generate_synthetic,
     labels_array,
     load_dataset,
@@ -27,6 +31,9 @@ from popgcn.dataset import (
     write_phenotypes,
 )
 from popgcn.errors import DomainError, FormatError, IntegrityError, ParseError
+from popgcn.featsel import SelectorConfig
+from popgcn.gcn import GcnConfig
+from popgcn.harness import ExperimentDescriptor, run_experiment
 from reference_loader import load_features_reference
 
 
@@ -217,10 +224,10 @@ class TestLoaderMatchesReference:
         assert loaded.values.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
-def parse_in_order(path, starts, workers):
-    """Stands in for the worker processes: parses each range here, in order."""
+def map_in_order(fn, items, workers):
+    """Stands in for fork_map's pool: runs each item here, in order."""
     assert workers >= 2
-    return [dataset._parse_chunk(path, a, b) for a, b in zip(starts, starts[1:] + [None])]
+    return [fn(*item) for item in items]
 
 
 def in_ranges(range_bytes, scan_bytes, inline=False):
@@ -230,8 +237,17 @@ def in_ranges(range_bytes, scan_bytes, inline=False):
     this process if `inline`."""
     patches = {"_RANGE_BYTES": range_bytes, "_SCAN_BYTES": scan_bytes, "_fork_workers": lambda: 2}
     if inline:
-        patches["_parse_in_workers"] = parse_in_order
+        patches["fork_map"] = map_in_order
     return mock.patch.multiple(dataset, **patches)
+
+
+@contextmanager
+def leaves_no_workers():
+    """Asserts that the block leaves no child process and no extra thread."""
+    threads = threading.active_count()
+    yield
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 needs_fork = pytest.mark.skipif(
@@ -302,7 +318,8 @@ class TestLoadFeaturesInWorkers:
         path = tmp_path / "f.csv"
         write_features(features, path)
         assert len(range_starts_of(path)) >= 3
-        loaded = load_features(path)
+        with leaves_no_workers():
+            loaded = load_features(path)
         assert outcome(load_features, path) == self.serial(path)
         assert loaded.ids == features.ids
         assert loaded.values.view(np.int64).tolist() == features.values.view(np.int64).tolist()
@@ -408,9 +425,9 @@ class TestLoadFeaturesInWorkers:
         )
         with mock.patch.object(dataset, "_RANGE_BYTES", 200_000):
             assert len(range_starts_of(path)) >= 3
-            with pytest.raises(ParseError, match="row 0, column 0"):
-                load_features(path)
-        assert multiprocessing.active_children() == []
+            with leaves_no_workers():
+                with pytest.raises(ParseError, match="row 0, column 0"):
+                    load_features(path)
 
     def test_worker_that_dies_is_reported(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -424,9 +441,9 @@ class TestLoadFeaturesInWorkers:
             return parse(path, start, stop)
 
         with mock.patch.object(dataset, "_parse_chunk", dies_on_the_last_range):
-            with pytest.raises(RuntimeError, match="worker process exited early"):
-                load_features(path)
-        assert multiprocessing.active_children() == []
+            with leaves_no_workers():
+                with pytest.raises(RuntimeError, match="worker process exited early"):
+                    load_features(path)
 
     @pytest.mark.parametrize("prefix", [1, 64], ids=["mid-block", "block-start"])
     def test_stray_quote_keeps_one_range(self, tmp_path, prefix):
@@ -458,6 +475,61 @@ def test_daemonic_process_parses_in_one_pass(tmp_path):
             loaded = pool.apply_async(load_features, (path,)).get(timeout=60)
     assert loaded.ids == features.ids
     assert loaded.values.view(np.int64).tolist() == features.values.view(np.int64).tolist()
+
+
+@needs_fork
+def test_daemonic_process_runs_folds_in_process():
+    # The same holds for the fold runner: at jobs=2 a daemonic caller runs
+    # the folds itself, and writes the report that jobs=1 writes.
+    features, records = generate_synthetic(SyntheticConfig(n_subjects=20, n_features=6, seed=3))
+    desc = ExperimentDescriptor(
+        features=features,
+        records=records,
+        gcn_config=GcnConfig(epochs=3, hidden_width=4),
+        selector_config=SelectorConfig(kind="none"),
+        folds=2,
+        seeds=(0,),
+    )
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        report = pool.apply_async(run_experiment, (desc,), {"jobs": 2}).get(timeout=60)
+    assert report.to_json() == run_experiment(desc, jobs=1).to_json()
+
+
+def fail_first_then_mark(directory, i):
+    """fork_map item: item 0 fails at once, every other one leaves a file."""
+    if i == 0:
+        raise ValueError("item 0 failed")
+    time.sleep(0.2)
+    (directory / str(i)).touch()
+    return i
+
+
+def report_process(i):
+    return i, os.getpid()
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("workers", [0, 1, 4])
+    def test_in_this_process_without_a_pool(self, workers):
+        # One item, or one worker, runs here whatever `workers` allows.
+        items = [(i,) for i in range(3 if workers <= 1 else 1)]
+        results = list(fork_map(report_process, items, workers))
+        assert results == [(i, os.getpid()) for i, in items]
+
+    @needs_fork
+    def test_results_in_item_order_from_workers(self):
+        with leaves_no_workers():
+            results = list(fork_map(report_process, [(i,) for i in range(6)], 2))
+        assert [i for i, _ in results] == list(range(6))
+        assert os.getpid() not in {pid for _, pid in results}
+
+    @needs_fork
+    def test_first_error_cancels_the_items_not_started(self, tmp_path):
+        items = [(tmp_path, i) for i in range(20)]
+        with leaves_no_workers():
+            with pytest.raises(ValueError, match="item 0 failed"):
+                list(fork_map(fail_first_then_mark, items, 2))
+        assert len(list(tmp_path.iterdir())) < 10
 
 
 class TestLoadPhenotypes:

@@ -1,10 +1,13 @@
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popgcn import dataset
 from popgcn.baselines import BaselineConfig, mlp_classify
 from popgcn.dataset import (
     UNKNOWN_LABEL,
@@ -17,7 +20,6 @@ from popgcn.dataset import (
 from popgcn.errors import ContractError, IntegrityError, ParameterError
 from popgcn.featsel import SelectorConfig
 from popgcn.gcn import GcnConfig
-from popgcn import harness
 from popgcn.harness import (
     ExperimentDescriptor,
     ExperimentReport,
@@ -385,6 +387,27 @@ class TestRunExperiment:
         parallel = run_experiment(desc, jobs=2)
         assert sequential.to_json() == parallel.to_json()
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+    )
+    def test_at_most_one_worker_per_fold(self, monkeypatch):
+        # A fork-context pool forks all of its workers at the first submit.
+        sizes = []
+
+        class InlineExecutor(concurrent.futures.Executor):
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(dataset, "ProcessPoolExecutor", InlineExecutor)
+        desc = small_experiment(seeds=(0,), folds=2)
+        assert run_experiment(desc, jobs=16).to_json() == run_experiment(desc, jobs=1).to_json()
+        assert sizes == [2]
+
     def test_record_sink_receives_all_records(self):
         captured = []
         report = run_experiment(small_experiment(seeds=(0,)), record_sink=captured.append)
@@ -428,8 +451,8 @@ class TestReuseFreedMemory:
         def no_libc(*args):
             raise AssertionError("libc opened outside glibc")
 
-        monkeypatch.setattr(harness.os, "confstr", unknown)
-        monkeypatch.setattr(harness.ctypes, "CDLL", no_libc)
-        harness._reuse_freed_memory()
+        monkeypatch.setattr(dataset.os, "confstr", unknown)
+        monkeypatch.setattr(dataset.ctypes, "CDLL", no_libc)
+        dataset._reuse_freed_memory()
         report = run_experiment(small_experiment(seeds=(0,), folds=2))
         assert len(report.records) == 2
