@@ -21,12 +21,13 @@ from .gcn import GcnConfig, predict, train
 @dataclass(frozen=True)
 class BaselineConfig:
     """The baselines' own settings: the ridge penalty and the MLP's epoch
-    count. The MLP takes every other setting from the GcnConfig it is given."""
+    count. The MLP takes every other setting from the GcnConfig it is given.
+    Checked when constructed (and by replace)."""
 
     ridge_alpha: float = 1.0
     mlp_epochs: int = 200
 
-    def validate(self):
+    def __post_init__(self):
         if self.ridge_alpha <= 0:
             raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
         if self.mlp_epochs < 0:
@@ -61,14 +62,14 @@ def mlp_classify(x_train, y_train, x_test, config: BaselineConfig, network: GcnC
     Trains `network` at Chebyshev order 0 with no operator (identical to its
     forward pass on an edgeless graph) on the training rows alone, for
     config.mlp_epochs epochs, so layers, dropout, loss, gradients and Adam
-    are the graph model's; train validates the settings and raises
-    DivergenceError on a non-finite loss. Probabilities are softmax rows.
+    are the graph model's; train raises DivergenceError on a non-finite
+    loss. Probabilities are softmax rows.
     """
     y = np.asarray(y_train, dtype=np.int64)
     if not set(np.unique(y)) == {0, 1}:
         raise ContractError("both classes must be present in training labels")
 
-    net_config = replace(network, n_classes=2, cheb_order=0, epochs=config.mlp_epochs)
+    net_config = replace(network, cheb_order=0, epochs=config.mlp_epochs)
     model, _ = train(net_config, None, x_train, y, np.ones(len(y), dtype=bool))
     probs, labels = predict(model, None, x_test)
     return labels, probs

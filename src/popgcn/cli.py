@@ -7,10 +7,11 @@ saved report). Every run writes a machine-readable echo of the fully resolved
 configuration; outputs contain no timestamps, so a fixed config and seed give
 byte-identical files.
 
-Defaults live on the config classes (SyntheticConfig, SelectorConfig,
-GraphSpec, GcnConfig, BaselineConfig, ExperimentDescriptor) and nowhere else:
-each config is built from the INI keys, or the synth/graph flags, that were
-given, and every field left out keeps its class default.
+Defaults and their checks live on the config classes (SyntheticConfig,
+SelectorConfig, GraphSpec, GcnConfig, BaselineConfig, ExperimentDescriptor)
+and nowhere else: each config is built from the INI keys, or the synth/graph
+flags, that were given, every field left out keeps its class default, and
+constructing it checks it, before any data are read.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def parse_config(path: str, overrides: list[str] | None = None) -> dict:
             raise ConfigValidationError(f"override must look like section.key=value: {item!r}")
         key_path, value = item.split("=", 1)
         section, key = key_path.split(".", 1)
-        raw.setdefault(section.strip(), {})[key.strip()] = value
+        # Normalised as the INI reader normalises a file's keys and values.
+        raw.setdefault(section.strip(), {})[parser.optionxform(key.strip())] = value.strip()
 
     config: dict[str, dict] = {}
     for section, entries in raw.items():
@@ -238,8 +240,8 @@ def _load_or_generate_dataset(config: dict):
 
 
 def build_descriptor(config: dict) -> ExperimentDescriptor:
-    """The experiment a config describes; its settings are validated before
-    the dataset is read or generated."""
+    """The experiment a config describes; its settings are checked, by
+    constructing it without data, before the dataset is read or generated."""
     settings = _build(
         ExperimentDescriptor,
         config,
@@ -250,7 +252,6 @@ def build_descriptor(config: dict) -> ExperimentDescriptor:
         baseline_config=_build(BaselineConfig, config),
         selector_config=_build(SelectorConfig, config),
     )
-    settings.validate_settings()
     features, records = _load_or_generate_dataset(config)
     return replace(settings, features=features, records=records)
 
@@ -300,8 +301,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    spec = _build(GraphSpec, {"graph": _given(args, "graph")})
     features, records = ds.load_dataset(args.features, args.phenotypes)
-    graph = build_graph(features, records, _build(GraphSpec, {"graph": _given(args, "graph")}))
+    graph = build_graph(features, records, spec)
     save_graph(graph, args.out)
     print(f"wrote graph with {graph.n_nodes} nodes, {graph.n_edges} edges to {args.out}")
     return 0

@@ -54,8 +54,8 @@ class AcquisitionRecord:
     def __post_init__(self):
         if self.label not in (0, 1, UNKNOWN_LABEL):
             raise IntegrityError(f"label must be 0, 1 or unknown; got {self.label!r}")
-        if self.age < 0:
-            raise IntegrityError(f"age must be >= 0; got {self.age}")
+        if not 0 <= self.age < np.inf:
+            raise IntegrityError(f"age must be finite and >= 0; got {self.age}")
 
 
 @dataclass
@@ -101,7 +101,8 @@ class SyntheticConfig:
     a feature-only classifier), a sex shift along an independent direction, a
     per-subject latent of scale noise_scale shared by all of a subject's scans,
     and i.i.d. per-scan noise of scale 0.25 * noise_scale. Sex, site and gene
-    flag are drawn independently of the label.
+    flag are drawn independently of the label. Checked when constructed (and
+    by replace).
     """
 
     n_subjects: int = 600
@@ -114,7 +115,7 @@ class SyntheticConfig:
     noise_scale: float = 1.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         lo, hi = self.scans_per_subject
         if self.n_subjects < 1 or self.n_sites < 1 or self.n_features < 1:
             raise ParameterError("all counts must be >= 1")
@@ -124,6 +125,8 @@ class SyntheticConfig:
             raise ParameterError("class_separation and site_shift_scale must be >= 0")
         if self.noise_scale <= 0:
             raise ParameterError("noise_scale must be > 0")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_label(cell: str) -> int:
@@ -460,8 +463,8 @@ def load_phenotypes(path) -> list[AcquisitionRecord]:
                 raise ParseError(
                     f"{path}: non-numeric age {age_cell!r} at row {r}", row=r
                 ) from None
-            if age < 0:
-                raise IntegrityError(f"{path}: negative age {age} at row {r}")
+            if not 0 <= age < np.inf:
+                raise IntegrityError(f"{path}: negative or non-finite age {age} at row {r}")
             gene = cells[col["gene_flag"]]
             records.append(
                 AcquisitionRecord(
@@ -553,7 +556,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureMatrix, list[Acquis
     Subject-level labels are balanced to within one subject. All scans of a
     subject share its label, subject latent, site, sex and gene flag.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n_subj = cfg.n_subjects
     c = cfg.n_features

@@ -256,6 +256,8 @@ SELECTOR_KINDS = ("none", "rfe", "pca", "mlp", "autoencoder")
 
 @dataclass(frozen=True)
 class SelectorConfig:
+    """Feature selector settings, checked when constructed (and by replace)."""
+
     kind: str = "none"
     target_c: int = 0  # ignored for kind 'none'
     ridge_alpha: float = 1.0
@@ -266,18 +268,19 @@ class SelectorConfig:
     ae_lr: float = 5e-4
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in SELECTOR_KINDS:
             raise ParameterError(f"unknown selector kind {self.kind!r}")
         if self.kind != "none" and self.target_c < 1:
             raise ParameterError("target_c must be >= 1 for fitted selectors")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 class FeatureSelector:
     """Fit on training rows, transform any rows; fitted state is serializable."""
 
     def __init__(self, config: SelectorConfig):
-        config.validate()
         self.config = config
         self.fitted = False
         self.selected_indices = None

@@ -46,11 +46,11 @@ backward masks and the Adam update in place rather than into fresh
 temporaries, in the operation order of the allocating formulas that
 tests/reference_epoch.py keeps, so its results equal theirs bit for bit.
 One exp pass over the masked logits serves both the loss and its gradient;
-the softmax's max and sum over the few class columns run column by column
-(_row_max, _row_sum), and when every row is masked the logits are used
-without a gather. The loss reads each label logit at its flat index, and
-the gradient subtracts the one-hot matrix (p - 0.0 is p), which give the
-bits of the fancy-indexed forms.
+the softmax's max and sum over the N_CLASSES = 2 columns are one np.maximum
+and one addition (_softmax_terms, shared with predict), and when every row is
+masked the logits are used without a gather. The loss reads each label logit
+at its flat index, and the gradient subtracts the one-hot matrix (p - 0.0 is
+p), which give the bits of the fancy-indexed forms.
 The epoch's elementwise steps walk the feature matrix row by row: callers
 pass it C-ordered, as every `featsel` transform returns it. A
 Fortran-ordered matrix is accepted, but each elementwise step on it runs
@@ -79,11 +79,13 @@ from .spectral import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+N_CLASSES = 2  # the output layer's width: labels are 0 and 1
 
 
 @dataclass(frozen=True)
 class GcnConfig:
-    n_classes: int = 2
+    """Network and training settings, checked when constructed (and by replace)."""
+
     hidden_layers: int = 1  # L
     hidden_width: int | None = None  # None -> input feature count
     cheb_order: int = 3  # K
@@ -93,9 +95,7 @@ class GcnConfig:
     epochs: int = 150
     seed: int = 0
 
-    def validate(self):
-        if self.n_classes < 2:
-            raise ParameterError(f"n_classes must be >= 2, got {self.n_classes}")
+    def __post_init__(self):
         if self.hidden_layers < 0:
             raise ParameterError(f"hidden_layers must be >= 0, got {self.hidden_layers}")
         if self.hidden_width is not None and self.hidden_width < 1:
@@ -110,6 +110,8 @@ class GcnConfig:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -159,7 +161,7 @@ def init_model(config: GcnConfig, n_features: int, rng=None) -> GcnModel:
     if rng is None:
         rng = np.random.default_rng(config.seed)
     width = config.hidden_width if config.hidden_width is not None else n_features
-    sizes = [n_features] + [width] * config.hidden_layers + [config.n_classes]
+    sizes = [n_features] + [width] * config.hidden_layers + [N_CLASSES]
     k1 = config.cheb_order + 1
     shapes = []
     for c_in, c_out in zip(sizes[:-1], sizes[1:]):
@@ -248,16 +250,14 @@ def _keep_mask(rng, shape, rate: float) -> np.ndarray:
     return keep
 
 
-def _forward(model, scaled, x, train, rng):
+def _forward(model, scaled, x, rng):
     cfg = model.config
     h = np.asarray(x, dtype=np.float64)
     caches = []
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
         keep = None
-        if li < last and train and cfg.dropout_rate > 0.0:
-            if rng is None:
-                raise ContractError("train-mode forward with dropout requires an rng")
+        if li < last and rng is not None and cfg.dropout_rate > 0.0:
             keep = _keep_mask(rng, h.shape, cfg.dropout_rate)
             # Equal to (h * keep) / keep_prob bit for bit, signed zeros included.
             h = h / (1.0 - cfg.dropout_rate)
@@ -278,39 +278,20 @@ def _forward(model, scaled, x, train, rng):
     return h, caches
 
 
-def forward(model: GcnModel, scaled: LaplacianMatrix | None, x, mode: str = "eval", rng=None):
-    """Logits for every node; mode 'train' applies dropout to hidden-layer inputs."""
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-    logits, _ = _forward(model, scaled, x, train=(mode == "train"), rng=rng)
+def forward(model: GcnModel, scaled: LaplacianMatrix | None, x, rng=None):
+    """Logits for every node; with an rng, hidden-layer inputs get dropout from it."""
+    logits, _ = _forward(model, scaled, x, rng)
     return logits
 
 
-def _row_max(z):
-    """z.max(axis=1), by one np.maximum pass per column after the first."""
-    out = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
-        np.maximum(out, z[:, j], out=out)
-    return out
-
-
-def _row_sum(z):
-    """Row sums added column by column from +0.0, left to right.
-
-    numpy sums fewer than 8 columns the same way, so for those this equals
-    z.sum(axis=1) bit for bit, signed zeros included.
-    """
-    out = np.zeros(len(z))
-    for j in range(z.shape[1]):
-        out += z[:, j]
-    return out
-
-
-def _stable_softmax(z):
-    e = z - _row_max(z)[:, None]
+def _softmax_terms(z):
+    """Row maxima zmax, e = exp(z - zmax) and e's row sums of two-column
+    logits z; the softmax is e / e_sum. These equal z.max(axis=1) and, as
+    e >= 0, e.sum(axis=1) bit for bit, signed zeros included."""
+    zmax = np.maximum(z[:, 0], z[:, 1])
+    e = z - zmax[:, None]
     np.exp(e, out=e)
-    e /= _row_sum(e)[:, None]
-    return e
+    return zmax, e, e[:, 0] + e[:, 1]
 
 
 @dataclass
@@ -321,8 +302,8 @@ class EpochConstants:
     ones: np.ndarray  # one per row; its products with G are the bias gradients
     mask: np.ndarray  # bool, one per row
     all_masked: bool  # then the loss reads the logits without a gather
-    flat_index: np.ndarray  # row * n_classes + label of each masked row
-    one_hot: np.ndarray  # (masked rows, n_classes): 1.0 at the label, else 0.0
+    flat_index: np.ndarray  # row * N_CLASSES + label of each masked row
+    one_hot: np.ndarray  # (masked rows, N_CLASSES): 1.0 at the label, else 0.0
 
 
 def epoch_constants(model: GcnModel, labels, mask, grad: np.ndarray) -> EpochConstants:
@@ -332,16 +313,13 @@ def epoch_constants(model: GcnModel, labels, mask, grad: np.ndarray) -> EpochCon
     are written into. Only the masked rows' labels are read.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ContractError("mask must select at least one node")
     y = np.asarray(labels)[mask]
-    n_classes = model.config.n_classes
     rows = np.arange(len(y))
-    one_hot = np.zeros((len(y), n_classes))
+    one_hot = np.zeros((len(y), N_CLASSES))
     one_hot[rows, y] = 1.0
     return EpochConstants(
         grads=model.views(grad), ones=np.ones(len(mask)), mask=mask,
-        all_masked=bool(mask.all()), flat_index=rows * n_classes + y, one_hot=one_hot,
+        all_masked=bool(mask.all()), flat_index=rows * N_CLASSES + y, one_hot=one_hot,
     )
 
 
@@ -354,10 +332,7 @@ def _masked_cross_entropy(logits, constants: EpochConstants):
     divided by the count.
     """
     z = logits if constants.all_masked else logits[constants.mask]
-    zmax = _row_max(z)
-    e = z - zmax[:, None]
-    np.exp(e, out=e)
-    e_sum = _row_sum(e)
+    zmax, e, e_sum = _softmax_terms(z)
     terms = np.log(e_sum)
     terms += zmax
     terms -= z.take(constants.flat_index)
@@ -365,22 +340,24 @@ def _masked_cross_entropy(logits, constants: EpochConstants):
     return data, e, e_sum
 
 
-def _l2_penalty(l2_coeff: float, model: GcnModel) -> float:
+def _l2_penalty(model: GcnModel) -> float:
     """l2_coeff * sum(W^2) over the layers' weights; biases are not penalized."""
-    return l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
+    return model.config.l2_coeff * sum(float((layer.weight**2).sum()) for layer in model.layers)
 
 
-def loss_and_grads(model, scaled, x, constants: EpochConstants, l2_coeff, train=False, rng=None):
-    """One forward/backward pass; dropout masks are shared between the two.
+def loss_and_grads(model, scaled, x, constants: EpochConstants, rng=None):
+    """One forward/backward pass; with an rng, dropout applies, its masks
+    drawn from it and shared between the two passes.
 
     The loss is the mean softmax cross-entropy over the rows that
-    constants.mask selects, whose labels alone are read, plus _l2_penalty.
-    Returns (loss, grads, logits) with grads = constants.grads, views of the
-    gradient vector that every gradient is written into.
+    constants.mask selects, whose labels alone are read, plus _l2_penalty at
+    the config's l2_coeff. Returns (loss, grads, logits) with grads =
+    constants.grads, views of the gradient vector that every gradient is
+    written into.
     """
-    logits, caches = _forward(model, scaled, x, train=train, rng=rng)
+    logits, caches = _forward(model, scaled, x, rng)
     data, probs, e_sum = _masked_cross_entropy(logits, constants)
-    loss = data + _l2_penalty(l2_coeff, model)
+    loss = data + _l2_penalty(model)
 
     # Softmax minus one-hot, averaged over the masked rows; p - 0.0 is p.
     probs /= e_sum[:, None]
@@ -410,7 +387,7 @@ def loss_and_grads(model, scaled, x, constants: EpochConstants, l2_coeff, train=
         else:
             for k in range(k1):
                 np.matmul(cache.inputs[k].T, grad_z, out=grad_w[k])
-        grad_w += 2.0 * l2_coeff * layer.weight
+        grad_w += 2.0 * cfg.l2_coeff * layer.weight
         np.matmul(constants.ones, grad_z, out=grads[2 * li + 1])
         if li == 0:
             break
@@ -480,10 +457,8 @@ def _check_training_inputs(config, scaled, x, labels, mask):
         raise ContractError("labels and mask must have one entry per node")
     if not mask.any():
         raise ContractError("training mask must select at least one node")
-    if np.any((labels[mask] < 0) | (labels[mask] >= config.n_classes)):
-        raise ContractError(
-            f"masked nodes must carry known labels in [0, {config.n_classes})"
-        )
+    if np.any((labels[mask] < 0) | (labels[mask] >= N_CLASSES)):
+        raise ContractError(f"masked nodes must carry known labels in [0, {N_CLASSES})")
     return x, labels, mask
 
 
@@ -535,7 +510,9 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     graph and shared by every model trained and evaluated on it; a network of
     cheb_order 0 is a plain dense network and takes None. Returns
     (model, losses), the training loss of each epoch as a float. Raises
-    DivergenceError on a non-finite loss.
+    DivergenceError on a non-finite loss. Every epoch's dropout draws from
+    the generator of config.seed, which also draws the initial weights, and
+    the L2 penalty is config.l2_coeff.
 
     Only the rows the loss can reach train (_trained_rows): the operator's
     connected components that hold a masked node, on the principal
@@ -551,7 +528,6 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     loss_and_grads writes into that vector and adam_step steps the whole
     parameter vector by it.
     """
-    config.validate()
     x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
     rng = np.random.default_rng(config.seed)
     rows = _trained_rows(config, scaled, mask)
@@ -563,9 +539,7 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     constants = epoch_constants(model, labels, mask, grad)
     losses = []
     for epoch in range(config.epochs):
-        loss, _, _ = loss_and_grads(
-            model, scaled, x, constants, config.l2_coeff, train=True, rng=rng
-        )
+        loss, _, _ = loss_and_grads(model, scaled, x, constants, rng)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         adam_step(model, grad)
@@ -575,7 +549,7 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
 
 def predict(model: GcnModel, scaled: LaplacianMatrix | None, x):
     """Per-node class probabilities and argmax labels (ties -> lower index)."""
-    logits = forward(model, scaled, x, mode="eval")
-    probs = _stable_softmax(logits)
+    _, probs, e_sum = _softmax_terms(forward(model, scaled, x))
+    probs /= e_sum[:, None]
     return probs, np.argmax(probs, axis=1)
 

@@ -166,10 +166,14 @@ def ensemble_seeds(pred_labels, probs, true_labels) -> EnsembleResult:
 
 @dataclass(frozen=True)
 class ExperimentDescriptor:
-    """Everything run_experiment needs; configs echo into the report."""
+    """Everything run_experiment needs; configs echo into the report.
 
-    features: FeatureMatrix
-    records: list[AcquisitionRecord]
+    Checked when constructed (and by replace). Features and records may both
+    be None, to check the settings before the data are loaded; once given,
+    they must be aligned."""
+
+    features: FeatureMatrix | None
+    records: list[AcquisitionRecord] | None
     model: str = "gcn"  # gcn | ridge | mlp
     graph_spec: GraphSpec = field(default_factory=GraphSpec)
     gcn_config: GcnConfig = field(default_factory=GcnConfig)
@@ -181,14 +185,7 @@ class ExperimentDescriptor:
     sigma_pairs: str = "train"  # 'train' (leakage-safe) or 'all' (strict replication)
     name: str = "experiment"
 
-    def validate_settings(self):
-        """Check every setting. Features and records are not read, so a
-        descriptor can be checked while they are still None, before the data
-        are loaded."""
-        for sub_config in (
-            self.graph_spec, self.gcn_config, self.baseline_config, self.selector_config
-        ):
-            sub_config.validate()
+    def __post_init__(self):
         if self.model not in ("gcn", "ridge", "mlp"):
             raise ParameterError(f"unknown model {self.model!r}")
         if self.folds < 2:
@@ -198,12 +195,14 @@ class ExperimentDescriptor:
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ParameterError(f"seeds must be distinct, repeated: {repeated}")
+        if min(self.seeds) < 0:
+            raise ParameterError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if self.fold_seed < 0:
+            raise ParameterError(f"fold_seed must be >= 0, got {self.fold_seed}")
         if self.sigma_pairs not in ("train", "all"):
             raise ParameterError("sigma_pairs must be 'train' or 'all'")
-
-    def validate(self):
-        self.validate_settings()
-        if self.features.ids != [r.acquisition_id for r in self.records]:
+        ids = None if self.records is None else [r.acquisition_id for r in self.records]
+        if (None if self.features is None else self.features.ids) != ids:
             raise ContractError("features and records must be aligned")
 
 
@@ -427,7 +426,6 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     OpenBLAS threads), and training amplifies those last bits.
     """
     check_jobs(jobs)
-    desc.validate()
     _reuse_freed_memory()
     assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
     all_records: list[FoldSeedRecord] = []

@@ -45,7 +45,8 @@ DENSE_DENSITY_LIMIT = 0.05
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Construction recipe for a population graph."""
+    """Construction recipe for a population graph, checked when constructed
+    (and by replace)."""
 
     strategy: str = "phenotypic"
     measures: tuple[str, ...] = ("SEX", "SITE")
@@ -56,7 +57,7 @@ class GraphSpec:
     sigma: float | None = None  # kernel width; None: the mean correlation distance
     seed: int = 0  # random strategy only
 
-    def validate(self):
+    def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ParameterError(f"unknown strategy {self.strategy!r}")
         for m in self.measures:
@@ -72,6 +73,8 @@ class GraphSpec:
             raise ParameterError(f"lambda must be > 1, got {self.lam}")
         if self.sigma is not None and self.sigma <= 0:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def _stored_dense(n_nodes: int, n_edges: int) -> bool:
@@ -279,7 +282,6 @@ def build_phenotypic_graph(
     Under sim_mode 'longitudinal' only same-subject pairs are evaluated, and
     the graph is built from their nonzero weights as an edge list.
     """
-    spec.validate()
     if spec.strategy != "phenotypic":
         raise ContractError(f"spec.strategy must be 'phenotypic', got {spec.strategy!r}")
     if features.n_acquisitions != len(records) or features.ids != [
@@ -372,7 +374,6 @@ def build_graph(
     the mean correlation distance over pairs of sigma_rows (all rows when
     None). 'all' is the complete graph weighted by the kernel.
     """
-    spec.validate()
     if spec.strategy == "phenotypic":
         return build_phenotypic_graph(features, records, spec, sigma_rows)
     if spec.strategy == "knn":

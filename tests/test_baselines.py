@@ -14,15 +14,18 @@ from popgcn.popgraph import PopulationGraph
 @pytest.mark.parametrize(
     "config, message",
     [
-        (BaselineConfig(ridge_alpha=0.0), "ridge_alpha must be > 0"),
-        (BaselineConfig(ridge_alpha=-1.0), "ridge_alpha must be > 0"),
-        (BaselineConfig(mlp_epochs=-1), "mlp_epochs must be >= 0"),
+        ({"ridge_alpha": 0.0}, "ridge_alpha must be > 0"),
+        ({"ridge_alpha": -1.0}, "ridge_alpha must be > 0"),
+        ({"mlp_epochs": -1}, "mlp_epochs must be >= 0"),
     ],
 )
 def test_baseline_config_validate(config, message):
-    BaselineConfig(ridge_alpha=1e-9, mlp_epochs=0).validate()
+    # Checked when constructed, and again by replace.
+    valid = BaselineConfig(ridge_alpha=1e-9, mlp_epochs=0)
     with pytest.raises(ParameterError, match=message):
-        config.validate()
+        BaselineConfig(**config)
+    with pytest.raises(ParameterError, match=message):
+        dataclasses.replace(valid, **config)
 
 
 def separable(n=100, c=8, seed=0, margin=2.0):
@@ -122,9 +125,9 @@ class TestMlpClassify:
         np.testing.assert_array_equal(probs_a[:10], probs_b[:10])
 
     def test_network_config_validated(self):
-        x, y = separable(n=20)
-        with pytest.raises(ParameterError):
-            mlp_classify(x[:10], y[:10], x[10:], BaselineConfig(), GcnConfig(hidden_width=0))
+        # An invalid network never reaches the baseline: making it raises.
+        with pytest.raises(ParameterError, match="hidden_width must be >= 1"):
+            GcnConfig(hidden_width=0)
 
     def test_requires_both_classes(self):
         y = np.zeros(3, dtype=int)
@@ -132,7 +135,7 @@ class TestMlpClassify:
             mlp_classify(np.eye(3), y, np.eye(3), BaselineConfig(), GcnConfig())
 
     def test_trains_the_network_at_order_zero_for_mlp_epochs(self, monkeypatch):
-        # Only n_classes, cheb_order and epochs are set by the baseline; every
+        # Only cheb_order and epochs are set by the baseline; every
         # other setting is the network's.
         seen = []
         real_train = baselines.train

@@ -87,6 +87,11 @@ class TestSynth:
         ).read_bytes()
 
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", str(tmp_path / "d"), "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: ParameterError: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "d").exists()
+
     def test_config_is_the_dataclass_default(self, tmp_path):
         assert run_cli("synth", "--out", str(tmp_path / "d")) == 0
         written = json.loads((tmp_path / "d" / "synth_config.json").read_text())
@@ -134,6 +139,15 @@ class TestGraphCommand:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_bad_setting_exits_1_before_reading_files(self, tmp_path, capsys):
+        code = run_cli(
+            "graph", "--features", str(tmp_path / "nope.csv"),
+            "--phenotypes", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "g.csv"),
+            "--theta", "-1",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: ParameterError: theta must be > 0, got -1.0\n"
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
@@ -235,6 +249,10 @@ class TestRunCommand:
             ("graph.sigma=0", "sigma must be > 0, got 0.0"),
             ("--jobs=0", "jobs must be >= 1, got 0"),
             ("--jobs=-1", "jobs must be >= 1, got -1"),
+            ("cv.seeds=-1", "seeds must be >= 0, got [-1]"),
+            ("cv.fold_seed=-1", "fold_seed must be >= 0, got -1"),
+            ("selector.seed=-1", "seed must be >= 0, got -1"),
+            ("graph.seed=-1", "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_setting_exits_1_before_reading_data(
@@ -461,6 +479,11 @@ class TestParseConfig:
         config = parse_config(str(cfg), ["cv.folds=7", "model.epochs=3"])
         assert config["cv"]["folds"] == 7
         assert config["model"]["epochs"] == 3
+        # Keys and values as the INI reader takes them from a file.
+        cfg.write_text("[graph]\nsim =  longitudinal \n\n[model]\nEpochs = 5\n", encoding="utf-8")
+        from_file = parse_config(str(cfg))
+        overridden = parse_config(str(cfg), ["graph.sim= longitudinal ", "model.Epochs=5"])
+        assert from_file == overridden == {"graph": {"sim": "longitudinal"}, "model": {"epochs": 5}}
 
 
 class TestConfigBuilders:

@@ -30,7 +30,7 @@ from popgcn.dataset import (
     write_features,
     write_phenotypes,
 )
-from popgcn.errors import DomainError, FormatError, IntegrityError, ParseError
+from popgcn.errors import DomainError, FormatError, IntegrityError, ParameterError, ParseError
 from popgcn.featsel import SelectorConfig
 from popgcn.gcn import GcnConfig
 from popgcn.harness import ExperimentDescriptor, run_experiment
@@ -551,6 +551,19 @@ class TestLoadPhenotypes:
         with pytest.raises(IntegrityError, match="age"):
             load_phenotypes(p)
 
+    @pytest.mark.parametrize("age", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_age(self, tmp_path, age):
+        # Under the AGE measure such a node would agree with no one.
+        rows = f"a,s1,0,siteA,F,3,\nb,s2,1,siteA,F,{age},\n"
+        p = write(tmp_path / "p.csv", self.HEADER + rows)
+        with pytest.raises(IntegrityError, match="non-finite age .* at row 1$"):
+            load_phenotypes(p)
+
+    @pytest.mark.parametrize("age", [-3.0, np.nan, np.inf, -np.inf])
+    def test_record_rejects_negative_and_non_finite_age(self, age):
+        with pytest.raises(IntegrityError, match="age must be finite and >= 0"):
+            AcquisitionRecord("a", "s1", 0, "siteA", "F", age)
+
     def test_missing_column(self, tmp_path):
         p = write(tmp_path / "p.csv", "acquisition_id,subject_id,label,site,sex,age\na,s,0,x,F,1\n")
         with pytest.raises(FormatError, match="gene_flag"):
@@ -668,6 +681,18 @@ class TestFisherTransform:
 
 
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"noise_scale": 0.0}, "noise_scale must be > 0"),
+            ({"scans_per_subject": (2, 1)}, "scans_per_subject range invalid"),
+        ],
+    )
+    def test_config_checked_when_made(self, settings, message):
+        with pytest.raises(ParameterError, match=message):
+            SyntheticConfig(**settings)
+
     def test_deterministic(self):
         cfg = SyntheticConfig(n_subjects=30, seed=7)
         f1, r1 = generate_synthetic(cfg)

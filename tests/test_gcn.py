@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from conftest import hop_distances, make_random_graph, make_tree_graph
 from popgcn.errors import ContractError, DivergenceError, ParameterError
 from popgcn.gcn import (
+    N_CLASSES,
     GcnConfig,
     _forward,
     _l2_penalty,
     _masked_cross_entropy,
+    _softmax_terms,
     adam_step,
     cheb_conv_forward,
     epoch_constants,
@@ -30,10 +33,15 @@ def empty_graph(n):
     return PopulationGraph.from_edges(n, [], [], [])
 
 
-def masked_loss(logits, labels, mask, l2, model):
+def masked_loss(logits, labels, mask, model):
     """The loss that loss_and_grads reports, at the given logits."""
     data = _masked_cross_entropy(logits, constants(model, labels, mask))[0]
-    return data + _l2_penalty(l2, model)
+    return data + _l2_penalty(model)
+
+
+def softmax(z):
+    _, e, e_sum = _softmax_terms(z)
+    return e / e_sum[:, None]
 
 
 def model_bytes(model):
@@ -88,11 +96,17 @@ class TestChebConvForward:
 
 class TestConfig:
     def test_order_zero_is_valid(self):
-        GcnConfig(cheb_order=0).validate()  # the MLP baseline's dense layers
+        GcnConfig(cheb_order=0)  # the MLP baseline's dense layers
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ParameterError):
-            GcnConfig(cheb_order=-1).validate()
+        with pytest.raises(ParameterError, match="cheb_order must be >= 0"):
+            GcnConfig(cheb_order=-1)
+        with pytest.raises(ParameterError, match="cheb_order must be >= 0"):
+            dataclasses.replace(GcnConfig(), cheb_order=-1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            GcnConfig(seed=-1)
 
 
 def small_setup(n=10, c=4, seed=0, **cfg_kwargs):
@@ -111,23 +125,23 @@ def small_setup(n=10, c=4, seed=0, **cfg_kwargs):
 class TestForward:
     def test_eval_deterministic(self):
         _, scaled, x, *_rest, model = small_setup()
-        a = forward(model, scaled, x, mode="eval")
-        b = forward(model, scaled, x, mode="eval")
+        a = forward(model, scaled, x)
+        b = forward(model, scaled, x)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_dropout_train_equals_eval(self):
         _, scaled, x, *_rest, model = small_setup(dropout_rate=0.0)
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(
-            forward(model, scaled, x, mode="train", rng=rng),
-            forward(model, scaled, x, mode="eval"),
+            forward(model, scaled, x, rng),
+            forward(model, scaled, x),
         )
 
     def test_dropout_changes_train_logits(self):
         _, scaled, x, *_rest, model = small_setup(dropout_rate=0.5)
         rng = np.random.default_rng(1)
-        train_logits = forward(model, scaled, x, mode="train", rng=rng)
-        eval_logits = forward(model, scaled, x, mode="eval")
+        train_logits = forward(model, scaled, x, rng)
+        eval_logits = forward(model, scaled, x)
         assert np.max(np.abs(train_logits - eval_logits)) > 0
 
     def test_no_hidden_layers_is_single_convolution(self):
@@ -142,17 +156,17 @@ class TestForward:
 
 
     def test_output_side_layer_matches_spectral_oracle(self, rng):
-        # 12 -> 3 with no hidden layer: the operator runs on the 3 output columns.
+        # 12 -> 2 with no hidden layer: the operator runs on the 2 output columns.
         g = make_random_graph(14, density=0.4, seed=9)
         scaled = scaled_operator(g)
         lap = normalized_laplacian(g)
         lam = estimate_lambda_max(lap).value
         x = rng.standard_normal((14, 12))
-        config = GcnConfig(n_classes=3, hidden_layers=0, cheb_order=3)
+        config = GcnConfig(hidden_layers=0, cheb_order=3)
         model = init_model(config, 12, np.random.default_rng(2))
         weight = model.layers[0].weight
         logits = forward(model, scaled, x)
-        for j in range(3):
+        for j in range(N_CLASSES):
             oracle = np.zeros(14)
             for c in range(12):
                 oracle += spectral_filter_oracle(lap, x[:, c], weight[:, c, j], lambda_max=lam)
@@ -161,62 +175,58 @@ class TestForward:
 
 class TestMaskedLoss:
     def test_uniform_logits_give_log2(self):
-        _, _, _, labels, mask, _, model = small_setup()
+        _, _, _, labels, mask, _, model = small_setup(l2_coeff=0.0)
         logits = np.zeros((10, 2))
-        loss = masked_loss(logits, labels, mask, 0.0, model)
+        loss = masked_loss(logits, labels, mask, model)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
-        _, _, _, labels, mask, _, model = small_setup()
+        _, _, _, labels, mask, _, model = small_setup(l2_coeff=0.0)
         logits = np.full((10, 2), -50.0)
         logits[np.arange(10), labels] = 50.0
-        assert masked_loss(logits, labels, mask, 0.0, model) < 1e-12
+        assert masked_loss(logits, labels, mask, model) < 1e-12
 
     def test_unmasked_label_is_never_read(self):
         _, _, _, labels, mask, _, model = small_setup()
         logits = np.random.default_rng(3).standard_normal((10, 2))
-        base = masked_loss(logits, labels, mask, 1e-3, model)
+        base = masked_loss(logits, labels, mask, model)
         tampered = labels.copy()
         tampered[~mask] = 1 - tampered[~mask]
-        assert masked_loss(logits, tampered, mask, 1e-3, model) == base
+        assert masked_loss(logits, tampered, mask, model) == base
 
     def test_l2_term_uses_weights_not_biases(self):
-        _, _, _, labels, mask, _, model = small_setup()
+        _, _, _, labels, mask, _, model = small_setup(l2_coeff=0.01)
         for layer in model.layers:
             layer.bias += 100.0  # must not affect the penalty
         logits = np.zeros((10, 2))
         w_sq = sum(float((l.weight**2).sum()) for l in model.layers)
         expected = math.log(2.0) + 0.01 * w_sq
-        assert masked_loss(logits, labels, mask, 0.01, model) == pytest.approx(expected, rel=1e-12)
+        assert masked_loss(logits, labels, mask, model) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBackward:
     def test_zero_features_zero_weight_grads_except_bias(self):
-        _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
-        _, grads, _ = loss_and_grads(
-            model, scaled, np.zeros_like(x), constants(model, labels, mask), 0.0
-        )
+        _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0, l2_coeff=0.0)
+        zeros = np.zeros_like(x)
+        _, grads, _ = loss_and_grads(model, scaled, zeros, constants(model, labels, mask))
         for i, layer in enumerate(model.layers):
             assert np.all(grads[2 * i] == 0.0)  # weights: no signal anywhere
         assert np.any(grads[2 * len(model.layers) - 1] != 0.0)  # output bias moves
 
     def test_l2_only_gradient_is_2_l2_w(self):
-        _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
         l2 = 0.37
-        _, grads, _ = loss_and_grads(
-            model, scaled, np.zeros_like(x), constants(model, labels, mask), l2
-        )
+        _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0, l2_coeff=l2)
+        zeros = np.zeros_like(x)
+        _, grads, _ = loss_and_grads(model, scaled, zeros, constants(model, labels, mask))
         for i, layer in enumerate(model.layers):
             np.testing.assert_array_equal(grads[2 * i], 2.0 * l2 * layer.weight)
 
     def test_semi_supervision_boundary_bitwise(self):
         _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.0)
-        loss_a, grads_a, _ = loss_and_grads(model, scaled, x, constants(model, labels, mask), 5e-4)
+        loss_a, grads_a, _ = loss_and_grads(model, scaled, x, constants(model, labels, mask))
         tampered = labels.copy()
         tampered[~mask] = 1 - tampered[~mask]
-        loss_b, grads_b, _ = loss_and_grads(
-            model, scaled, x, constants(model, tampered, mask), 5e-4
-        )
+        loss_b, grads_b, _ = loss_and_grads(model, scaled, x, constants(model, tampered, mask))
         assert loss_a == loss_b
         for ga, gb in zip(grads_a, grads_b):
             assert np.array_equal(ga, gb)
@@ -246,34 +256,32 @@ class TestBackward:
         # Two hidden layers, so the backward pass crosses the second layer's
         # dropout mask, which is held fixed by drawing it from one seed.
         n_features, width, cheb_order = case
-        model, scaled, x, labels, mask, l2 = gradient_case(
+        model, scaled, x, labels, mask = gradient_case(
             n_features, width, hidden_layers=2, cheb_order=cheb_order, dropout_rate=0.4
         )
-        _, caches = _forward(model, scaled, x, train=True, rng=np.random.default_rng(3))
+        _, caches = _forward(model, scaled, x, np.random.default_rng(3))
         assert [c.keep is not None and not c.keep.all() for c in caches] == [True, True, False]
-        assert worst_fd_error(model, scaled, x, labels, mask, l2, mask_seed=3) < 1e-4
+        assert worst_fd_error(model, scaled, x, labels, mask, mask_seed=3) < 1e-4
 
     @pytest.mark.parametrize("hidden_layers", [1, 0])
     def test_output_side_layers_match_input_side_reference(self, hidden_layers):
-        model, scaled, x, labels, mask, l2 = gradient_case(
+        model, scaled, x, labels, mask = gradient_case(
             n_features=12, width=3, hidden_layers=hidden_layers
         )
-        _, grads, logits = loss_and_grads(model, scaled, x, constants(model, labels, mask), l2)
-        ref_logits, ref_grads = input_side_reference(model, scaled, x, labels, mask, l2)
+        _, grads, logits = loss_and_grads(model, scaled, x, constants(model, labels, mask))
+        ref_logits, ref_grads = input_side_reference(model, scaled, x, labels, mask)
         np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-10)
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_allclose(g, ref, rtol=0, atol=1e-10)
 
     def test_dropout_masks_shared_between_forward_and_backward(self):
         # With a fixed rng state, loss_and_grads must be reproducible.
-        _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.4)
+        _, scaled, x, labels, mask, config, model = small_setup(dropout_rate=0.4, l2_coeff=0.0)
         l1, g1, _ = loss_and_grads(
-            model, scaled, x, constants(model, labels, mask), 0.0, train=True,
-            rng=np.random.default_rng(9),
+            model, scaled, x, constants(model, labels, mask), np.random.default_rng(9)
         )
         l2_, g2, _ = loss_and_grads(
-            model, scaled, x, constants(model, labels, mask), 0.0, train=True,
-            rng=np.random.default_rng(9),
+            model, scaled, x, constants(model, labels, mask), np.random.default_rng(9)
         )
         assert l1 == l2_
         for a, b in zip(g1, g2):
@@ -286,8 +294,8 @@ def constants(model, labels, mask):
 
 
 def gradient_case(n_features, width, hidden_layers, cheb_order=2, dropout_rate=0.0):
-    """12 nodes, dropout off by default: (model, scaled, x, labels, mask, l2);
-    scaled is None at cheb_order 0."""
+    """12 nodes, dropout off by default, L2 at 5e-4: (model, scaled, x,
+    labels, mask); scaled is None at cheb_order 0."""
     g = make_random_graph(12, density=0.45, seed=21)
     scaled = scaled_operator(g) if cheb_order > 0 else None
     rng = np.random.default_rng(77)
@@ -297,26 +305,22 @@ def gradient_case(n_features, width, hidden_layers, cheb_order=2, dropout_rate=0
     mask[:8] = True
     config = GcnConfig(
         hidden_layers=hidden_layers, hidden_width=width, cheb_order=cheb_order,
-        dropout_rate=dropout_rate,
+        dropout_rate=dropout_rate, l2_coeff=5e-4,
     )
     model = init_model(config, n_features, np.random.default_rng(5))
-    return model, scaled, x, labels, mask, 5e-4
+    return model, scaled, x, labels, mask
 
 
-def fd_gradients(model, scaled, x, labels, mask, l2, mask_seed=None):
+def fd_gradients(model, scaled, x, labels, mask, mask_seed=None):
     """(analytic, central-difference) gradient pairs per parameter tensor.
 
-    With mask_seed, every evaluation is a train-mode pass whose dropout masks
-    come from a new generator of that seed, so all of them share one mask.
+    With mask_seed, every evaluation is a pass with dropout whose masks come
+    from a new generator of that seed, so all of them share one mask.
     """
 
     def pass_now():
-        if mask_seed is None:
-            return loss_and_grads(model, scaled, x, constants(model, labels, mask), l2)
-        rng = np.random.default_rng(mask_seed)
-        return loss_and_grads(
-            model, scaled, x, constants(model, labels, mask), l2, train=True, rng=rng
-        )
+        rng = None if mask_seed is None else np.random.default_rng(mask_seed)
+        return loss_and_grads(model, scaled, x, constants(model, labels, mask), rng)
 
     _, grads, _ = pass_now()
 
@@ -342,18 +346,19 @@ def fd_gradients(model, scaled, x, labels, mask, l2, mask_seed=None):
     return pairs
 
 
-def worst_fd_error(model, scaled, x, labels, mask, l2, mask_seed=None):
+def worst_fd_error(model, scaled, x, labels, mask, mask_seed=None):
     """Largest relative gap between analytic and central-difference gradients."""
     worst = 0.0
-    for g_analytic, fd in fd_gradients(model, scaled, x, labels, mask, l2, mask_seed):
+    for g_analytic, fd in fd_gradients(model, scaled, x, labels, mask, mask_seed):
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(g_analytic)), 1e-8)
         worst = max(worst, float(np.max(np.abs(fd - g_analytic) / denom)))
     return worst
 
 
-def input_side_reference(model, scaled, x, labels, mask, l2):
+def input_side_reference(model, scaled, x, labels, mask):
     """Logits and gradients (dropout off) with explicit dense T_k(Ls) matrices,
     every layer associated as (T_k(Ls) H) W_k."""
+    l2 = model.config.l2_coeff
     polys = chebyshev_basis(scaled, np.eye(scaled.n), model.config.cheb_order)
     last = len(model.layers) - 1
     inputs, pre = [], []
@@ -480,18 +485,13 @@ class TestTrain:
         assert exc.value.epoch == 0
 
     def test_three_classes_train_and_out_of_range_label_rejected(self):
-        scaled, x, _ = separable_case()
-        labels = np.arange(len(x)) % 3
+        # The output layer has N_CLASSES = 2 columns; a third class is rejected.
+        scaled, x, labels = separable_case()
         mask = np.ones(len(labels), dtype=bool)
-        config = GcnConfig(n_classes=3, epochs=3, hidden_width=4)
-        model, losses = train(config, scaled, x, labels, mask)
-        assert model.layers[-1].weight.shape[-1] == 3
-        assert len(losses) == 3
-        probs, _ = predict(model, scaled, x)
-        assert probs.shape == (len(x), 3)
-        labels[0] = 3
-        with pytest.raises(ContractError):
-            train(config, scaled, x, labels, mask)
+        labels = labels.copy()
+        labels[0] = 2
+        with pytest.raises(ContractError, match=r"known labels in \[0, 2\)"):
+            train(GcnConfig(epochs=3, hidden_width=4), scaled, x, labels, mask)
 
     def test_order_zero_without_operator_and_operator_required_above(self):
         _, x, labels = separable_case()
@@ -556,17 +556,11 @@ class TestPredict:
         assert np.array_equal(preds, np.argmax(probs, axis=1))
 
     def test_softmax_shift_invariance(self):
-        from popgcn.gcn import _stable_softmax
-
         rng = np.random.default_rng(8)
         logits = rng.standard_normal((7, 2))
         shifted = logits + rng.standard_normal((7, 1))  # per-row constant
-        np.testing.assert_allclose(
-            _stable_softmax(logits), _stable_softmax(shifted), atol=1e-12
-        )
+        np.testing.assert_allclose(softmax(logits), softmax(shifted), atol=1e-12)
 
     def test_argmax_tie_goes_to_lower_class(self):
-        from popgcn.gcn import _stable_softmax
-
-        probs = _stable_softmax(np.zeros((3, 2)))
+        probs = softmax(np.zeros((3, 2)))
         assert np.all(np.argmax(probs, axis=1) == 0)

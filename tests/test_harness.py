@@ -351,9 +351,16 @@ class TestRunExperiment:
             assert rec_.probs == probs[:, 1].tolist()
 
     def test_repeated_seeds_rejected(self):
-        desc = small_experiment(seeds=(0, 2, 0))
         with pytest.raises(ParameterError, match=r"repeated: \[0\]"):
-            run_experiment(desc)
+            small_experiment(seeds=(0, 2, 0))
+
+    def test_settings_checked_without_data_and_data_aligned_once_given(self):
+        desc = small_experiment()
+        settings = dataclasses.replace(desc, features=None, records=None)
+        assert dataclasses.replace(settings, features=desc.features, records=desc.records) == desc
+        for data in ({"records": None}, {"records": desc.records[::-1]}):
+            with pytest.raises(ContractError, match="aligned"):
+                dataclasses.replace(desc, **data)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs, monkeypatch):
@@ -367,19 +374,19 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("graph_spec", GraphSpec(measures=())),
-            ("gcn_config", GcnConfig(dropout_rate=1.5)),
-            ("baseline_config", BaselineConfig(ridge_alpha=0.0)),
-            ("selector_config", SelectorConfig(kind="rfe", target_c=0)),
-            ("graph_spec", GraphSpec(sigma=0.0)),
+            ("graph_spec", {"measures": ()}),
+            ("gcn_config", {"dropout_rate": 1.5}),
+            ("baseline_config", {"ridge_alpha": 0.0}),
+            ("selector_config", {"kind": "rfe", "target_c": 0}),
+            ("graph_spec", {"sigma": 0.0}),
         ],
     )
-    def test_sub_configs_validated_before_any_fold(self, field, value, monkeypatch):
-        # Even for a ridge run, which builds no graph and trains no GCN.
-        desc = dataclasses.replace(small_experiment(model="ridge"), **{field: value})
-        monkeypatch.setattr("popgcn.harness.stratified_group_kfold", None)
+    def test_sub_configs_validated_before_any_fold(self, field, value):
+        # Even a ridge run's graph and GCN settings: each config is checked
+        # when made, so no descriptor can hold an invalid one.
+        desc = small_experiment(model="ridge")
         with pytest.raises(ParameterError):
-            run_experiment(desc)
+            dataclasses.replace(getattr(desc, field), **value)
 
     def test_parallel_jobs_match_sequential(self):
         desc = small_experiment(seeds=(0,), folds=3)

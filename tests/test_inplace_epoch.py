@@ -38,8 +38,7 @@ from popgcn.gcn import (
     _keep_mask,
     _output_side,
     _principal_submatrix,
-    _row_max,
-    _row_sum,
+    _softmax_terms,
     _trained_rows,
     adam_update,
     epoch_constants,
@@ -155,11 +154,13 @@ class TestTrainMatchesReference:
 class TestPiecesMatchReference:
     def test_one_pass_loss_grads_and_logits(self):
         scaled, x, labels, mask = epoch_case(30, 12, seed=4)
-        config = GcnConfig(hidden_layers=2, hidden_width=5, dropout_rate=0.4, seed=2)
+        config = GcnConfig(
+            hidden_layers=2, hidden_width=5, dropout_rate=0.4, l2_coeff=1e-3, seed=2
+        )
         model = init_model(config, 12)
         constants = epoch_constants(model, labels, mask, np.empty_like(model.flat))
         loss, grads, logits = loss_and_grads(
-            model, scaled, x, constants, 1e-3, train=True, rng=np.random.default_rng(7)
+            model, scaled, x, constants, np.random.default_rng(7)
         )
         ref_loss, ref_grads, ref_logits = loss_and_grads_reference(
             model, scaled, x, labels, mask, 1e-3, True, np.random.default_rng(7)
@@ -250,17 +251,23 @@ class TestPiecesMatchReference:
         sigma = np.sqrt(p * (1.0 - p) / n)
         assert abs(keep.mean() - p) <= 5.0 * sigma
 
-    @pytest.mark.parametrize("n_cols", range(2, 8))
-    def test_row_reductions_by_column(self, rng, n_cols):
-        z = rng.standard_normal((400, n_cols)) * 10.0 ** rng.integers(-6, 6, size=(400, n_cols))
+    def test_softmax_terms(self, rng):
+        # The two-column max and sum against numpy's row reductions.
+        z = rng.standard_normal((400, 2)) * 10.0 ** rng.integers(-6, 6, size=(400, 2))
         z[rng.random(z.shape) < 0.2] = 0.0
         z[rng.random(z.shape) < 0.2] = -0.0
-        z[:40] = np.where(rng.random((40, n_cols)) < 0.5, -0.0, 0.0)  # signed zeros
+        z[:40] = np.where(rng.random((40, 2)) < 0.5, -0.0, 0.0)  # signed zeros
         z[40:80] = rng.integers(-2, 3, size=(40, 1))  # whole rows tied
-        z[80:120, -1] = z[80:120, 0]  # first and last columns tied
-        for a in (z, -z):
-            assert_bits_equal(_row_max(a), a.max(axis=1))
-            assert_bits_equal(_row_sum(a), a.sum(axis=1))
+        z[80:120, 1] = z[80:120, 0]  # columns tied
+        z[120:130] = [[np.inf, 1.0], [-np.inf, 1.0], [1.0, -np.inf], [np.inf, -np.inf],
+                      [-np.inf, -np.inf], [np.inf, np.inf], [-0.0, -np.inf],
+                      [np.inf, 0.0], [-np.inf, -0.0], [1e308, -1e308]]
+        with np.errstate(all="ignore"):
+            for a in (z, -z):
+                zmax, e, e_sum = _softmax_terms(a)
+                assert_bits_equal(zmax, a.max(axis=1))
+                assert_bits_equal(e, np.exp(a - a.max(axis=1, keepdims=True)))
+                assert_bits_equal(e_sum, e.sum(axis=1))
 
     def test_sigmoid(self, rng):
         z = np.concatenate([
@@ -268,7 +275,7 @@ class TestPiecesMatchReference:
             [np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300, -np.nan],
             rng.standard_normal(192) * 10.0,
         ]).reshape(13, 16)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(all="ignore"):
             out = _sigmoid(z)
             expected = sigmoid_reference(z)
         # NaN stays NaN; the sign bit of a NaN result is not specified by

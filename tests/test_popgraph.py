@@ -170,12 +170,10 @@ class TestPhenotypicGraph:
     @pytest.mark.parametrize("strategy", ["phenotypic", "random"])
     @pytest.mark.parametrize("sim_mode", ["none", "correlation_kernel", "longitudinal"])
     def test_empty_measures_rejected(self, strategy, sim_mode):
-        # W = Sim * sum of gammas is identically 0 without a measure.
-        features = feats([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        records = [rec(i) for i in range(3)]
-        spec = GraphSpec(strategy=strategy, measures=(), sim_mode=sim_mode)
+        # W = Sim * sum of gammas is identically 0 without a measure; the
+        # spec is rejected when made, so no graph is built from it.
         with pytest.raises(ParameterError, match="at least one measure"):
-            build_graph(features, records, spec)
+            GraphSpec(strategy=strategy, measures=(), sim_mode=sim_mode)
 
     def test_empty_measures_allowed_where_unused(self):
         features = feats([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
