@@ -20,12 +20,10 @@ from .dataset import (
     AcquisitionRecord,
     FeatureMatrix,
     SyntheticConfig,
-    fisher_transform,
     generate_synthetic,
     load_dataset,
     load_features,
     load_phenotypes,
-    vectorize_connectivity,
 )
 from .popgraph import (
     GraphSpec,

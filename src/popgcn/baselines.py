@@ -28,7 +28,7 @@ class BaselineConfig:
     mlp_epochs: int = 200
 
     def __post_init__(self):
-        if self.ridge_alpha <= 0:
+        if not self.ridge_alpha > 0:
             raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
         if self.mlp_epochs < 0:
             raise ParameterError(f"mlp_epochs must be >= 0, got {self.mlp_epochs}")

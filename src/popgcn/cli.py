@@ -11,7 +11,9 @@ Defaults and their checks live on the config classes (SyntheticConfig,
 SelectorConfig, GraphSpec, GcnConfig, BaselineConfig, ExperimentDescriptor)
 and nowhere else: each config is built from the INI keys, or the synth/graph
 flags, that were given, every field left out keeps its class default, and
-constructing it checks it, before any data are read.
+constructing it checks it, before any data are read. Functions a library
+caller can reach without a config, such as featsel.rfe_select, check their
+own arguments as well.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Data model, CSV ingestion, connectivity vectorization, and a synthetic cohort generator.
+"""Data model, CSV ingestion, and a synthetic cohort generator.
 
 A dataset is a pair (FeatureMatrix, list[AcquisitionRecord]) with identical row
 order. Acquisitions are the unit of analysis: one subject may contribute several
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     ContractError,
-    DomainError,
     FormatError,
     IntegrityError,
     ParameterError,
@@ -121,9 +120,9 @@ class SyntheticConfig:
             raise ParameterError("all counts must be >= 1")
         if lo < 1 or hi < lo:
             raise ParameterError(f"scans_per_subject range invalid: {self.scans_per_subject}")
-        if self.class_separation < 0 or self.site_shift_scale < 0:
+        if not (self.class_separation >= 0 and self.site_shift_scale >= 0):
             raise ParameterError("class_separation and site_shift_scale must be >= 0")
-        if self.noise_scale <= 0:
+        if not self.noise_scale > 0:
             raise ParameterError("noise_scale must be > 0")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
@@ -521,33 +520,6 @@ def load_dataset(features_path, phenotypes_path) -> tuple[FeatureMatrix, list[Ac
 
 def labels_array(records: list[AcquisitionRecord]) -> np.ndarray:
     return np.array([r.label for r in records], dtype=np.int64)
-
-
-def vectorize_connectivity(matrix) -> np.ndarray:
-    """Strict upper triangle of a symmetric R x R matrix, row-major.
-
-    Output length is R(R-1)/2; the pair order is (0,1), (0,2), ..., (R-2,R-1).
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractError(f"square matrix required, got shape {m.shape}")
-    r = m.shape[0]
-    if r < 2:
-        raise ContractError(f"R >= 2 required, got {r}")
-    asym = np.max(np.abs(m - m.T))
-    if asym > 1e-8:
-        raise IntegrityError(f"matrix asymmetric: max |M - M^T| = {asym:.3e} > 1e-08")
-    iu, ju = np.triu_indices(r, k=1)
-    return m[iu, ju]
-
-
-def fisher_transform(r):
-    """arctanh(r), defined for |r| < 1; accepts scalars or arrays."""
-    arr = np.asarray(r, dtype=np.float64)
-    if np.any(np.abs(arr) >= 1.0):
-        raise DomainError("fisher_transform requires |r| < 1")
-    out = np.arctanh(arr)
-    return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureMatrix, list[AcquisitionRecord]]:

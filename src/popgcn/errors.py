@@ -34,10 +34,6 @@ class ContractError(PopgcnError):
     """Caller violated an API precondition (shape or alignment mismatch)."""
 
 
-class DomainError(PopgcnError):
-    """Mathematical domain violation, e.g. arctanh outside (-1, 1)."""
-
-
 class DivergenceError(PopgcnError):
     """Training produced a non-finite loss; records the epoch it happened."""
 

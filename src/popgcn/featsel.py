@@ -33,7 +33,7 @@ from .errors import ContractError, DivergenceError, ParameterError
 
 
 def _check_ridge_inputs(x: np.ndarray, y: np.ndarray, alpha: float):
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
     if x.ndim != 2 or x.shape[0] < 2:
         raise ContractError("need a 2-D matrix with at least 2 rows")
@@ -124,15 +124,15 @@ class PcaInfo:
     rank_deficient: bool
 
 
-def pca_fit_transform(x_train, x_all, target_c: int):
-    """Project all rows onto the top target_c principal directions of the
-    training rows (mean-centered, singular values descending).
+def pca_fit(x_train, target_c: int) -> PcaInfo:
+    """The top target_c principal directions of the training rows
+    (mean-centered, singular values descending); a row x projects to
+    (x - mean) @ components.T.
 
-    Returns (reduced, PcaInfo); components beyond the training-data rank are
-    zero vectors and rank_deficient is flagged.
+    Components beyond the training-data rank are zero vectors and
+    rank_deficient is flagged.
     """
     x_train = np.asarray(x_train, dtype=np.float64)
-    x_all = np.asarray(x_all, dtype=np.float64)
     n, c = x_train.shape
     if not 1 <= target_c <= min(n, c):
         raise ParameterError(f"target_c must be in [1, {min(n, c)}], got {target_c}")
@@ -153,7 +153,7 @@ def pca_fit_transform(x_train, x_all, target_c: int):
     ratios = (s[:target_c] ** 2 / total_var) if total_var > 0 else np.zeros(target_c)
     if rank_deficient:
         ratios = np.concatenate([ratios[:rank], np.zeros(target_c - rank)])
-    info = PcaInfo(
+    return PcaInfo(
         mean=mean,
         components=components,
         explained_variance_ratio=ratios,
@@ -161,7 +161,6 @@ def pca_fit_transform(x_train, x_all, target_c: int):
         rank=rank,
         rank_deficient=rank_deficient,
     )
-    return (x_all - mean) @ components.T, info
 
 
 def _minmax_scale_params(x_train):
@@ -256,7 +255,11 @@ SELECTOR_KINDS = ("none", "rfe", "pca", "mlp", "autoencoder")
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Feature selector settings, checked when constructed (and by replace)."""
+    """Feature selector settings, checked when constructed (and by replace),
+    whatever the kind: a known kind, target_c >= 1 for a fitted selector,
+    ridge_alpha > 0, 0 < rfe_step_fraction <= 1, mlp_epochs >= 0,
+    ae_epochs >= 0, mlp_lr > 0, ae_lr > 0 and seed >= 0. Each float bound is
+    written as the condition that holds, so NaN fails it."""
 
     kind: str = "none"
     target_c: int = 0  # ignored for kind 'none'
@@ -273,6 +276,20 @@ class SelectorConfig:
             raise ParameterError(f"unknown selector kind {self.kind!r}")
         if self.kind != "none" and self.target_c < 1:
             raise ParameterError("target_c must be >= 1 for fitted selectors")
+        if not self.ridge_alpha > 0:
+            raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
+        if not 0 < self.rfe_step_fraction <= 1:
+            raise ParameterError(
+                f"rfe_step_fraction must be in (0, 1], got {self.rfe_step_fraction}"
+            )
+        if self.mlp_epochs < 0:
+            raise ParameterError(f"mlp_epochs must be >= 0, got {self.mlp_epochs}")
+        if self.ae_epochs < 0:
+            raise ParameterError(f"ae_epochs must be >= 0, got {self.ae_epochs}")
+        if not self.mlp_lr > 0:
+            raise ParameterError(f"mlp_lr must be > 0, got {self.mlp_lr}")
+        if not self.ae_lr > 0:
+            raise ParameterError(f"ae_lr must be > 0, got {self.ae_lr}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -302,7 +319,7 @@ class FeatureSelector:
                 x_train, y_signed, cfg.target_c, cfg.rfe_step_fraction, cfg.ridge_alpha
             )
         elif cfg.kind == "pca":
-            _, self.pca_info = pca_fit_transform(x_train, x_train, cfg.target_c)
+            self.pca_info = pca_fit(x_train, cfg.target_c)
         elif cfg.kind == "mlp":
             y = np.asarray(y_train, dtype=np.int64)
             if len(np.unique(y)) < 2:

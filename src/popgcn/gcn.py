@@ -104,9 +104,9 @@ class GcnConfig:
             raise ParameterError(f"cheb_order must be >= 0, got {self.cheb_order}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.l2_coeff < 0:
+        if not self.l2_coeff >= 0:
             raise ParameterError(f"l2_coeff must be >= 0, got {self.l2_coeff}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")

@@ -67,11 +67,11 @@ class GraphSpec:
             raise ParameterError(f"strategy {self.strategy!r} needs at least one measure")
         if self.sim_mode not in SIM_MODES:
             raise ParameterError(f"unknown sim_mode {self.sim_mode!r}")
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ParameterError(f"theta must be > 0, got {self.theta}")
-        if self.sim_mode == "longitudinal" and self.lam <= 1:
+        if self.sim_mode == "longitudinal" and not self.lam > 1:
             raise ParameterError(f"lambda must be > 1, got {self.lam}")
-        if self.sigma is not None and self.sigma <= 0:
+        if self.sigma is not None and not self.sigma > 0:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")

@@ -126,7 +126,7 @@ def scale_laplacian(lap: LaplacianMatrix, lambda_max: float) -> LaplacianMatrix:
     """Rescale to the Chebyshev domain: Ls = (2 / lambda_max) L - I."""
     if lap.kind != "normalized":
         raise ContractError(f"expected a normalized Laplacian, got kind {lap.kind!r}")
-    if lambda_max <= 0:
+    if not lambda_max > 0:
         raise ParameterError(f"lambda_max must be > 0, got {lambda_max}")
     factor = 2.0 / lambda_max
     if lap.is_sparse:

@@ -141,13 +141,18 @@ class TestGraphCommand:
         capsys.readouterr()
 
     def test_bad_setting_exits_1_before_reading_files(self, tmp_path, capsys):
-        code = run_cli(
-            "graph", "--features", str(tmp_path / "nope.csv"),
-            "--phenotypes", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "g.csv"),
-            "--theta", "-1",
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "error: ParameterError: theta must be > 0, got -1.0\n"
+        for flag, value in (("--theta", "-1"), ("--sigma", "nan")):
+            code = run_cli(
+                "graph", "--features", str(tmp_path / "nope.csv"),
+                "--phenotypes", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "g.csv"),
+                flag, value,
+            )
+            assert code == 1
+            name = flag.lstrip("-")
+            assert capsys.readouterr().err == (
+                f"error: ParameterError: {name} must be > 0, got {float(value)}\n"
+            )
+            assert not (tmp_path / "g.csv").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
@@ -253,6 +258,22 @@ class TestRunCommand:
             ("cv.fold_seed=-1", "fold_seed must be >= 0, got -1"),
             ("selector.seed=-1", "seed must be >= 0, got -1"),
             ("graph.seed=-1", "seed must be >= 0, got -1"),
+            ("graph.theta=nan", "theta must be > 0, got nan"),
+            ("graph.sigma=nan", "sigma must be > 0, got nan"),
+            ("model.l2=nan", "l2_coeff must be >= 0, got nan"),
+            ("model.lr=nan", "learning_rate must be > 0, got nan"),
+            ("model.ridge_alpha=nan", "ridge_alpha must be > 0, got nan"),
+            ("selector.ridge_alpha=nan", "ridge_alpha must be > 0, got nan"),
+            ("selector.ridge_alpha=0", "ridge_alpha must be > 0, got 0.0"),
+            ("selector.rfe_step_fraction=2", "rfe_step_fraction must be in (0, 1], got 2.0"),
+            ("selector.rfe_step_fraction=0", "rfe_step_fraction must be in (0, 1], got 0.0"),
+            ("selector.rfe_step_fraction=nan", "rfe_step_fraction must be in (0, 1], got nan"),
+            ("selector.mlp_epochs=-1", "mlp_epochs must be >= 0, got -1"),
+            ("selector.ae_epochs=-5", "ae_epochs must be >= 0, got -5"),
+            ("selector.mlp_lr=0", "mlp_lr must be > 0, got 0.0"),
+            ("selector.mlp_lr=nan", "mlp_lr must be > 0, got nan"),
+            ("selector.ae_lr=-1", "ae_lr must be > 0, got -1.0"),
+            ("selector.ae_lr=nan", "ae_lr must be > 0, got nan"),
         ],
     )
     def test_bad_setting_exits_1_before_reading_data(
@@ -269,7 +290,7 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(cfg), "--out", str(out), *given) == 1
         err = capsys.readouterr().err
         assert message in err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ParameterError: ")
         assert not out.exists()
 
     @needs_fork

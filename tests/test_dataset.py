@@ -1,5 +1,4 @@
 import csv
-import math
 import multiprocessing
 import os
 import threading
@@ -19,18 +18,16 @@ from popgcn.dataset import (
     AcquisitionRecord,
     FeatureMatrix,
     SyntheticConfig,
-    fisher_transform,
     fork_map,
     generate_synthetic,
     labels_array,
     load_dataset,
     load_features,
     load_phenotypes,
-    vectorize_connectivity,
     write_features,
     write_phenotypes,
 )
-from popgcn.errors import DomainError, FormatError, IntegrityError, ParameterError, ParseError
+from popgcn.errors import FormatError, IntegrityError, ParameterError, ParseError
 from popgcn.featsel import SelectorConfig
 from popgcn.gcn import GcnConfig
 from popgcn.harness import ExperimentDescriptor, run_experiment
@@ -619,67 +616,6 @@ class TestRoundTrip:
             load_dataset(tmp_path / "f.csv", tmp_path / "p.csv")
 
 
-class TestVectorizeConnectivity:
-    def test_length_111(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((111, 111))
-        m = (m + m.T) / 2
-        assert vectorize_connectivity(m).shape == (6105,)
-
-    def test_two_by_two(self):
-        r = 0.37
-        np.testing.assert_array_equal(vectorize_connectivity([[1, r], [r, 1]]), [r])
-
-    def test_four_by_four_order(self):
-        m = np.zeros((4, 4))
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        for val, (i, j) in enumerate(pairs, start=1):
-            m[i, j] = m[j, i] = val
-        np.testing.assert_array_equal(vectorize_connectivity(m), [1, 2, 3, 4, 5, 6])
-
-    def test_asymmetric_rejected(self):
-        m = np.array([[0.0, 1.0], [1.0 + 2e-8, 0.0]])
-        with pytest.raises(IntegrityError, match="asymmetric"):
-            vectorize_connectivity(m)
-
-    def test_roundtrip_reconstruction_lossless(self, rng):
-        m = rng.standard_normal((9, 9))
-        m = (m + m.T) / 2
-        vec = vectorize_connectivity(m)
-        rebuilt = np.eye(9)
-        iu, ju = np.triu_indices(9, k=1)
-        rebuilt[iu, ju] = vec
-        rebuilt[ju, iu] = vec
-        off = ~np.eye(9, dtype=bool)
-        np.testing.assert_array_equal(rebuilt[off], m[off])
-
-
-class TestFisherTransform:
-    def test_zero(self):
-        assert fisher_transform(0.0) == 0.0
-
-    def test_half_against_log_oracle(self):
-        # Independent oracle: 0.5 * ln((1+r)/(1-r)).
-        oracle = 0.5 * math.log((1 + 0.5) / (1 - 0.5))
-        assert fisher_transform(0.5) == pytest.approx(oracle, abs=1e-12)
-        assert fisher_transform(0.5) == pytest.approx(0.549306, abs=1e-6)
-
-    @given(st.floats(min_value=-0.999, max_value=0.999))
-    @settings(max_examples=50, deadline=None)
-    def test_odd_function(self, r):
-        assert fisher_transform(-r) == pytest.approx(-fisher_transform(r), abs=1e-14)
-
-    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            fisher_transform(bad)
-
-    def test_monotone(self):
-        xs = np.linspace(-0.95, 0.95, 41)
-        ys = fisher_transform(xs)
-        assert np.all(np.diff(ys) > 0)
-
-
 class TestGenerateSynthetic:
     @pytest.mark.parametrize(
         "settings, message",
@@ -687,6 +623,9 @@ class TestGenerateSynthetic:
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"noise_scale": 0.0}, "noise_scale must be > 0"),
             ({"scans_per_subject": (2, 1)}, "scans_per_subject range invalid"),
+            ({"noise_scale": float("nan")}, "noise_scale must be > 0"),
+            ({"class_separation": float("nan")}, "class_separation and site_shift_scale"),
+            ({"site_shift_scale": float("nan")}, "class_separation and site_shift_scale"),
         ],
     )
     def test_config_checked_when_made(self, settings, message):

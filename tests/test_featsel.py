@@ -10,7 +10,7 @@ from popgcn.featsel import (
     _ae_loss_and_grads,
     _minmax_apply,
     _minmax_scale_params,
-    pca_fit_transform,
+    pca_fit,
     rfe_select,
     ridge_fit,
 )
@@ -119,6 +119,7 @@ class TestRfeSelect:
         [
             (0.0, [1.0, -1.0] * 5, ParameterError),
             (1.0, [1.0] * 10, ContractError),
+            (float("nan"), [1.0, -1.0] * 5, ParameterError),
         ],
     )
     def test_ridge_checks_run_before_the_first_round(self, rng, alpha, y, error):
@@ -178,26 +179,28 @@ class TestPca:
         basis = np.linalg.qr(rng.standard_normal((7, 3)))[0][:, :3].T  # 3 x 7
         coeffs = rng.standard_normal((25, 3))
         x = coeffs @ basis
-        reduced, info = pca_fit_transform(x, x, target_c=3)
-        recon = reduced @ info.components + info.mean
+        info = pca_fit(x, target_c=3)
+        recon = (x - info.mean) @ info.components.T @ info.components + info.mean
         assert np.max(np.abs(recon - x)) < 1e-8
 
     def test_projected_training_columns_uncorrelated(self, rng):
         x = rng.standard_normal((40, 6)) @ np.diag([3, 2, 1.5, 1, 0.5, 0.2])
-        reduced, _ = pca_fit_transform(x, x, target_c=4)
+        info = pca_fit(x, target_c=4)
+        reduced = (x - info.mean) @ info.components.T
         cov = np.cov(reduced, rowvar=False)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 1e-8
 
     def test_training_mean_maps_to_zero(self, rng):
         x = rng.standard_normal((15, 5)) + 3.0
-        reduced, info = pca_fit_transform(x, x.mean(axis=0, keepdims=True), target_c=3)
+        info = pca_fit(x, target_c=3)
+        reduced = (x.mean(axis=0, keepdims=True) - info.mean) @ info.components.T
         np.testing.assert_allclose(reduced, 0.0, atol=1e-10)
 
     def test_explained_variance_matches_eigensolver(self, rng):
         # Oracle: eigenvalues of the training covariance matrix.
         x = rng.standard_normal((50, 6)) @ np.diag([4, 2.5, 2, 1, 0.7, 0.1])
-        _, info = pca_fit_transform(x, x, target_c=4)
+        info = pca_fit(x, target_c=4)
         xc = x - x.mean(axis=0)
         eigvals = np.sort(np.linalg.eigvalsh(xc.T @ xc))[::-1]
         oracle = eigvals[:4] / eigvals.sum()
@@ -206,7 +209,7 @@ class TestPca:
 
     def test_rank_deficient_components_zeroed_and_flagged(self, rng):
         rank2 = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
-        _, info = pca_fit_transform(rank2, rank2, target_c=5)
+        info = pca_fit(rank2, target_c=5)
         assert info.rank == 2
         assert info.rank_deficient
         np.testing.assert_array_equal(info.components[2:], 0.0)
@@ -214,7 +217,7 @@ class TestPca:
     def test_target_too_large(self, rng):
         x = rng.standard_normal((4, 10))
         with pytest.raises(ParameterError):
-            pca_fit_transform(x, x, target_c=5)  # > min(rows, C)
+            pca_fit(x, target_c=5)  # > min(rows, C)
 
 
 def separable(n=80, c=10, seed=0):

@@ -379,6 +379,19 @@ class TestRunExperiment:
             ("baseline_config", {"ridge_alpha": 0.0}),
             ("selector_config", {"kind": "rfe", "target_c": 0}),
             ("graph_spec", {"sigma": 0.0}),
+            ("graph_spec", {"theta": float("nan")}),
+            ("graph_spec", {"sigma": float("nan")}),
+            ("graph_spec", {"sim_mode": "longitudinal", "lam": float("nan")}),
+            ("gcn_config", {"l2_coeff": float("nan")}),
+            ("gcn_config", {"learning_rate": float("nan")}),
+            ("baseline_config", {"ridge_alpha": float("nan")}),
+            ("selector_config", {"ridge_alpha": float("nan")}),
+            ("selector_config", {"rfe_step_fraction": 2.0}),
+            ("selector_config", {"rfe_step_fraction": float("nan")}),
+            ("selector_config", {"mlp_epochs": -1}),
+            ("selector_config", {"ae_epochs": -5}),
+            ("selector_config", {"mlp_lr": float("nan")}),
+            ("selector_config", {"ae_lr": -1.0}),
         ],
     )
     def test_sub_configs_validated_before_any_fold(self, field, value):

@@ -198,8 +198,9 @@ class TestScaleLaplacian:
             assert eigvals[-1] <= 1.0 + 1e-8
 
     def test_invalid_lambda(self):
-        with pytest.raises(ParameterError):
-            scale_laplacian(normalized_laplacian(k2_graph()), 0.0)
+        for lambda_max in (0.0, float("nan")):
+            with pytest.raises(ParameterError, match="lambda_max must be > 0"):
+                scale_laplacian(normalized_laplacian(k2_graph()), lambda_max)
 
 
 class TestChebyshevBasis:
