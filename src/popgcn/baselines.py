@@ -22,7 +22,8 @@ from .gcn import GcnConfig, predict, train
 class BaselineConfig:
     """The baselines' own settings: the ridge penalty and the MLP's epoch
     count. The MLP takes every other setting from the GcnConfig it is given.
-    Checked when constructed (and by replace)."""
+    Checked when constructed (and by replace): 0 < ridge_alpha < inf and
+    mlp_epochs >= 0."""
 
     ridge_alpha: float = 1.0
     mlp_epochs: int = 200
@@ -30,6 +31,8 @@ class BaselineConfig:
     def __post_init__(self):
         if not self.ridge_alpha > 0:
             raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
+        if not self.ridge_alpha < np.inf:
+            raise ParameterError(f"ridge_alpha must be finite, got {self.ridge_alpha}")
         if self.mlp_epochs < 0:
             raise ParameterError(f"mlp_epochs must be >= 0, got {self.mlp_epochs}")
 

@@ -11,9 +11,14 @@ Defaults and their checks live on the config classes (SyntheticConfig,
 SelectorConfig, GraphSpec, GcnConfig, BaselineConfig, ExperimentDescriptor)
 and nowhere else: each config is built from the INI keys, or the synth/graph
 flags, that were given, every field left out keeps its class default, and
-constructing it checks it, before any data are read. Functions a library
-caller can reach without a config, such as featsel.rfe_select, check their
-own arguments as well.
+constructing it checks it, before any data are read. That covers every
+section a run reads: the [dataset] keys of the synthetic cohort even when the
+config names files instead, and each float bound written as the condition
+that holds, so NaN fails it and the settings that cannot be infinite
+(model.lr, model.l2, model.ridge_alpha, selector.ridge_alpha,
+selector.mlp_lr, selector.ae_lr and a longitudinal graph.lambda) reject inf.
+Functions a library caller can reach without a config, such as
+featsel.rfe_select, check their own arguments as well.
 """
 
 from __future__ import annotations
@@ -229,10 +234,10 @@ def synthetic_config(config: dict) -> ds.SyntheticConfig:
     return replace(syn, scans_per_subject=(sec.get("scans_min", lo), sec.get("scans_max", hi)))
 
 
-def _load_or_generate_dataset(config: dict):
+def _load_or_generate_dataset(config: dict, synthetic: ds.SyntheticConfig):
     sec = config.get("dataset", {})
     if sec.get("synthetic"):
-        return ds.generate_synthetic(synthetic_config(config))
+        return ds.generate_synthetic(synthetic)
     for key in ("features", "phenotypes"):
         if key not in sec:
             raise ConfigValidationError(f"dataset.{key} is required unless dataset.synthetic=true")
@@ -243,7 +248,10 @@ def _load_or_generate_dataset(config: dict):
 
 def build_descriptor(config: dict) -> ExperimentDescriptor:
     """The experiment a config describes; its settings are checked, by
-    constructing it without data, before the dataset is read or generated."""
+    constructing it without data, before the dataset is read or generated.
+    The [dataset] keys of the synthetic cohort are checked too, even where
+    the config names files and no cohort is generated."""
+    synthetic = synthetic_config(config)
     settings = _build(
         ExperimentDescriptor,
         config,
@@ -254,7 +262,7 @@ def build_descriptor(config: dict) -> ExperimentDescriptor:
         baseline_config=_build(BaselineConfig, config),
         selector_config=_build(SelectorConfig, config),
     )
-    features, records = _load_or_generate_dataset(config)
+    features, records = _load_or_generate_dataset(config, synthetic)
     return replace(settings, features=features, records=records)
 
 

@@ -257,9 +257,9 @@ SELECTOR_KINDS = ("none", "rfe", "pca", "mlp", "autoencoder")
 class SelectorConfig:
     """Feature selector settings, checked when constructed (and by replace),
     whatever the kind: a known kind, target_c >= 1 for a fitted selector,
-    ridge_alpha > 0, 0 < rfe_step_fraction <= 1, mlp_epochs >= 0,
-    ae_epochs >= 0, mlp_lr > 0, ae_lr > 0 and seed >= 0. Each float bound is
-    written as the condition that holds, so NaN fails it."""
+    0 < ridge_alpha < inf, 0 < rfe_step_fraction <= 1, mlp_epochs >= 0,
+    ae_epochs >= 0, 0 < mlp_lr < inf, 0 < ae_lr < inf and seed >= 0. Each
+    float bound is written as the condition that holds, so NaN fails it."""
 
     kind: str = "none"
     target_c: int = 0  # ignored for kind 'none'
@@ -278,6 +278,8 @@ class SelectorConfig:
             raise ParameterError("target_c must be >= 1 for fitted selectors")
         if not self.ridge_alpha > 0:
             raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
+        if not self.ridge_alpha < np.inf:
+            raise ParameterError(f"ridge_alpha must be finite, got {self.ridge_alpha}")
         if not 0 < self.rfe_step_fraction <= 1:
             raise ParameterError(
                 f"rfe_step_fraction must be in (0, 1], got {self.rfe_step_fraction}"
@@ -288,8 +290,12 @@ class SelectorConfig:
             raise ParameterError(f"ae_epochs must be >= 0, got {self.ae_epochs}")
         if not self.mlp_lr > 0:
             raise ParameterError(f"mlp_lr must be > 0, got {self.mlp_lr}")
+        if not self.mlp_lr < np.inf:
+            raise ParameterError(f"mlp_lr must be finite, got {self.mlp_lr}")
         if not self.ae_lr > 0:
             raise ParameterError(f"ae_lr must be > 0, got {self.ae_lr}")
+        if not self.ae_lr < np.inf:
+            raise ParameterError(f"ae_lr must be finite, got {self.ae_lr}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 

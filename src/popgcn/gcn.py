@@ -9,7 +9,8 @@ and hand-derived; the optimizer is Adam. Everything is float64 numpy.
 
 Training runs only on the rows the loss can reach: the connected components
 of a sparse operator that hold a masked node (each held-out subject of a
-longitudinal graph is a component of its own), or the masked rows of an
+longitudinal graph is a component of its own), read from the labels the
+operator caches (LaplacianMatrix.components), or the masked rows of an
 order-0 network; a dense operator trains every row. No edge is dropped, so
 the trained rows' forward values equal the whole graph's. Dropout draws its
 keep masks over the trained rows alone, as 16-bit lanes of full-range
@@ -84,7 +85,9 @@ N_CLASSES = 2  # the output layer's width: labels are 0 and 1
 
 @dataclass(frozen=True)
 class GcnConfig:
-    """Network and training settings, checked when constructed (and by replace)."""
+    """Network and training settings, checked when constructed (and by replace).
+    Each float bound is written as the condition that holds, so NaN fails it;
+    l2_coeff and learning_rate must also be finite."""
 
     hidden_layers: int = 1  # L
     hidden_width: int | None = None  # None -> input feature count
@@ -106,8 +109,12 @@ class GcnConfig:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not self.l2_coeff >= 0:
             raise ParameterError(f"l2_coeff must be >= 0, got {self.l2_coeff}")
+        if not self.l2_coeff < np.inf:
+            raise ParameterError(f"l2_coeff must be finite, got {self.l2_coeff}")
         if not self.learning_rate > 0:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.learning_rate < np.inf:
+            raise ParameterError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
@@ -475,12 +482,10 @@ def _trained_rows(config: GcnConfig, scaled: LaplacianMatrix | None, mask):
     if config.cheb_order == 0:
         rows = np.flatnonzero(mask)
     elif scaled.is_sparse:
-        # Imported here, as estimate_lambda_max imports eigsh. Every stored
-        # entry counts as an edge, explicit zeros included, so the rows'
-        # entries only ever point at other trained rows.
-        from scipy.sparse.csgraph import connected_components
-
-        _, component = connected_components(scaled.matrix, directed=False)
+        # The operator labels its components once, for every seed trained on
+        # it. Every stored entry counts as an edge, explicit zeros included,
+        # so the rows' entries only ever point at other trained rows.
+        _, component = scaled.components
         rows = np.flatnonzero(np.isin(component, component[mask]))
     else:
         return None

@@ -46,7 +46,8 @@ DENSE_DENSITY_LIMIT = 0.05
 @dataclass(frozen=True)
 class GraphSpec:
     """Construction recipe for a population graph, checked when constructed
-    (and by replace)."""
+    (and by replace). theta and sigma may be infinite (an age window or a
+    kernel width that spans every pair); a longitudinal lambda may not."""
 
     strategy: str = "phenotypic"
     measures: tuple[str, ...] = ("SEX", "SITE")
@@ -71,6 +72,8 @@ class GraphSpec:
             raise ParameterError(f"theta must be > 0, got {self.theta}")
         if self.sim_mode == "longitudinal" and not self.lam > 1:
             raise ParameterError(f"lambda must be > 1, got {self.lam}")
+        if self.sim_mode == "longitudinal" and not self.lam < np.inf:
+            raise ParameterError(f"lambda must be finite, got {self.lam}")
         if self.sigma is not None and not self.sigma > 0:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
         if self.seed < 0:

@@ -18,6 +18,7 @@ from popgcn.popgraph import PopulationGraph
         ({"ridge_alpha": -1.0}, "ridge_alpha must be > 0"),
         ({"mlp_epochs": -1}, "mlp_epochs must be >= 0"),
         ({"ridge_alpha": float("nan")}, "ridge_alpha must be > 0, got nan"),
+        ({"ridge_alpha": float("inf")}, "ridge_alpha must be finite, got inf"),
     ],
 )
 def test_baseline_config_validate(config, message):

@@ -2,9 +2,13 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import popgcn
 from popgcn import dataset, harness
 from popgcn.cli import (
     CONFIG_SCHEMA,
@@ -274,19 +278,31 @@ class TestRunCommand:
             ("selector.mlp_lr=nan", "mlp_lr must be > 0, got nan"),
             ("selector.ae_lr=-1", "ae_lr must be > 0, got -1.0"),
             ("selector.ae_lr=nan", "ae_lr must be > 0, got nan"),
+            ("model.lr=inf", "learning_rate must be finite, got inf"),
+            ("model.l2=inf", "l2_coeff must be finite, got inf"),
+            ("model.ridge_alpha=inf", "ridge_alpha must be finite, got inf"),
+            ("selector.ridge_alpha=inf", "ridge_alpha must be finite, got inf"),
+            ("selector.mlp_lr=inf", "mlp_lr must be finite, got inf"),
+            ("selector.ae_lr=inf", "ae_lr must be finite, got inf"),
+            ("graph.sim=longitudinal graph.lambda=inf", "lambda must be finite, got inf"),
+            ("dataset.noise=-1", "noise_scale must be > 0"),
         ],
     )
     def test_bad_setting_exits_1_before_reading_data(
         self, tmp_path, data_dir, capsys, monkeypatch, override, message
     ):
-        # An override is a config entry for --set, or a flag of its own.
+        # An override is one or more config entries for --set, or a flag of
+        # its own. The config names data files, so the [dataset] keys of the
+        # synthetic cohort are checked although no cohort is generated.
         def no_load(*args):
             raise AssertionError("load_dataset called")
 
         monkeypatch.setattr("popgcn.dataset.load_dataset", no_load)
         cfg = write_config(tmp_path, data_dir)
         out = tmp_path / "out"
-        given = [override] if override.startswith("--") else ["--set", override]
+        given = []
+        for item in override.split():
+            given += [item] if item.startswith("--") else ["--set", item]
         assert run_cli("run", "--config", str(cfg), "--out", str(out), *given) == 1
         err = capsys.readouterr().err
         assert message in err
@@ -557,3 +573,45 @@ class TestConfigBuilders:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"[graph]\nsigma = {text}\n", encoding="utf-8")
         assert _build(GraphSpec, parse_config(str(cfg))) == GraphSpec(sigma=sigma)
+
+
+def loaded_scipy_modules(script, cwd):
+    """The scipy modules loaded by a fresh interpreter that runs `script`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(popgcn.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = textwrap.dedent(script) + (
+        "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestScipyImports:
+    def test_longitudinal_run_loads_neither_arpack_nor_csgraph(self, tmp_path):
+        # Each subject's scans are a component of at most 4 nodes, so the
+        # operator's own component labels give lambda_max and the trained rows.
+        loaded = loaded_scipy_modules(
+            """
+            import sys
+            from popgcn.dataset import SyntheticConfig, generate_synthetic
+            from popgcn.gcn import GcnConfig
+            from popgcn.harness import ExperimentDescriptor, run_experiment
+            from popgcn.popgraph import GraphSpec
+
+            features, records = generate_synthetic(SyntheticConfig(
+                n_subjects=120, scans_per_subject=(2, 4), n_features=6, seed=1
+            ))
+            run_experiment(ExperimentDescriptor(
+                features=features, records=records,
+                graph_spec=GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal"),
+                gcn_config=GcnConfig(epochs=2, hidden_width=4), folds=2, seeds=(0, 1),
+            ))
+            """,
+            tmp_path,
+        )
+        assert "scipy.sparse" in loaded  # the operator was CSR
+        assert not {"scipy.sparse.linalg", "scipy.sparse.csgraph"} & loaded

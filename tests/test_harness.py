@@ -392,6 +392,13 @@ class TestRunExperiment:
             ("selector_config", {"ae_epochs": -5}),
             ("selector_config", {"mlp_lr": float("nan")}),
             ("selector_config", {"ae_lr": -1.0}),
+            ("graph_spec", {"sim_mode": "longitudinal", "lam": float("inf")}),
+            ("gcn_config", {"l2_coeff": float("inf")}),
+            ("gcn_config", {"learning_rate": float("inf")}),
+            ("baseline_config", {"ridge_alpha": float("inf")}),
+            ("selector_config", {"ridge_alpha": float("inf")}),
+            ("selector_config", {"mlp_lr": float("inf")}),
+            ("selector_config", {"ae_lr": float("inf")}),
         ],
     )
     def test_sub_configs_validated_before_any_fold(self, field, value):

@@ -1,13 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 
 from conftest import hop_distances, make_random_graph, make_tree_graph
 from popgcn.errors import ContractError, ParameterError
 from popgcn.dataset import SyntheticConfig, generate_synthetic
 from popgcn.popgraph import GraphSpec, PopulationGraph, build_graph
+from popgcn import spectral
 from popgcn.spectral import (
+    BLOCK_NODE_LIMIT,
     LaplacianMatrix,
     chebyshev_basis,
     chebyshev_weighted_sum,
@@ -105,6 +110,54 @@ class TestLaplacianDifference:
             assert laplacian_difference(g, x, i) == pytest.approx(oracle[i], abs=1e-10)
 
 
+class TestConnectedComponents:
+    @staticmethod
+    def assert_matches_csgraph(matrix):
+        count, labels = connected_components(matrix, directed=False)
+        got_count, got_labels = spectral.connected_components(matrix)
+        assert got_count == count
+        np.testing.assert_array_equal(got_labels, labels)
+
+    def test_random_graphs_with_isolated_nodes_and_explicit_zeros(self):
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            n = int(rng.integers(1, 400))
+            nnz = int(rng.integers(0, 2 * n))
+            rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+            # A third of the stored entries are explicit zeros; the pattern
+            # need not be symmetric, and each entry links both ways.
+            values = rng.choice([0.0, 0.5, 1.0], nnz)
+            matrix = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+            self.assert_matches_csgraph(matrix)
+
+    def test_explicit_zero_is_an_edge(self):
+        matrix = sp.csr_matrix((np.zeros(1), ([0], [2])), shape=(4, 4))
+        assert matrix.nnz == 1
+        count, labels = spectral.connected_components(matrix)
+        assert count == 3
+        np.testing.assert_array_equal(labels, [0, 1, 0, 2])
+
+    def test_path_graph_in_shuffled_order(self):
+        n = 3000
+        order = np.random.default_rng(1).permutation(n)
+        matrix = sp.csr_matrix((np.ones(n - 1), (order[:-1], order[1:])), shape=(n, n))
+        count, labels = spectral.connected_components(matrix)
+        assert count == 1 and not labels.any()
+        self.assert_matches_csgraph(matrix)
+
+    def test_cached_once_per_operator(self, monkeypatch):
+        g = make_random_graph(230, density=0.01, seed=2, n_components=3)
+        lap = normalized_laplacian(g)
+        calls = []
+        real = spectral.connected_components
+        monkeypatch.setattr(
+            spectral, "connected_components", lambda m: calls.append(1) or real(m)
+        )
+        assert lap.components[0] == 3
+        assert lap.components is lap.components
+        assert len(calls) == 1
+
+
 class TestLambdaMax:
     def test_k2_known_spectrum(self):
         est = estimate_lambda_max(normalized_laplacian(k2_graph()))
@@ -140,33 +193,101 @@ class TestLambdaMax:
         assert abs(est.value - truth[-1]) <= 1e-9 * truth[-1]
 
     def test_exact_and_reproducible_on_sparse_longitudinal_graph(self):
-        # One component per subject; each top eigenvalue is repeated.
-        features, records = generate_synthetic(SyntheticConfig(
-            n_subjects=120, scans_per_subject=(3, 4), n_sites=4, n_features=20, seed=3
-        ))
+        # One component per subject, of at most BLOCK_NODE_LIMIT nodes, so
+        # the dense blocks give lambda_max with no Lanczos step; with one to
+        # three scans, lambda_max = 2 is repeated once per two-scan subject.
+        # Every two-scan subject is bipartite, so lambda_max is exactly 2 and
+        # the scaled operator stores no diagonal entry.
         spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
-        lap = normalized_laplacian(build_graph(features, records, spec))
-        assert lap.is_sparse
-        truth = np.linalg.eigvalsh(lap.dense())[-1]
-        est = estimate_lambda_max(lap)
-        assert not est.used_fallback
-        assert est.iterations > 0
-        assert abs(est.value - truth) <= 1e-9 * truth
-        assert estimate_lambda_max(lap) == est
+        for scans in ((1, 3), (3, 4)):
+            features, records = generate_synthetic(SyntheticConfig(
+                n_subjects=120, scans_per_subject=scans, n_sites=4, n_features=20, seed=3
+            ))
+            lap = normalized_laplacian(build_graph(features, records, spec))
+            assert lap.is_sparse
+            truth = np.linalg.eigvalsh(lap.dense())[-1]
+            est = estimate_lambda_max(lap)
+            assert not est.used_fallback
+            assert est.iterations == 0
+            assert abs(est.value - truth) <= 1e-12 * truth
+            assert estimate_lambda_max(lap) == est
+            if scans == (1, 3):
+                assert est.value == 2.0
+                scaled = scale_laplacian(lap, est.value)
+                assert scaled.matrix.nnz == lap.matrix.nnz - lap.n
 
-    def test_reproducible_where_lanczos_restarts(self):
-        # Subjects with one to three scans: every two-scan subject is a
-        # bipartite component, so lambda_max = 2 is repeated many times, the
-        # Krylov space stops growing and ARPACK asks for restart vectors.
+    @staticmethod
+    def longitudinal_graph_with_star(star_nodes):
+        """The longitudinal graph of 200 subjects with one to three scans,
+        plus a star of star_nodes nodes and unit weights."""
         features, records = generate_synthetic(SyntheticConfig(
             n_subjects=200, scans_per_subject=(1, 3), n_features=5, seed=3
         ))
         spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
-        lap = normalized_laplacian(build_graph(features, records, spec))
+        g = build_graph(features, records, spec)
+        hub = g.n_nodes
+        return PopulationGraph.from_edges(
+            hub + star_nodes,
+            np.r_[g.edges_u, np.full(star_nodes - 1, hub)],
+            np.r_[g.edges_v, np.arange(hub + 1, hub + star_nodes)],
+            np.r_[g.weights, np.ones(star_nodes - 1)],
+        )
+
+    def test_reproducible_where_lanczos_restarts(self, monkeypatch):
+        # The star is a component of more than BLOCK_NODE_LIMIT nodes, so
+        # Lanczos runs. Its spectrum is {0, 1, 2} and every two-scan subject
+        # is a bipartite component, so lambda_max = 2 is repeated many times,
+        # the Krylov space stops growing and ARPACK asks for restart vectors.
+        lap = normalized_laplacian(self.longitudinal_graph_with_star(BLOCK_NODE_LIMIT + 1))
         assert lap.is_sparse
+        assert np.bincount(lap.components[1]).max() > BLOCK_NODE_LIMIT
+        made = []
+        real_default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            rng = real_default_rng(seed)
+            made.append((rng, rng.bit_generator.state))
+            return rng
+
+        monkeypatch.setattr(spectral.np.random, "default_rng", recording_rng)
         estimates = [estimate_lambda_max(lap) for _ in range(6)]
-        assert abs(estimates[0].value - 2.0) <= 1e-9
+        truth = np.linalg.eigvalsh(lap.dense())[-1]
+        assert estimates[0].iterations > 0
+        assert not estimates[0].used_fallback
+        assert abs(estimates[0].value - truth) <= 1e-9 * truth
         assert estimates == [estimates[0]] * 6
+        if "rng" in inspect.signature(eigsh).parameters:
+            # Beyond the start vector, ARPACK drew restart vectors.
+            rng, start = made[0]
+            start_only = real_default_rng()
+            start_only.bit_generator.state = start
+            start_only.standard_normal(lap.n)
+            assert rng.bit_generator.state != start_only.bit_generator.state
+
+    def test_blocks_match_dense_eigensolver_on_small_components(self):
+        # Components of several sizes up to the limit, isolated nodes among
+        # them, with random weights; a component of one node more takes
+        # Lanczos.
+        for seed, largest in ((0, BLOCK_NODE_LIMIT), (1, BLOCK_NODE_LIMIT + 1)):
+            parts = [make_random_graph(m, density=0.3, seed=seed + m) for m in (2, 3, 5)]
+            parts.append(make_random_graph(7 * 30, density=0.3, seed=seed, n_components=30))
+            parts.append(make_random_graph(largest, density=0.3, seed=seed))
+            parts.append(empty_graph(5))
+            u, v, w, offset = [], [], [], 0
+            for part in parts:
+                u.append(part.edges_u + offset)
+                v.append(part.edges_v + offset)
+                w.append(part.weights)
+                offset += part.n_nodes
+            g = PopulationGraph.from_edges(
+                offset, np.concatenate(u), np.concatenate(v), np.concatenate(w)
+            )
+            lap = normalized_laplacian(g)
+            assert lap.is_sparse
+            truth = np.linalg.eigvalsh(lap.dense())[-1]
+            est = estimate_lambda_max(lap)
+            assert (est.iterations == 0) == (largest <= BLOCK_NODE_LIMIT)
+            assert abs(est.value - truth) <= (1e-12 if est.iterations == 0 else 1e-9) * truth
 
     def test_requires_normalized_kind(self):
         lap = scale_laplacian(normalized_laplacian(k2_graph()), 2.0)
