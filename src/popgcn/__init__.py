@@ -43,7 +43,7 @@ from .spectral import (
 )
 from .gcn import GcnConfig, GcnModel, predict, train
 from .featsel import FeatureSelector, SelectorConfig
-from .baselines import BaselineConfig, mlp_classify, ridge_classify
+from .baselines import BaselineConfig, ridge_classify
 from .harness import (
     ExperimentDescriptor,
     ExperimentReport,

@@ -1,27 +1,27 @@
-"""Feature-only reference classifiers: closed-form ridge and an MLP.
+"""Feature-only reference classifiers: closed-form ridge, and the settings
+of the MLP.
 
-The MLP is the graph model with the mixing operator removed: order-0
-convolutions and no Laplacian, i.e. plain dense layers, trained and scored by
-`gcn.train` and `gcn.predict` (masked loss over the training rows, Adam,
-dropout). It runs on the experiment's GcnConfig; BaselineConfig holds only
-what the baselines add to it, the ridge penalty and the MLP's epoch count.
+The MLP baseline has no code of its own: it is the experiment's GcnConfig at
+cheb_order 0, whose convolutions reach no neighbour, trained and scored by
+the harness's one network loop with no graph built. BaselineConfig holds
+only what the baselines add to the GcnConfig, the ridge penalty and the
+MLP's epoch count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
 from .featsel import _sigmoid, ridge_fit
-from .gcn import GcnConfig, predict, train
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
     """The baselines' own settings: the ridge penalty and the MLP's epoch
-    count. The MLP takes every other setting from the GcnConfig it is given.
+    count. The MLP takes every other setting from the experiment's GcnConfig.
     Checked when constructed (and by replace): 0 < ridge_alpha < inf and
     mlp_epochs >= 0."""
 
@@ -58,21 +58,3 @@ def ridge_classify(x_train, y_train, x_test, alpha: float = 1.0):
     labels = (scores > 0.0).astype(np.int64)
     return labels, _sigmoid(scores)
 
-
-def mlp_classify(x_train, y_train, x_test, config: BaselineConfig, network: GcnConfig):
-    """Multilayer perceptron classifier; returns (labels, probs for class 1..).
-
-    Trains `network` at Chebyshev order 0 with no operator (identical to its
-    forward pass on an edgeless graph) on the training rows alone, for
-    config.mlp_epochs epochs, so layers, dropout, loss, gradients and Adam
-    are the graph model's; train raises DivergenceError on a non-finite
-    loss. Probabilities are softmax rows.
-    """
-    y = np.asarray(y_train, dtype=np.int64)
-    if not set(np.unique(y)) == {0, 1}:
-        raise ContractError("both classes must be present in training labels")
-
-    net_config = replace(network, cheb_order=0, epochs=config.mlp_epochs)
-    model, _ = train(net_config, None, x_train, y, np.ones(len(y), dtype=bool))
-    probs, labels = predict(model, None, x_test)
-    return labels, probs

@@ -163,10 +163,9 @@ class GcnModel:
         return flat_views(vector, [p.shape for p in self.parameters()])
 
 
-def init_model(config: GcnConfig, n_features: int, rng=None) -> GcnModel:
-    """Glorot-uniform weights over fan_in = C_in * (K+1), zero biases."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+def init_model(config: GcnConfig, n_features: int, rng) -> GcnModel:
+    """Glorot-uniform weights over fan_in = C_in * (K+1), drawn from rng;
+    zero biases."""
     width = config.hidden_width if config.hidden_width is not None else n_features
     sizes = [n_features] + [width] * config.hidden_layers + [N_CLASSES]
     k1 = config.cheb_order + 1
@@ -475,9 +474,10 @@ def _trained_rows(config: GcnConfig, scaled: LaplacianMatrix | None, mask):
     A row reaches the loss only through a chain of operator entries to a
     masked row, so the rows are the union of the operator's connected
     components that hold a masked node; at cheb_order 0 no row affects
-    another, and they are the masked rows. A dense operator keeps every row:
-    it is stored dense only when it is dense or small, which leaves it
-    connected in practice.
+    another, and they are the masked rows. A dense operator trains every row,
+    connected or not: a graph of at most popgraph.DENSE_NODE_LIMIT nodes is
+    stored dense however many components it has (a small longitudinal
+    cohort's graph is mostly components of one subject's scans).
     """
     if config.cheb_order == 0:
         rows = np.flatnonzero(mask)

@@ -5,8 +5,10 @@ Folds partition acquisitions with all of a subject's scans kept together and
 subject-level class counts balanced greedily. Accuracy thresholds positive
 probabilities at 0.5 (ties -> class 0); AUC is the exact pairwise
 Mann-Whitney statistic, ties counted half. Experiments refit the feature
-selector and rebuild the graph inside every fold, estimate the kernel width
-from training-node pairs only, and hide test labels from training entirely.
+selector inside every fold and hide test labels from training entirely. A
+graph network rebuilds the graph in every fold, with the kernel width
+estimated from training-node pairs only. The MLP baseline is the same network
+at Chebyshev order 0, which reads no graph, so none is built for it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 import json
 import numpy as np
 
-from .baselines import BaselineConfig, mlp_classify, ridge_classify
+from .baselines import BaselineConfig, ridge_classify
 from .dataset import UNKNOWN_LABEL, AcquisitionRecord, FeatureMatrix, labels_array
 from .dataset import _reuse_freed_memory, fork_map
 from .errors import ContractError, IntegrityError, ParameterError
@@ -32,9 +34,6 @@ class FoldAssignment:
     folds: np.ndarray  # fold index per acquisition
     k: int
     seed: int
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.folds == fold)
 
 
 def stratified_group_kfold(records: list[AcquisitionRecord], k: int, seed: int = 0) -> FoldAssignment:
@@ -333,6 +332,15 @@ def _config_echo(desc: ExperimentDescriptor) -> dict:
 
 
 def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int):
+    """One FoldSeedRecord per seed for the held-out fold `fold`.
+
+    The selector is fit on the fold's labeled training rows. Ridge scores
+    the test rows once, for every seed. Otherwise one network trains per
+    seed, through train and predict: the GcnConfig, or for the MLP baseline
+    that config at cheb_order 0 for mlp_epochs epochs. A network of
+    cheb_order > 0 reads the fold's graph operator, built once for every
+    seed; at order 0 no graph, sigma or operator is built.
+    """
     labels = labels_array(desc.records)
     labeled = labels != UNKNOWN_LABEL
     in_fold = assignment.folds == fold
@@ -362,7 +370,19 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
             sigma=sigma,
         )
 
-    if desc.model == "gcn":
+    if desc.model == "ridge":
+        preds, probs = ridge_classify(
+            x_red[train_mask], labels[train_mask], x_red[test_idx],
+            desc.baseline_config.ridge_alpha,
+        )
+        # Deterministic: identical across seeds.
+        return [record(seed, preds, probs) for seed in desc.seeds]
+
+    network = desc.gcn_config
+    if desc.model == "mlp":
+        network = replace(network, cheb_order=0, epochs=desc.baseline_config.mlp_epochs)
+    scaled, sigma = None, None
+    if network.cheb_order > 0:
         spec = desc.graph_spec
         sigma_rows = np.flatnonzero(train_mask) if desc.sigma_pairs == "train" else None
         reduced = FeatureMatrix(ids=list(desc.features.ids), values=x_red)
@@ -370,31 +390,19 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
         # Records carry sigma only where it was estimated, not where it was given.
         sigma = graph.provenance.get("sigma") if spec.sigma is None else None
         scaled = gcn_mod.scaled_operator(graph)
+        x_scored, scored = x_red, test_idx
+    else:
+        # With no operator each row is scored on its own, so only the test rows are.
+        x_scored, scored = x_red[test_idx], slice(None)
 
-        # Test labels are hidden from training: only training-mask labels are
-        # visible, everything else is passed as unknown.
-        visible = np.where(train_mask, labels, UNKNOWN_LABEL)
-        records = []
-        for seed in desc.seeds:
-            cfg = replace(desc.gcn_config, seed=seed)
-            model, _ = gcn_mod.train(cfg, scaled, x_red, visible, train_mask)
-            probs, preds = gcn_mod.predict(model, scaled, x_red)
-            records.append(record(seed, preds[test_idx], probs[test_idx, 1], sigma))
-        return records
-
-    x_train = x_red[train_mask]
-    y_train = labels[train_mask]
-    x_test = x_red[test_idx]
-    if desc.model == "ridge":
-        preds, probs = ridge_classify(x_train, y_train, x_test, desc.baseline_config.ridge_alpha)
-        # Deterministic: identical across seeds.
-        return [record(seed, preds, probs) for seed in desc.seeds]
-
+    # Test labels are hidden from training: only training-mask labels are
+    # visible, everything else is passed as unknown.
+    visible = np.where(train_mask, labels, UNKNOWN_LABEL)
     records = []
     for seed in desc.seeds:
-        network = replace(desc.gcn_config, seed=seed)
-        preds, probs = mlp_classify(x_train, y_train, x_test, desc.baseline_config, network)
-        records.append(record(seed, preds, probs[:, 1]))
+        model, _ = gcn_mod.train(replace(network, seed=seed), scaled, x_red, visible, train_mask)
+        probs, preds = gcn_mod.predict(model, scaled, x_scored)
+        records.append(record(seed, preds[scored], probs[scored, 1], sigma))
     return records
 
 
@@ -407,17 +415,18 @@ def check_jobs(jobs: int):
 def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) -> ExperimentReport:
     """Cross-validated experiment over folds x seeds.
 
-    Per fold: fit the selector on training rows; build the graph over all
-    nodes with build_graph, whose kernel width, if estimated, comes from
-    training-node pairs (all pairs under sigma_pairs='all'); build its scaled
-    operator once; train every seed on that operator with the training mask;
-    score the held-out fold. jobs > 1 runs folds through fork_map, on
-    min(jobs, folds) forked processes (one malloc arena from then on), with
-    the same records; a daemonic caller, or no `fork`, runs them in this
-    process. jobs < 1 raises ParameterError. record_sink, when given, is
-    called with each FoldSeedRecord as its fold finishes, so partial results
-    survive an abort. Under glibc it first raises the process's allocator
-    thresholds (_reuse_freed_memory).
+    Per fold (_run_fold): fit the selector on training rows; for a network
+    of cheb_order > 0, build the graph over all nodes with build_graph, whose
+    kernel width, if estimated, comes from training-node pairs (all pairs
+    under sigma_pairs='all'), and its scaled operator once; train every seed
+    with the training mask, on that operator or, at order 0 (the MLP
+    baseline), on the features alone; score the held-out fold. jobs > 1
+    runs folds through fork_map, on min(jobs, folds) forked processes (one
+    malloc arena from then on), with the same records; a daemonic caller, or
+    no `fork`, runs them in this process. jobs < 1 raises ParameterError.
+    record_sink, when given, is called with each FoldSeedRecord as its fold
+    finishes, so partial results survive an abort. Under glibc it first
+    raises the process's allocator thresholds (_reuse_freed_memory).
 
     The same descriptor gives a byte-identical report only under the same
     BLAS thread count. Every BLAS product may sum in an order that depends

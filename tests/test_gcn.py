@@ -108,6 +108,10 @@ class TestConfig:
         with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
             GcnConfig(seed=-1)
 
+    def test_zero_hidden_width_rejected(self):
+        with pytest.raises(ParameterError, match="hidden_width must be >= 1"):
+            GcnConfig(hidden_width=0)
+
 
 def small_setup(n=10, c=4, seed=0, **cfg_kwargs):
     g = make_random_graph(n, density=0.4, seed=seed)
@@ -154,6 +158,16 @@ class TestForward:
         # 4 -> 2 runs the operator on the output side: same sum, other rounding.
         np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=1e-12)
 
+    def test_forward_identity_on_edgeless_graph_with_order_zero(self, rng):
+        # Dense layers == graph convolution of order 0 on a graph with no
+        # edges: the mixing operator is never applied.
+        n, c = 12, 5
+        x = rng.standard_normal((n, c))
+        config = GcnConfig(cheb_order=0, hidden_width=4, dropout_rate=0.0)
+        model = init_model(config, c, np.random.default_rng(3))
+        with_operator = forward(model, scaled_operator(empty_graph(n)), x)
+        without_operator = forward(model, None, x)
+        np.testing.assert_array_equal(with_operator, without_operator)
 
     def test_output_side_layer_matches_spectral_oracle(self, rng):
         # 12 -> 2 with no hidden layer: the operator runs on the 2 output columns.
@@ -429,6 +443,14 @@ class TestTrain:
         model, _ = train(config, scaled, x, labels, mask)
         _, pred = predict(model, scaled, x)
         assert np.mean(pred[mask] == labels[mask]) >= 0.95
+
+    def test_order_zero_separable_held_out_accuracy(self):
+        # The MLP baseline: no operator, trained on the first 80 rows alone.
+        _, x, labels = separable_case(n=120, seed=5)
+        config = GcnConfig(cheb_order=0, epochs=150, hidden_width=8, dropout_rate=0.1)
+        model, _ = train(config, None, x[:80], labels[:80], np.ones(80, dtype=bool))
+        _, pred = predict(model, None, x[80:])
+        assert np.mean(pred == labels[80:]) >= 0.9
 
     def test_loss_decreases_over_first_10_epochs(self):
         scaled, x, labels = separable_case(seed=4)

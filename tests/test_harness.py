@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popgcn import dataset
-from popgcn.baselines import BaselineConfig, mlp_classify
+from popgcn import dataset, harness
+from popgcn import gcn as gcn_mod
+from popgcn.baselines import BaselineConfig
 from popgcn.dataset import (
     UNKNOWN_LABEL,
     AcquisitionRecord,
@@ -50,7 +51,7 @@ class TestStratifiedGroupKfold:
         records = [rec(i, f"s{i}", i % 2) for i in range(10)]
         fa = stratified_group_kfold(records, k=5, seed=0)
         for f in range(5):
-            idx = fa.test_indices(f)
+            idx = np.flatnonzero(fa.folds == f)
             assert len(idx) == 2
             assert sorted(records[i].label for i in idx) == [0, 1]
 
@@ -76,7 +77,7 @@ class TestStratifiedGroupKfold:
         assert len(fa.folds) == len(records)
         assert set(fa.folds.tolist()) <= set(range(k))
         # Partition: each acquisition appears in exactly one fold.
-        assert sum(len(fa.test_indices(f)) for f in range(k)) == len(records)
+        assert sum(len(np.flatnonzero(fa.folds == f)) for f in range(k)) == len(records)
         # Grouping: all scans of a subject share a fold.
         by_subject = {}
         for i, r in enumerate(records):
@@ -87,7 +88,7 @@ class TestStratifiedGroupKfold:
         records = [rec(i, f"s{i}", i % 2) for i in range(40)]
         fa = stratified_group_kfold(records, k=10, seed=3)
         for f in range(10):
-            idx = fa.test_indices(f)
+            idx = np.flatnonzero(fa.folds == f)
             labels = [records[i].label for i in idx]
             assert labels.count(0) == 2 and labels.count(1) == 2
 
@@ -251,6 +252,10 @@ def small_experiment(seed=0, model="gcn", seeds=(0, 1), folds=3):
     )
 
 
+def no_graph(*args, **kwargs):
+    raise AssertionError("this model reads no graph")
+
+
 class TestRunExperiment:
     def test_report_aggregates_recomputable(self):
         report = run_experiment(small_experiment())
@@ -323,7 +328,8 @@ class TestRunExperiment:
         assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
         assert [r.sigma for r in _run_fold(desc, assignment, 0)] == [None, None]
 
-    def test_ridge_experiment_constant_across_seeds(self):
+    def test_ridge_experiment_constant_across_seeds_and_builds_no_graph(self, monkeypatch):
+        monkeypatch.setattr(harness, "build_graph", no_graph)
         report = run_experiment(small_experiment(model="ridge", seeds=(0, 1, 2)))
         by_fold = {}
         for r in report.records:
@@ -331,24 +337,99 @@ class TestRunExperiment:
         for recs in by_fold.values():
             assert len({tuple(r.probs) for r in recs}) == 1
 
-    def test_mlp_experiment_runs(self):
-        report = run_experiment(small_experiment(model="mlp", seeds=(0, 1)))
+    def test_mlp_experiment_runs_deterministically(self):
+        desc = small_experiment(model="mlp", seeds=(0, 1))
+        report = run_experiment(desc)
         assert 0.0 <= report.summary["seed_averaged"]["accuracy"] <= 1.0
+        assert report.to_json() == run_experiment(desc).to_json()
 
-    def test_mlp_runs_on_the_gcn_config_at_each_seed(self):
-        desc = small_experiment(model="mlp", seeds=(0, 3))
-        from popgcn.harness import stratified_group_kfold
-
+    @pytest.mark.parametrize("model", ["gcn", "mlp"])
+    def test_networks_train_on_single_class_training_rows(self, model):
+        # Ridge needs both classes among the training labels; a network
+        # trains on whatever labels the training rows carry.
+        desc = small_experiment(model=model, seeds=(0,))
         assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
-        labels = labels_array(desc.records)
-        train = assignment.folds != 0
-        x = desc.features.values
-        for rec_ in _run_fold(desc, assignment, 0):
-            network = dataclasses.replace(desc.gcn_config, seed=rec_.seed)
-            _, probs = mlp_classify(
-                x[train], labels[train], x[~train], desc.baseline_config, network
-            )
+        records = [
+            r if assignment.folds[i] == 0 else dataclasses.replace(r, label=0)
+            for i, r in enumerate(desc.records)
+        ]
+        [rec_] = _run_fold(dataclasses.replace(desc, records=records), assignment, 0)
+        assert set(rec_.true_labels) == {0, 1}
+        with pytest.raises(ContractError, match="both classes"):
+            _run_fold(dataclasses.replace(desc, model="ridge", records=records), assignment, 0)
+
+    def test_mlp_trains_the_gcn_config_at_order_zero_for_mlp_epochs(self, monkeypatch):
+        # Only cheb_order and epochs are set by the baseline, and seed by the
+        # loop; every other setting is the network's. No operator is passed.
+        desc = small_experiment(model="mlp", seeds=(0, 3))
+        desc = dataclasses.replace(
+            desc,
+            gcn_config=dataclasses.replace(desc.gcn_config, hidden_layers=2, epochs=99),
+            baseline_config=BaselineConfig(mlp_epochs=7),
+        )
+        seen = []
+        real_train = gcn_mod.train
+
+        def spy(config, scaled, *args):
+            seen.append((config, scaled))
+            return real_train(config, scaled, *args)
+
+        monkeypatch.setattr(gcn_mod, "train", spy)
+        assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+        _run_fold(desc, assignment, 0)
+        network = dataclasses.replace(desc.gcn_config, cheb_order=0, epochs=7)
+        assert seen == [(dataclasses.replace(network, seed=s), None) for s in (0, 3)]
+
+    def test_order_zero_gcn_builds_no_graph_and_equals_the_mlp(self, monkeypatch):
+        monkeypatch.setattr(harness, "build_graph", no_graph)
+        monkeypatch.setattr(gcn_mod, "scaled_operator", no_graph)
+        mlp = small_experiment(model="mlp", seeds=(0, 3))
+        gcn = dataclasses.replace(
+            mlp, model="gcn",
+            gcn_config=dataclasses.replace(mlp.gcn_config, cheb_order=0),
+        )
+        assert gcn.gcn_config.epochs == mlp.baseline_config.mlp_epochs
+        records = run_experiment(gcn).records
+        assert all(r.sigma is None for r in records)
+        assert records == run_experiment(mlp).records
+
+    def test_mlp_scores_only_the_test_rows_with_probability_rows_summing_to_one(
+        self, monkeypatch
+    ):
+        scored = []
+        real_predict = gcn_mod.predict
+
+        def spy(model, scaled, x):
+            probs, preds = real_predict(model, scaled, x)
+            scored.append(probs)
+            return probs, preds
+
+        monkeypatch.setattr(gcn_mod, "predict", spy)
+        desc = small_experiment(model="mlp", seeds=(0, 1))
+        assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+        records = _run_fold(desc, assignment, 0)
+        assert len(scored) == 2
+        for rec_, probs in zip(records, scored):
+            assert probs.shape == (len(rec_.test_indices), 2)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert rec_.probs == probs[:, 1].tolist()
+
+    def test_mlp_test_rows_do_not_affect_training(self, rng):
+        # Feature-only baseline: trashing some test rows must not change the
+        # fitted network, so the other test rows keep their outputs.
+        desc = small_experiment(model="mlp", seeds=(0, 2))
+        assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+        test_rows = np.flatnonzero(assignment.folds == 0)
+        half = len(test_rows) // 2
+        values = desc.features.values.copy()
+        values[test_rows[:half]] = rng.standard_normal((half, values.shape[1])) * 50
+        tampered = dataclasses.replace(
+            desc, features=FeatureMatrix(ids=list(desc.features.ids), values=values)
+        )
+        for a, b in zip(_run_fold(desc, assignment, 0), _run_fold(tampered, assignment, 0)):
+            assert a.test_indices == b.test_indices == test_rows.tolist()
+            assert a.probs[half:] == b.probs[half:]
+            assert a.probs[:half] != b.probs[:half]
 
     def test_repeated_seeds_rejected(self):
         with pytest.raises(ParameterError, match=r"repeated: \[0\]"):

@@ -157,7 +157,7 @@ class TestPiecesMatchReference:
         config = GcnConfig(
             hidden_layers=2, hidden_width=5, dropout_rate=0.4, l2_coeff=1e-3, seed=2
         )
-        model = init_model(config, 12)
+        model = init_model(config, 12, np.random.default_rng(config.seed))
         constants = epoch_constants(model, labels, mask, np.empty_like(model.flat))
         loss, grads, logits = loss_and_grads(
             model, scaled, x, constants, np.random.default_rng(7)
@@ -191,7 +191,7 @@ class TestPiecesMatchReference:
 
     def test_model_parameters_are_views_of_one_vector(self):
         config = GcnConfig(hidden_layers=2, hidden_width=5, cheb_order=2)
-        model = init_model(config, 7)
+        model = init_model(config, 7, np.random.default_rng(0))
         params = model.parameters()
         assert [p.shape for p in params] == [(3, 7, 5), (5,), (3, 5, 5), (5,), (3, 5, 2), (2,)]
         assert model.flat.size == sum(p.size for p in params)
