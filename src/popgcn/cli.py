@@ -36,6 +36,7 @@ from .errors import FormatError, PopgcnError
 from .featsel import SelectorConfig
 from .gcn import GcnConfig
 from .harness import ExperimentDescriptor, ExperimentReport, check_jobs, run_experiment
+from .harness import write_results_csv
 from .popgraph import SIM_MODES, STRATEGIES, GraphSpec, build_graph, save_graph
 
 
@@ -128,7 +129,8 @@ def parse_config(path: str, overrides: list[str] | None = None) -> dict:
     """Read and validate an INI experiment config into {section: {key: value}}."""
     if not os.path.exists(path):
         raise ConfigValidationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # No interpolation: a value is its text, and a '%' in it is a '%'.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -165,7 +167,7 @@ def parse_config(path: str, overrides: list[str] | None = None) -> dict:
 
 def write_config_echo(config: dict, path):
     """Resolved config as INI, keys in schema order: rerunning it reproduces the run."""
-    echo = configparser.ConfigParser()
+    echo = configparser.ConfigParser(interpolation=None)
     for section in CONFIG_SCHEMA:
         if section not in config or not config[section]:
             continue
@@ -334,7 +336,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigValidationError("--values is empty")
     os.makedirs(args.out, exist_ok=True)
-    combined: list[str] = [ExperimentReport.CSV_HEADER]
+    rows: list[list] = []
     summaries: list[str] = []
     for value in values:
         overrides = list(args.set or []) + [f"{args.param}={value}"]
@@ -343,9 +345,9 @@ def _cmd_sweep(args) -> int:
         config.setdefault("experiment", {})["name"] = f"{name}[{args.param}={value}]"
         sub_dir = os.path.join(args.out, f"{args.param.replace('.', '_')}_{value}")
         report = _run(config, sub_dir, args.jobs)
-        combined.extend(report.csv_rows())
+        rows += report.csv_rows()
         summaries.append(report.summary_table())
-    _write_text(os.path.join(args.out, "results.csv"), "\n".join(combined))
+    write_results_csv(os.path.join(args.out, "results.csv"), rows)
     _write_text(os.path.join(args.out, "sweep_summary.txt"), "\n\n".join(summaries))
     print("\n\n".join(summaries))
     return 0

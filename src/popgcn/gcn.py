@@ -64,7 +64,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractError, DivergenceError, ParameterError
 from .popgraph import PopulationGraph
@@ -495,17 +494,12 @@ def _trained_rows(config: GcnConfig, scaled: LaplacianMatrix | None, mask):
 def _principal_submatrix(scaled: LaplacianMatrix, rows) -> LaplacianMatrix:
     """The CSR operator on `rows`, a union of its connected components.
 
-    Each row keeps its stored entries in their order, with the column indices
-    renumbered, so a product with the submatrix equals those rows of the full
-    product bit for bit. The scaling, and so lambda_max, is the whole graph's.
+    scipy's CSR indexing keeps each row's stored entries in their order, with
+    the column indices renumbered, so a product with the submatrix equals
+    those rows of the full product bit for bit. The scaling, and so
+    lambda_max, is the whole graph's.
     """
-    sub = scaled.matrix[rows]
-    position = np.empty(scaled.n, dtype=sub.indices.dtype)
-    position[rows] = np.arange(len(rows), dtype=sub.indices.dtype)
-    matrix = sp.csr_matrix(
-        (sub.data, position[sub.indices], sub.indptr), shape=(len(rows), len(rows))
-    )
-    return LaplacianMatrix(matrix=matrix, kind="scaled")
+    return LaplacianMatrix(matrix=scaled.matrix[rows][:, rows], kind="scaled")
 
 
 def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace, asdict
 from typing import NamedTuple
 
+import csv
 import json
 import numpy as np
 
@@ -225,7 +226,7 @@ class ExperimentReport:
     records: list[FoldSeedRecord]
     summary: dict
 
-    CSV_HEADER = "experiment,fold,seed,accuracy,auc"
+    CSV_HEADER = ("experiment", "fold", "seed", "accuracy", "auc")
 
     def compute_summary(self) -> dict:
         """Recompute all aggregates from the per-(fold, seed) records."""
@@ -284,21 +285,21 @@ class ExperimentReport:
             records=[FoldSeedRecord(**r) for r in payload["records"]],
         )
 
-    def csv_rows(self) -> list[str]:
-        """One CSV_HEADER row per record; an AUC of None is an empty cell."""
+    def csv_rows(self) -> list[list]:
+        """One row of CSV_HEADER cells per record; an AUC of None is an empty cell."""
         return [
-            f"{self.name},{r.fold},{r.seed},{r.accuracy!r},{'' if r.auc is None else repr(r.auc)}"
+            [self.name, r.fold, r.seed, repr(r.accuracy), "" if r.auc is None else repr(r.auc)]
             for r in self.records
         ]
 
     def write_csv(self, path):
         """Plot-ready CSV: CSV_HEADER, then csv_rows()."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join([self.CSV_HEADER, *self.csv_rows()]) + "\n")
+        write_results_csv(path, self.csv_rows())
 
     def summary_table(self) -> str:
         lines = [f"experiment: {self.name}"]
-        for s, stats in self.summary["per_seed"].items():
+        # A report read back from JSON holds its seeds in string order.
+        for s, stats in sorted(self.summary["per_seed"].items(), key=lambda item: int(item[0])):
             auc = stats["mean_auc"]
             auc_str = "n/a" if auc is None else f"{auc:.4f}"
             lines.append(
@@ -312,6 +313,15 @@ class ExperimentReport:
         lines.append(f"  seed-averaged: accuracy {sa['accuracy']:.4f}, auc {sa_auc}")
         lines.append(f"  majority-vote ensemble: accuracy {en['accuracy']:.4f}, auc {en_auc}")
         return "\n".join(lines)
+
+
+def write_results_csv(path, rows):
+    """Write ExperimentReport.CSV_HEADER, then `rows`, one line each; csv
+    quotes a cell that holds a comma, a '"' or a '\n'."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ExperimentReport.CSV_HEADER)
+        writer.writerows(rows)
 
 
 def _config_echo(desc: ExperimentDescriptor) -> dict:

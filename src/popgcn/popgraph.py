@@ -64,6 +64,9 @@ class GraphSpec:
         for m in self.measures:
             if m not in MEASURES:
                 raise ParameterError(f"unknown phenotypic measure {m!r}")
+        repeated = sorted({m for m in self.measures if self.measures.count(m) > 1})
+        if repeated:
+            raise ParameterError(f"measures must be distinct, repeated: {repeated}")
         if not self.measures and self.strategy in ("phenotypic", "random"):
             raise ParameterError(f"strategy {self.strategy!r} needs at least one measure")
         if self.sim_mode not in SIM_MODES:

@@ -145,17 +145,18 @@ class TestGraphCommand:
         capsys.readouterr()
 
     def test_bad_setting_exits_1_before_reading_files(self, tmp_path, capsys):
-        for flag, value in (("--theta", "-1"), ("--sigma", "nan")):
+        for flag, value, message in (
+            ("--theta", "-1", "theta must be > 0, got -1.0"),
+            ("--sigma", "nan", "sigma must be > 0, got nan"),
+            ("--measures", "SEX,sex", "measures must be distinct, repeated: ['SEX']"),
+        ):
             code = run_cli(
                 "graph", "--features", str(tmp_path / "nope.csv"),
                 "--phenotypes", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "g.csv"),
                 flag, value,
             )
             assert code == 1
-            name = flag.lstrip("-")
-            assert capsys.readouterr().err == (
-                f"error: ParameterError: {name} must be > 0, got {float(value)}\n"
-            )
+            assert capsys.readouterr().err == f"error: ParameterError: {message}\n"
             assert not (tmp_path / "g.csv").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
@@ -225,12 +226,17 @@ class TestRunCommand:
                 tmp_path / "o2" / fname
             ).read_bytes(), fname
 
-    def test_config_echo_reproduces_the_report(self, tmp_path, data_dir):
+    @pytest.mark.parametrize("name", [None, "run 50%,x"], ids=["plain", "percent-name"])
+    def test_config_echo_reproduces_the_report(self, tmp_path, data_dir, name):
+        # A name holding '%' reaches the first run as an override and the
+        # rerun in its config echo's file.
         extra = "\n[graph]\nmeasures = SEX\nsigma = 0.8\n\n[selector]\nkind = pca\ntarget_c = 4\n"
         cfg = write_config(tmp_path, data_dir, extra=extra)
         first = tmp_path / "first"
-        assert run_cli("run", "--config", str(cfg), "--out", str(first),
-                       "--set", "model.l2=0.001") == 0
+        overrides = ["--set", "model.l2=0.001"]
+        if name is not None:
+            overrides += ["--set", f"experiment.name={name}"]
+        assert run_cli("run", "--config", str(cfg), "--out", str(first), *overrides) == 0
         again = tmp_path / "again"
         assert run_cli("run", "--config", str(first / "config_echo.cfg"), "--out", str(again)) == 0
         for fname in ("report.json", "records.jsonl", "results.csv", "config_echo.cfg"):
@@ -437,14 +443,15 @@ class TestSweepCommand:
 
 class TestReportCommand:
     def test_print_and_csv(self, tmp_path, data_dir, capsys):
+        # report.json holds its seeds in string order: 0, 1, 10, 2.
         cfg = write_config(tmp_path, data_dir)
         out = tmp_path / "out"
-        run_cli("run", "--config", str(cfg), "--out", str(out))
+        run_cli("run", "--config", str(cfg), "--out", str(out), "--set", "cv.seeds=0,1,2,10")
         capsys.readouterr()
         csv_out = tmp_path / "plot.csv"
         code = run_cli("report", "--report", str(out / "report.json"), "--csv", str(csv_out))
         assert code == 0
-        assert "seed-averaged" in capsys.readouterr().out
+        assert capsys.readouterr().out == (out / "summary.txt").read_text()
         assert csv_out.read_text() == (out / "results.csv").read_text()
 
     @pytest.mark.parametrize(

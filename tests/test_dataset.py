@@ -322,23 +322,6 @@ class TestLoadFeaturesInWorkers:
         assert loaded.values.view(np.int64).tolist() == features.values.view(np.int64).tolist()
         assert loaded.values.flags.c_contiguous
 
-    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_quoted_id_with_line_ends_straddles_a_cut(self, tmp_path, eol):
-        # The quoted id spans the first cut's target; the cut must follow it.
-        long_id = "x" + eol * 300 + "y"
-        text = self.HEADER + self.rows(0, 5) + '"' + long_id.replace("y", 'y""') + '",1,2\n'
-        text += self.rows(5, 30)
-        path = tmp_path / "f.csv"
-        path.write_bytes(text.encode())
-        opening = text.index('"')
-        closing = text.index('",1,2')
-        starts = range_starts_of(path)
-        assert len(starts) >= 3
-        assert starts[1] > closing and starts[0] < opening
-        loaded = load_features(path)
-        assert loaded.ids[5] == long_id + '"'
-        assert outcome(load_features, path) == self.serial(path)
-
     def test_crlf_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes((self.HEADER + self.rows(0, 40)).replace("\n", "\r\n").encode())
@@ -442,20 +425,29 @@ class TestLoadFeaturesInWorkers:
                 with pytest.raises(RuntimeError, match="worker process exited early"):
                     load_features(path)
 
-    @pytest.mark.parametrize("prefix", [1, 64], ids=["mid-block", "block-start"])
-    def test_stray_quote_keeps_one_range(self, tmp_path, prefix):
-        # The dialect reads a quote inside an unquoted field as text, so the
-        # count of quotes no longer tells where quoted fields are: by count,
-        # the line end inside the later quoted id would be a record's end.
-        # At prefix 64 the stray quote is the first byte of a scan block. Every
-        # later quote could open a field, so only the stray one tells.
-        stray = "a" * prefix + '"x'
-        text = self.HEADER + stray + ",1,2\n" + self.rows(0, 10) + '"p' + "\n" * 300 + '",3,4\n'
+    @pytest.mark.parametrize(
+        "before, cell, id_",
+        [
+            (0, 'a"x', 'a"x'),
+            (0, "a" * 64 + '"x', "a" * 64 + '"x'),
+            (5, '"x' + "\n" * 300 + 'y"""', "x" + "\n" * 300 + 'y"'),
+            (5, '"x' + "\r\n" * 300 + 'y"""', "x" + "\r\n" * 300 + 'y"'),
+            (30, '"q"', "q"),
+        ],
+        ids=["mid-block", "block-start", "quoted-lf", "quoted-crlf", "last-block"],
+    )
+    def test_stray_quote_keeps_one_range(self, tmp_path, before, cell, id_):
+        # A '"' anywhere in the data section leaves it in one range: a quote
+        # inside an unquoted field, read as text, mid-block and as the first
+        # byte of a scan block; a quoted id whose line ends span the first
+        # cut's target; and a quote in the last scan block only, found after
+        # the cuts before it.
+        text = self.HEADER + self.rows(0, before) + cell + ",1,2\n" + self.rows(before, 30 - before)
         path = tmp_path / "f.csv"
-        path.write_text(text + self.rows(10, 20))
+        path.write_bytes(text.encode())
+        assert len(text) - len(self.HEADER) > 300  # more than one range
         assert range_starts_of(path) == [len(self.HEADER)]
-        fm = load_features(path)
-        assert fm.ids[0] == stray and fm.ids[11] == "p" + "\n" * 300
+        assert load_features(path).ids[before] == id_
         assert outcome(load_features, path) == self.serial(path)
 
 

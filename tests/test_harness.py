@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import multiprocessing
@@ -527,12 +528,15 @@ class TestRunExperiment:
         assert clone.to_json() == report.to_json()
 
     def test_csv_columns(self, tmp_path):
-        report = run_experiment(small_experiment(seeds=(0,)))
+        # A name holding ',' and '"' is quoted, so it reads back as one cell.
+        report = run_experiment(dataclasses.replace(small_experiment(seeds=(0,)), name='a,"b'))
         path = tmp_path / "results.csv"
         report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "experiment,fold,seed,accuracy,auc"
-        assert len(lines) == 1 + len(report.records)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["experiment", "fold", "seed", "accuracy", "auc"]
+        assert [row[0] for row in rows[1:]] == ['a,"b'] * len(report.records)
+        assert {len(row) for row in rows} == {5}
 
     def test_unlabeled_nodes_never_scored(self):
         features, records = generate_synthetic(
