@@ -248,11 +248,10 @@ def _load_or_generate_dataset(config: dict, synthetic: ds.SyntheticConfig):
     return ds.load_dataset(sec["features"], sec["phenotypes"])
 
 
-def build_descriptor(config: dict) -> ExperimentDescriptor:
-    """The experiment a config describes; its settings are checked, by
-    constructing it without data, before the dataset is read or generated.
-    The [dataset] keys of the synthetic cohort are checked too, even where
-    the config names files and no cohort is generated."""
+def _settings(config: dict) -> tuple[ExperimentDescriptor, ds.SyntheticConfig]:
+    """The experiment a config describes, without data, and its synthetic
+    cohort, each checked when constructed: the [dataset] keys of that cohort
+    too, where the config names files and no cohort is generated."""
     synthetic = synthetic_config(config)
     settings = _build(
         ExperimentDescriptor,
@@ -264,6 +263,13 @@ def build_descriptor(config: dict) -> ExperimentDescriptor:
         baseline_config=_build(BaselineConfig, config),
         selector_config=_build(SelectorConfig, config),
     )
+    return settings, synthetic
+
+
+def build_descriptor(config: dict) -> ExperimentDescriptor:
+    """The experiment a config describes; its settings are checked
+    (_settings) before the dataset is read or generated."""
+    settings, synthetic = _settings(config)
     features, records = _load_or_generate_dataset(config, synthetic)
     return replace(settings, features=features, records=records)
 
@@ -335,14 +341,18 @@ def _cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigValidationError("--values is empty")
-    os.makedirs(args.out, exist_ok=True)
-    rows: list[list] = []
-    summaries: list[str] = []
+    # Every point's settings are checked before the first point runs.
+    configs = []
     for value in values:
         overrides = list(args.set or []) + [f"{args.param}={value}"]
         config = parse_config(args.config, overrides)
         name = config.get("experiment", {}).get("name", ExperimentDescriptor.name)
         config.setdefault("experiment", {})["name"] = f"{name}[{args.param}={value}]"
+        _settings(config)
+        configs.append(config)
+    rows: list[list] = []
+    summaries: list[str] = []
+    for value, config in zip(values, configs):
         sub_dir = os.path.join(args.out, f"{args.param.replace('.', '_')}_{value}")
         report = _run(config, sub_dir, args.jobs)
         rows += report.csv_rows()

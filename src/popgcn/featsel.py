@@ -301,7 +301,7 @@ class SelectorConfig:
 
 
 class FeatureSelector:
-    """Fit on training rows, transform any rows; fitted state is serializable."""
+    """Fit on training rows, transform any rows."""
 
     def __init__(self, config: SelectorConfig):
         self.config = config

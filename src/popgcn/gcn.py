@@ -474,9 +474,8 @@ def _trained_rows(config: GcnConfig, scaled: LaplacianMatrix | None, mask):
     masked row, so the rows are the union of the operator's connected
     components that hold a masked node; at cheb_order 0 no row affects
     another, and they are the masked rows. A dense operator trains every row,
-    connected or not: a graph of at most popgraph.DENSE_NODE_LIMIT nodes is
-    stored dense however many components it has (a small longitudinal
-    cohort's graph is mostly components of one subject's scans).
+    connected or not; popgraph stores a graph dense only when its density
+    exceeds popgraph.DENSE_DENSITY_LIMIT.
     """
     if config.cheb_order == 0:
         rows = np.flatnonzero(mask)

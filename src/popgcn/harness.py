@@ -30,15 +30,8 @@ from . import gcn as gcn_mod
 from .popgraph import GraphSpec, build_graph
 
 
-@dataclass
-class FoldAssignment:
-    folds: np.ndarray  # fold index per acquisition
-    k: int
-    seed: int
-
-
-def stratified_group_kfold(records: list[AcquisitionRecord], k: int, seed: int = 0) -> FoldAssignment:
-    """Assign whole subjects to folds, balancing subject-level class counts.
+def stratified_group_kfold(records: list[AcquisitionRecord], k: int, seed: int = 0) -> np.ndarray:
+    """Fold index per acquisition, keeping subjects whole and balancing classes.
 
     Groups are processed largest first (ties shuffled by seed); each goes to
     the fold with the fewest subjects of its class, breaking ties by fewer
@@ -83,7 +76,7 @@ def stratified_group_kfold(records: list[AcquisitionRecord], k: int, seed: int =
             best = min(range(k), key=lambda f: (acq_counts[f], f))
         acq_counts[best] += len(idx)
         folds[idx] = best
-    return FoldAssignment(folds=folds, k=k, seed=seed)
+    return folds
 
 
 class Metrics(NamedTuple):
@@ -201,6 +194,8 @@ class ExperimentDescriptor:
             raise ParameterError(f"fold_seed must be >= 0, got {self.fold_seed}")
         if self.sigma_pairs not in ("train", "all"):
             raise ParameterError("sigma_pairs must be 'train' or 'all'")
+        if "\r" in self.name or "\n" in self.name:  # it would split a results.csv row
+            raise ParameterError(f"name must be one line, got {self.name!r}")
         ids = None if self.records is None else [r.acquisition_id for r in self.records]
         if (None if self.features is None else self.features.ids) != ids:
             raise ContractError("features and records must be aligned")
@@ -341,7 +336,7 @@ def _config_echo(desc: ExperimentDescriptor) -> dict:
     }
 
 
-def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int):
+def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     """One FoldSeedRecord per seed for the held-out fold `fold`.
 
     The selector is fit on the fold's labeled training rows. Ridge scores
@@ -353,7 +348,7 @@ def _run_fold(desc: ExperimentDescriptor, assignment: FoldAssignment, fold: int)
     """
     labels = labels_array(desc.records)
     labeled = labels != UNKNOWN_LABEL
-    in_fold = assignment.folds == fold
+    in_fold = folds == fold
     train_mask = labeled & ~in_fold
     test_idx = np.flatnonzero(labeled & in_fold)
     if not train_mask.any() or len(test_idx) == 0:
@@ -446,10 +441,10 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     """
     check_jobs(jobs)
     _reuse_freed_memory()
-    assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+    folds = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
     all_records: list[FoldSeedRecord] = []
-    folds = [(desc, assignment, fold) for fold in range(desc.folds)]
-    for fold_records in fork_map(_run_fold, folds, jobs):
+    tasks = [(desc, folds, fold) for fold in range(desc.folds)]
+    for fold_records in fork_map(_run_fold, tasks, jobs):
         all_records.extend(fold_records)
         if record_sink is not None:
             for rec in fold_records:

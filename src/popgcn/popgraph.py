@@ -37,9 +37,8 @@ STRATEGIES = ("phenotypic", "knn", "complete", "all", "random")
 MEASURES = ("SEX", "SITE", "AGE", "GENE")
 SIM_MODES = ("correlation_kernel", "longitudinal", "none")
 
-# Below this node count, or above this edge density, adjacency and Laplacian
-# matrices are kept dense; sparse storage only pays off for large sparse graphs.
-DENSE_NODE_LIMIT = 200
+# Above this edge density adjacency and Laplacian matrices are kept dense, and
+# at or below it they are CSR, whatever the node count.
 DENSE_DENSITY_LIMIT = 0.05
 
 
@@ -85,19 +84,19 @@ class GraphSpec:
 
 def _stored_dense(n_nodes: int, n_edges: int) -> bool:
     possible = n_nodes * (n_nodes - 1) // 2
-    return n_nodes <= DENSE_NODE_LIMIT or n_edges / possible > DENSE_DENSITY_LIMIT
+    return possible > 0 and n_edges / possible > DENSE_DENSITY_LIMIT
 
 
 @dataclass
 class PopulationGraph:
     """Undirected weighted graph, held as its symmetric adjacency matrix.
 
-    `adjacency` has a zero diagonal. It is a dense ndarray, or CSR for graphs
-    of more than DENSE_NODE_LIMIT nodes with density at most
-    DENSE_DENSITY_LIMIT, whichever way it was built. Builders that fill a
-    dense W pass it to from_upper; the longitudinal and random builders pass
-    an edge list to from_edges. The edge views list each edge once with
-    u < v, in row-major order.
+    `adjacency` has a zero diagonal. It is CSR for a graph of density at most
+    DENSE_DENSITY_LIMIT, an edgeless graph included, and a dense ndarray
+    otherwise, whatever its node count and whichever way it was built.
+    Builders that fill a dense W pass it to from_upper; the longitudinal and
+    random builders pass an edge list to from_edges. The edge views list each
+    edge once with u < v, in row-major order.
     """
 
     adjacency: np.ndarray | sp.csr_matrix

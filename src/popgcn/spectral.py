@@ -7,9 +7,10 @@ eigenbasis.
 
 A sparse (CSR) operator labels its connected components once
 (LaplacianMatrix.components). The labels give gcn the rows a masked loss can
-reach, and give lambda_max from dense diagonal blocks when no component has
-more than BLOCK_NODE_LIMIT nodes, as on a longitudinal graph; ARPACK
-(scipy.sparse.linalg) is imported only for a larger component.
+reach. They also tell an edgeless graph, and give lambda_max from dense
+diagonal blocks when no component has more than BLOCK_NODE_LIMIT nodes, as on
+a longitudinal graph; ARPACK (scipy.sparse.linalg) is imported only for a
+larger component.
 """
 
 from __future__ import annotations
@@ -125,14 +126,6 @@ def normalized_laplacian(graph: PopulationGraph) -> LaplacianMatrix:
     return LaplacianMatrix(matrix=lap, kind="normalized")
 
 
-def _offdiag_nonzeros(lap: LaplacianMatrix) -> int:
-    if lap.is_sparse:
-        m = lap.matrix - sp.diags(lap.matrix.diagonal())
-        return int((m != 0).sum())
-    m = lap.matrix - np.diag(np.diag(lap.matrix))
-    return int(np.count_nonzero(m))
-
-
 def _block_lambda_max(matrix, labels, sizes) -> float:
     """Largest eigenvalue of a symmetric CSR matrix whose connected
     components (labels, and their sizes) are all small.
@@ -167,29 +160,31 @@ def _block_lambda_max(matrix, labels, sizes) -> float:
 def estimate_lambda_max(lap: LaplacianMatrix) -> LambdaMaxEstimate:
     """Largest eigenvalue of a normalized Laplacian by an exact eigensolver.
 
-    Dense operators use np.linalg.eigvalsh, and so does a sparse operator
-    none of whose connected components has more than BLOCK_NODE_LIMIT
-    nodes: its eigenvalues are those of its diagonal blocks, one per
-    component, which are solved in one batched call per block size
-    (_block_lambda_max, which takes a value within its rounding error of 2
-    as 2). Other sparse operators use Lanczos (ARPACK eigsh, largest
+    A dense operator always uses np.linalg.eigvalsh. A sparse operator is
+    read through its connected components. When every component is a single
+    node the graph is edgeless (popgraph stores every edgeless graph as
+    CSR): the operator is the identity, and lambda_max gets the analytic
+    bound 2 with `used_fallback` set. When no component has more than
+    BLOCK_NODE_LIMIT nodes, the eigenvalues are those of the diagonal
+    blocks, one per component, solved in one batched eigvalsh call per block
+    size (_block_lambda_max, which takes a value within its rounding error
+    of 2 as 2). Other sparse operators use Lanczos (ARPACK eigsh, largest
     algebraic) from a fixed start vector, with every restart vector ARPACK
     asks for drawn from the same seeded generator, so repeated calls agree
     bit for bit. `iterations` counts the Lanczos operator applications and
-    is 0 for the dense and block solvers. The result is clamped to at most
-    2. An edgeless graph (the operator is the identity) gets the analytic
-    bound 2 with `used_fallback` set.
+    is 0 otherwise. The result is clamped to at most 2.
     """
     if lap.kind != "normalized":
         raise ContractError(f"expected a normalized Laplacian, got kind {lap.kind!r}")
-    if _offdiag_nonzeros(lap) == 0:
-        return LambdaMaxEstimate(ANALYTIC_LAMBDA_MAX, True, 0)
     if not lap.is_sparse:
         top = float(np.linalg.eigvalsh(lap.matrix)[-1])
         return LambdaMaxEstimate(min(top, ANALYTIC_LAMBDA_MAX), False, 0)
     _, labels = lap.components
     sizes = np.bincount(labels)
-    if sizes.max() <= BLOCK_NODE_LIMIT:
+    largest = sizes.max(initial=0)
+    if largest <= 1:
+        return LambdaMaxEstimate(ANALYTIC_LAMBDA_MAX, True, 0)
+    if largest <= BLOCK_NODE_LIMIT:
         top = _block_lambda_max(lap.matrix, labels, sizes)
         return LambdaMaxEstimate(min(top, ANALYTIC_LAMBDA_MAX), False, 0)
 

@@ -292,13 +292,16 @@ class TestRunCommand:
             ("selector.ae_lr=inf", "ae_lr must be finite, got inf"),
             ("graph.sim=longitudinal graph.lambda=inf", "lambda must be finite, got inf"),
             ("dataset.noise=-1", "noise_scale must be > 0"),
+            ("experiment.name=a\rb", "name must be one line, got 'a\\rb'"),
+            ("experiment.name=a\nb", "name must be one line, got 'a\\nb'"),
         ],
     )
     def test_bad_setting_exits_1_before_reading_data(
         self, tmp_path, data_dir, capsys, monkeypatch, override, message
     ):
         # An override is one or more config entries for --set, or a flag of
-        # its own. The config names data files, so the [dataset] keys of the
+        # its own, split at spaces only (a name may hold other whitespace).
+        # The config names data files, so the [dataset] keys of the
         # synthetic cohort are checked although no cohort is generated.
         def no_load(*args):
             raise AssertionError("load_dataset called")
@@ -307,7 +310,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path, data_dir)
         out = tmp_path / "out"
         given = []
-        for item in override.split():
+        for item in override.split(" "):
             given += [item] if item.startswith("--") else ["--set", item]
         assert run_cli("run", "--config", str(cfg), "--out", str(out), *given) == 1
         err = capsys.readouterr().err
@@ -432,6 +435,28 @@ class TestSweepCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: ParameterError: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("1,2,-1", "error: ParameterError: cheb_order must be >= 0, got -1"),
+            ("1,x", "error: model.cheb_order: invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bad_later_value_exits_1_before_any_point_runs(
+        self, tmp_path, data_dir, capsys, monkeypatch, values, message
+    ):
+        def no_load(*args):
+            raise AssertionError("load_dataset called")
+
+        monkeypatch.setattr("popgcn.dataset.load_dataset", no_load)
+        cfg = write_config(tmp_path, data_dir)
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                       "--param", "model.cheb_order", "--values", values)
+        assert code == 1
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
     def test_bad_param_format(self, tmp_path, data_dir, capsys):

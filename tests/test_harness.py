@@ -50,17 +50,17 @@ def rec(i, subject, label, scans_suffix="t0", **kw):
 class TestStratifiedGroupKfold:
     def test_perfect_stratification_single_scans(self):
         records = [rec(i, f"s{i}", i % 2) for i in range(10)]
-        fa = stratified_group_kfold(records, k=5, seed=0)
+        folds = stratified_group_kfold(records, k=5, seed=0)
         for f in range(5):
-            idx = np.flatnonzero(fa.folds == f)
+            idx = np.flatnonzero(folds == f)
             assert len(idx) == 2
             assert sorted(records[i].label for i in idx) == [0, 1]
 
     def test_subject_scans_stay_together(self):
         records = [rec(i, "multi", 1, scans_suffix=f"t{i}") for i in range(4)]
         records += [rec(i, f"s{i}", i % 2) for i in range(10, 30)]
-        fa = stratified_group_kfold(records, k=4, seed=1)
-        multi_folds = {fa.folds[i] for i in range(4)}
+        folds = stratified_group_kfold(records, k=4, seed=1)
+        multi_folds = {folds[i] for i in range(4)}
         assert len(multi_folds) == 1
 
     @given(seed=st.integers(0, 100), k=st.integers(2, 6), n_subj=st.integers(6, 40))
@@ -74,22 +74,22 @@ class TestStratifiedGroupKfold:
             label = int(g.integers(0, 2)) if g.random() > 0.1 else UNKNOWN_LABEL
             for t in range(int(g.integers(1, 4))):
                 records.append(rec(t, f"s{s}", label, scans_suffix=f"t{t}"))
-        fa = stratified_group_kfold(records, k=k, seed=seed)
-        assert len(fa.folds) == len(records)
-        assert set(fa.folds.tolist()) <= set(range(k))
+        folds = stratified_group_kfold(records, k=k, seed=seed)
+        assert len(folds) == len(records)
+        assert set(folds.tolist()) <= set(range(k))
         # Partition: each acquisition appears in exactly one fold.
-        assert sum(len(np.flatnonzero(fa.folds == f)) for f in range(k)) == len(records)
+        assert sum(len(np.flatnonzero(folds == f)) for f in range(k)) == len(records)
         # Grouping: all scans of a subject share a fold.
         by_subject = {}
         for i, r in enumerate(records):
-            by_subject.setdefault(r.subject_id, set()).add(int(fa.folds[i]))
+            by_subject.setdefault(r.subject_id, set()).add(int(folds[i]))
         assert all(len(v) == 1 for v in by_subject.values())
 
     def test_subject_level_stratification_within_one(self):
         records = [rec(i, f"s{i}", i % 2) for i in range(40)]
-        fa = stratified_group_kfold(records, k=10, seed=3)
+        folds = stratified_group_kfold(records, k=10, seed=3)
         for f in range(10):
-            idx = np.flatnonzero(fa.folds == f)
+            idx = np.flatnonzero(folds == f)
             labels = [records[i].label for i in idx]
             assert labels.count(0) == 2 and labels.count(1) == 2
 
@@ -97,7 +97,7 @@ class TestStratifiedGroupKfold:
         records = [rec(i, f"s{i}", i % 2) for i in range(20)]
         a = stratified_group_kfold(records, k=4, seed=9)
         b = stratified_group_kfold(records, k=4, seed=9)
-        np.testing.assert_array_equal(a.folds, b.folds)
+        np.testing.assert_array_equal(a, b)
 
     def test_too_few_subjects(self):
         records = [rec(i, f"s{i}", i % 2) for i in range(3)]
@@ -279,7 +279,7 @@ class TestRunExperiment:
         base = _run_fold(desc, assignment, 0)
 
         flipped_records = list(desc.records)
-        for i in np.flatnonzero(assignment.folds == 0):
+        for i in np.flatnonzero(assignment == 0):
             old = flipped_records[i]
             flipped_records[i] = dataclasses.replace(old, label=1 - old.label)
         tampered = dataclasses.replace(desc, records=flipped_records)
@@ -298,14 +298,14 @@ class TestRunExperiment:
 
         assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
         labels = labels_array(desc.records)
-        train_rows = np.flatnonzero((assignment.folds != 0) & (labels != UNKNOWN_LABEL))
+        train_rows = np.flatnonzero((assignment != 0) & (labels != UNKNOWN_LABEL))
         expected = mean_pair_distance(desc.features.values[train_rows])
         base = _run_fold(desc, assignment, 0)
         assert base[0].sigma == pytest.approx(expected, abs=1e-12)
 
         # Trashing test-node features changes the graph but not sigma.
         noisy = desc.features.values.copy()
-        test_rows = np.flatnonzero(assignment.folds == 0)
+        test_rows = np.flatnonzero(assignment == 0)
         noisy[test_rows] += rng.standard_normal(noisy[test_rows].shape) * 50
         tampered = dataclasses.replace(
             desc, features=FeatureMatrix(ids=list(desc.features.ids), values=noisy)
@@ -351,7 +351,7 @@ class TestRunExperiment:
         desc = small_experiment(model=model, seeds=(0,))
         assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
         records = [
-            r if assignment.folds[i] == 0 else dataclasses.replace(r, label=0)
+            r if assignment[i] == 0 else dataclasses.replace(r, label=0)
             for i, r in enumerate(desc.records)
         ]
         [rec_] = _run_fold(dataclasses.replace(desc, records=records), assignment, 0)
@@ -420,7 +420,7 @@ class TestRunExperiment:
         # fitted network, so the other test rows keep their outputs.
         desc = small_experiment(model="mlp", seeds=(0, 2))
         assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
-        test_rows = np.flatnonzero(assignment.folds == 0)
+        test_rows = np.flatnonzero(assignment == 0)
         half = len(test_rows) // 2
         values = desc.features.values.copy()
         values[test_rows[:half]] = rng.standard_normal((half, values.shape[1])) * 50

@@ -419,9 +419,11 @@ TRAINED_ROWS_CONFIG = GcnConfig(
 
 
 class TestTrainedRows:
-    def test_csr_trains_the_components_of_masked_nodes(self, monkeypatch):
+    @pytest.mark.parametrize("n", [120, 240])
+    def test_csr_trains_the_components_of_masked_nodes(self, monkeypatch, n):
         # Component 1 is fully masked, component 3 partly, 0 and 2 not at all.
-        scaled, x, labels, mask, reached = shuffled_components_case(240, 4, [1, 3])
+        # A sparse graph is CSR at any node count, 120 included.
+        scaled, x, labels, mask, reached = shuffled_components_case(n, 4, [1, 3])
         assert scaled.is_sparse
         assert not mask.all() and not mask[reached].all()
         rows = _trained_rows(TRAINED_ROWS_CONFIG, scaled, mask)

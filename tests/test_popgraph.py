@@ -11,7 +11,6 @@ from popgcn.dataset import AcquisitionRecord, FeatureMatrix, SyntheticConfig, ge
 from popgcn.errors import ContractError, DegenerateInputError, IntegrityError, ParameterError
 from popgcn.popgraph import (
     DENSE_DENSITY_LIMIT,
-    DENSE_NODE_LIMIT,
     MEASURES,
     GraphSpec,
     PopulationGraph,
@@ -24,6 +23,7 @@ from popgcn.popgraph import (
     pairwise_correlation,
     save_graph,
 )
+from popgcn.spectral import estimate_lambda_max, normalized_laplacian
 from conftest import read_graph_csv
 from oracles import gamma_categorical, gamma_quantitative, longitudinal_sim, similarity_kernel
 
@@ -273,15 +273,18 @@ def dense_longitudinal_formula(records, spec):
 
 class TestLongitudinalGraph:
     @pytest.mark.parametrize("measures", MEASURE_SUBSETS, ids="+".join)
-    @pytest.mark.parametrize("n_subjects, sparse", [(25, False), (120, True)])
+    @pytest.mark.parametrize("n_subjects", [25, 120])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_dense_formula(self, measures, n_subjects, sparse, seed):
+    def test_matches_dense_formula(self, measures, n_subjects, seed):
+        # Storage follows density alone: both cohorts are sparse, the
+        # 25-subject one (at most 100 nodes) included.
         rng = np.random.default_rng(seed)
         features, records = longitudinal_cohort(rng, n_subjects, max_scans=4)
         spec = GraphSpec(measures=measures, sim_mode="longitudinal", theta=1.5, lam=7.5)
         g = build_graph(features, records, spec)
         expected = dense_longitudinal_formula(records, spec)
-        assert sp.issparse(g.adjacency) == sparse
+        sparse = sp.issparse(g.adjacency)
+        assert sparse == (g.density <= DENSE_DENSITY_LIMIT)
         if sparse:
             assert g.adjacency.has_canonical_format
             canonical = sp.csr_matrix(expected)
@@ -300,8 +303,9 @@ class TestLongitudinalGraph:
         spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
         g = build_graph(features, records, spec)
         assert g.n_edges == 0
-        assert sp.issparse(g.adjacency) == (n_subjects > DENSE_NODE_LIMIT)
+        assert g.adjacency.format == "csr"
         assert g.provenance["lambda"] == spec.lam
+        assert estimate_lambda_max(normalized_laplacian(g)) == (2.0, True, 0)
 
     def test_build_memory_grows_with_edges_not_nodes(self):
         # One dense 3000 x 3000 float64 matrix alone is 72 MB.
@@ -517,7 +521,7 @@ class TestGraphSerialization:
             ))
             spec = GraphSpec(measures=("AGE", "SEX", "GENE"), sim_mode="longitudinal")
             g = build_graph(features, records, spec)
-            assert g.n_nodes > DENSE_NODE_LIMIT and g.density <= DENSE_DENSITY_LIMIT
+            assert g.density <= DENSE_DENSITY_LIMIT
             assert g.adjacency.format == "csr"
         else:
             features = feats(rng.standard_normal((9, 5)))
