@@ -5,9 +5,11 @@ population graph), run (one cross-validated experiment from a config file),
 sweep (repeat run over a list of values for one config key), report (print a
 saved report). Every run writes a machine-readable echo of the fully resolved
 configuration; outputs contain no timestamps, so a fixed config and seed give
-byte-identical files.
+byte-identical files. A sweep checks every point, and rejects two values
+that give the same setting, before the first point runs.
 
-Defaults and their checks live on the config classes (SyntheticConfig,
+CONFIG_SCHEMA alone routes each INI key to its caster and to the config field
+it sets. Defaults and their checks live on the config classes (SyntheticConfig,
 SelectorConfig, GraphSpec, GcnConfig, BaselineConfig, ExperimentDescriptor)
 and nowhere else: each config is built from the INI keys, or the synth/graph
 flags, that were given, every field left out keeps its class default, and
@@ -16,7 +18,8 @@ section a run reads: the [dataset] keys of the synthetic cohort even when the
 config names files instead, and each float bound written as the condition
 that holds, so NaN fails it and the settings that cannot be infinite
 (model.lr, model.l2, model.ridge_alpha, selector.ridge_alpha,
-selector.mlp_lr, selector.ae_lr and a longitudinal graph.lambda) reject inf.
+selector.mlp_lr, selector.ae_lr, a longitudinal graph.lambda and the
+synthetic effect sizes, whose sex_effect also rejects NaN) reject inf.
 Functions a library caller can reach without a config, such as
 featsel.rfe_select, check their own arguments as well.
 """
@@ -28,7 +31,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 from . import dataset as ds
 from .baselines import BaselineConfig
@@ -68,60 +71,66 @@ def _cast_auto_float(text: str):
     return None if text.lower() == "auto" else float(text)
 
 
-# section -> key -> caster. Unknown sections or keys are rejected before any
-# computation starts.
-CONFIG_SCHEMA: dict[str, dict[str, object]] = {
-    "experiment": {"name": str},
+# section -> key -> (caster, target). The target is the (config class, field)
+# the key sets; a key with code of its own has target None. Unknown sections or
+# keys are rejected before any computation starts, and the config echo writes
+# keys in this order.
+CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
+    "experiment": {"name": (str, (ExperimentDescriptor, "name"))},
     "dataset": {
-        "features": str,
-        "phenotypes": str,
-        "synthetic": _cast_bool,
-        "subjects": int,
-        "scans_min": int,
-        "scans_max": int,
-        "sites": int,
-        "n_features": int,
-        "class_separation": float,
-        "site_shift": float,
-        "sex_effect": float,
-        "noise": float,
-        "data_seed": int,
+        "features": (str, None),
+        "phenotypes": (str, None),
+        "synthetic": (_cast_bool, None),
+        "subjects": (int, (ds.SyntheticConfig, "n_subjects")),
+        "scans_min": (int, None),
+        "scans_max": (int, None),
+        "sites": (int, (ds.SyntheticConfig, "n_sites")),
+        "n_features": (int, (ds.SyntheticConfig, "n_features")),
+        "class_separation": (float, (ds.SyntheticConfig, "class_separation")),
+        "site_shift": (float, (ds.SyntheticConfig, "site_shift_scale")),
+        "sex_effect": (float, (ds.SyntheticConfig, "sex_effect")),
+        "noise": (float, (ds.SyntheticConfig, "noise_scale")),
+        "data_seed": (int, (ds.SyntheticConfig, "seed")),
     },
     "selector": {
-        "kind": str,
-        "target_c": int,
-        "ridge_alpha": float,
-        "rfe_step_fraction": float,
-        "mlp_epochs": int,
-        "mlp_lr": float,
-        "ae_epochs": int,
-        "ae_lr": float,
-        "seed": int,
+        "kind": (str, (SelectorConfig, "kind")),
+        "target_c": (int, (SelectorConfig, "target_c")),
+        "ridge_alpha": (float, (SelectorConfig, "ridge_alpha")),
+        "rfe_step_fraction": (float, (SelectorConfig, "rfe_step_fraction")),
+        "mlp_epochs": (int, (SelectorConfig, "mlp_epochs")),
+        "mlp_lr": (float, (SelectorConfig, "mlp_lr")),
+        "ae_epochs": (int, (SelectorConfig, "ae_epochs")),
+        "ae_lr": (float, (SelectorConfig, "ae_lr")),
+        "seed": (int, (SelectorConfig, "seed")),
     },
     "graph": {
-        "strategy": str,
-        "measures": _cast_measures,
-        "sim": str,
-        "theta": float,
-        "lambda": float,
-        "k": int,
-        "sigma": _cast_auto_float,
-        "sigma_pairs": str,
-        "seed": int,
+        "strategy": (str, (GraphSpec, "strategy")),
+        "measures": (_cast_measures, (GraphSpec, "measures")),
+        "sim": (str, (GraphSpec, "sim_mode")),
+        "theta": (float, (GraphSpec, "theta")),
+        "lambda": (float, (GraphSpec, "lam")),
+        "k": (int, (GraphSpec, "k")),
+        "sigma": (_cast_auto_float, (GraphSpec, "sigma")),
+        "sigma_pairs": (str, (ExperimentDescriptor, "sigma_pairs")),
+        "seed": (int, (GraphSpec, "seed")),
     },
     "model": {
-        "kind": str,
-        "hidden_layers": int,
-        "hidden_width": _cast_auto_int,
-        "cheb_order": int,
-        "dropout": float,
-        "l2": float,
-        "lr": float,
-        "epochs": int,
-        "ridge_alpha": float,
-        "mlp_epochs": int,
+        "kind": (str, (ExperimentDescriptor, "model")),
+        "hidden_layers": (int, (GcnConfig, "hidden_layers")),
+        "hidden_width": (_cast_auto_int, (GcnConfig, "hidden_width")),
+        "cheb_order": (int, (GcnConfig, "cheb_order")),
+        "dropout": (float, (GcnConfig, "dropout_rate")),
+        "l2": (float, (GcnConfig, "l2_coeff")),
+        "lr": (float, (GcnConfig, "learning_rate")),
+        "epochs": (int, (GcnConfig, "epochs")),
+        "ridge_alpha": (float, (BaselineConfig, "ridge_alpha")),
+        "mlp_epochs": (int, (BaselineConfig, "mlp_epochs")),
     },
-    "cv": {"folds": int, "seeds": _cast_seeds, "fold_seed": int},
+    "cv": {
+        "folds": (int, (ExperimentDescriptor, "folds")),
+        "seeds": (_cast_seeds, (ExperimentDescriptor, "seeds")),
+        "fold_seed": (int, (ExperimentDescriptor, "fold_seed")),
+    },
 }
 
 
@@ -155,9 +164,9 @@ def parse_config(path: str, overrides: list[str] | None = None) -> dict:
             raise ConfigValidationError(f"unknown config section [{section}]")
         config[section] = {}
         for key, text in entries.items():
-            caster = CONFIG_SCHEMA[section].get(key)
-            if caster is None:
+            if key not in CONFIG_SCHEMA[section]:
                 raise ConfigValidationError(f"unknown config key {section}.{key}")
+            caster, _ = CONFIG_SCHEMA[section][key]
             try:
                 config[section][key] = caster(text)
             except ValueError as exc:
@@ -187,45 +196,14 @@ def write_config_echo(config: dict, path):
         echo.write(fh)
 
 
-# INI keys whose config field has another name, as section.key -> field.
-FIELD_NAMES = {
-    "dataset.subjects": "n_subjects",
-    "dataset.sites": "n_sites",
-    "dataset.site_shift": "site_shift_scale",
-    "dataset.noise": "noise_scale",
-    "dataset.data_seed": "seed",
-    "graph.sim": "sim_mode",
-    "graph.lambda": "lam",
-    "model.kind": "model",
-    "model.dropout": "dropout_rate",
-    "model.l2": "l2_coeff",
-    "model.lr": "learning_rate",
-}
-
-# The config classes each section's keys fill, by field name. Keys that name
-# no field have code of their own: the dataset files and `synthetic`, and
-# scans_min/scans_max.
-SECTION_CONFIGS = {
-    "experiment": (ExperimentDescriptor,),
-    "dataset": (ds.SyntheticConfig,),
-    "selector": (SelectorConfig,),
-    "graph": (GraphSpec, ExperimentDescriptor),
-    "model": (GcnConfig, BaselineConfig, ExperimentDescriptor),
-    "cv": (ExperimentDescriptor,),
-}
-
-
 def _build(cls, config: dict, **given):
-    """cls from the keys present in the sections that fill it, plus `given`;
+    """cls from the keys present whose target class is cls, plus `given`;
     every other field keeps its class default."""
-    names = {f.name for f in fields(cls)}
-    for section, classes in SECTION_CONFIGS.items():
-        if cls not in classes:
-            continue
-        for key, value in config.get(section, {}).items():
-            name = FIELD_NAMES.get(f"{section}.{key}", key)
-            if name in names:
-                given[name] = value
+    for section, keys in CONFIG_SCHEMA.items():
+        present = config.get(section, {})
+        for key, (_, target) in keys.items():
+            if key in present and target is not None and target[0] is cls:
+                given[target[1]] = present[key]
     return cls(**given)
 
 
@@ -338,16 +316,22 @@ def _cmd_sweep(args) -> int:
     check_jobs(args.jobs)
     if "." not in args.param:
         raise ConfigValidationError(f"--param must look like section.key, got {args.param!r}")
-    values = [v for v in args.values.split(",") if v != ""]
+    values = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise ConfigValidationError("--values is empty")
-    # Every point's settings are checked before the first point runs.
-    configs = []
+    # Every point's settings are checked, and no two points may give the
+    # same setting, before the first point runs.
+    parsed, configs = [], []
     for value in values:
         overrides = list(args.set or []) + [f"{args.param}={value}"]
         config = parse_config(args.config, overrides)
-        name = config.get("experiment", {}).get("name", ExperimentDescriptor.name)
-        config.setdefault("experiment", {})["name"] = f"{name}[{args.param}={value}]"
+        if config in parsed:
+            earlier = values[parsed.index(config)]
+            raise ConfigValidationError(f"--values {earlier!r} and {value!r} are the same point")
+        parsed.append(config)
+        experiment = config.get("experiment", {})
+        name = experiment.get("name", ExperimentDescriptor.name)
+        config = {**config, "experiment": {**experiment, "name": f"{name}[{args.param}={value}]"}}
         _settings(config)
         configs.append(config)
     rows: list[list] = []
@@ -397,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--class-separation", "class_separation"), ("--site-shift", "site_shift"),
         ("--sex-effect", "sex_effect"), ("--noise", "noise"),
     ):
-        p_synth.add_argument(flag, dest=key, type=CONFIG_SCHEMA["dataset"][key])
+        p_synth.add_argument(flag, dest=key, type=CONFIG_SCHEMA["dataset"][key][0])
     p_synth.set_defaults(func=_cmd_synth)
 
     p_graph = sub.add_parser(
@@ -415,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("seed", "seed for the random strategy"),
     ):
         p_graph.add_argument(
-            f"--{key}", type=CONFIG_SCHEMA["graph"][key], choices=choices.get(key), help=text
+            f"--{key}", type=CONFIG_SCHEMA["graph"][key][0], choices=choices.get(key), help=text
         )
     p_graph.set_defaults(func=_cmd_graph)
 

@@ -101,7 +101,7 @@ class SyntheticConfig:
     per-subject latent of scale noise_scale shared by all of a subject's scans,
     and i.i.d. per-scan noise of scale 0.25 * noise_scale. Sex, site and gene
     flag are drawn independently of the label. Checked when constructed (and
-    by replace).
+    by replace); the four effect sizes must be finite.
     """
 
     n_subjects: int = 600
@@ -124,6 +124,9 @@ class SyntheticConfig:
             raise ParameterError("class_separation and site_shift_scale must be >= 0")
         if not self.noise_scale > 0:
             raise ParameterError("noise_scale must be > 0")
+        for name in ("class_separation", "site_shift_scale", "sex_effect", "noise_scale"):
+            if not abs(getattr(self, name)) < np.inf:
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 

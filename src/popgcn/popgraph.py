@@ -46,7 +46,8 @@ DENSE_DENSITY_LIMIT = 0.05
 class GraphSpec:
     """Construction recipe for a population graph, checked when constructed
     (and by replace). theta and sigma may be infinite (an age window or a
-    kernel width that spans every pair); a longitudinal lambda may not."""
+    kernel width that spans every pair); a longitudinal lambda may not. k >= 1
+    for every strategy; build_knn_graph also checks k < N against the data."""
 
     strategy: str = "phenotypic"
     measures: tuple[str, ...] = ("SEX", "SITE")
@@ -76,6 +77,8 @@ class GraphSpec:
             raise ParameterError(f"lambda must be > 1, got {self.lam}")
         if self.sim_mode == "longitudinal" and not self.lam < np.inf:
             raise ParameterError(f"lambda must be finite, got {self.lam}")
+        if self.k < 1:
+            raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.sigma is not None and not self.sigma > 0:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
         if self.seed < 0:

@@ -12,8 +12,6 @@ import popgcn
 from popgcn import dataset, harness
 from popgcn.cli import (
     CONFIG_SCHEMA,
-    FIELD_NAMES,
-    SECTION_CONFIGS,
     ConfigValidationError,
     _build,
     build_descriptor,
@@ -149,6 +147,7 @@ class TestGraphCommand:
             ("--theta", "-1", "theta must be > 0, got -1.0"),
             ("--sigma", "nan", "sigma must be > 0, got nan"),
             ("--measures", "SEX,sex", "measures must be distinct, repeated: ['SEX']"),
+            ("--k", "0", "k must be >= 1, got 0"),
         ):
             code = run_cli(
                 "graph", "--features", str(tmp_path / "nope.csv"),
@@ -292,6 +291,10 @@ class TestRunCommand:
             ("selector.ae_lr=inf", "ae_lr must be finite, got inf"),
             ("graph.sim=longitudinal graph.lambda=inf", "lambda must be finite, got inf"),
             ("dataset.noise=-1", "noise_scale must be > 0"),
+            ("dataset.sex_effect=nan", "sex_effect must be finite, got nan"),
+            ("dataset.class_separation=inf", "class_separation must be finite, got inf"),
+            ("dataset.noise=inf", "noise_scale must be finite, got inf"),
+            ("graph.k=0", "k must be >= 1, got 0"),
             ("experiment.name=a\rb", "name must be one line, got 'a\\rb'"),
             ("experiment.name=a\nb", "name must be one line, got 'a\\nb'"),
         ],
@@ -442,6 +445,9 @@ class TestSweepCommand:
         [
             ("1,2,-1", "error: ParameterError: cheb_order must be >= 0, got -1"),
             ("1,x", "error: model.cheb_order: invalid literal for int() with base 10: 'x'"),
+            ("1,1", "error: --values '1' and '1' are the same point"),
+            ("1, 1", "error: --values '1' and '1' are the same point"),
+            ("1,2,01", "error: --values '1' and '01' are the same point"),
         ],
     )
     def test_bad_later_value_exits_1_before_any_point_runs(
@@ -563,16 +569,18 @@ class TestConfigBuilders:
     }
 
     def test_every_schema_key_reaches_a_field(self):
-        assert set(SECTION_CONFIGS) == set(CONFIG_SCHEMA)
+        own_code, targets = set(), []
         for section, keys in CONFIG_SCHEMA.items():
-            names = {f.name for cls in SECTION_CONFIGS[section] for f in dataclasses.fields(cls)}
-            for key in keys:
-                path = f"{section}.{key}"
-                assert path in self.OWN_CODE or FIELD_NAMES.get(path, key) in names, path
-                assert not (path in self.OWN_CODE and key in names), path
-        for path in FIELD_NAMES:
-            section, key = path.split(".")
-            assert key in CONFIG_SCHEMA[section], path
+            for key, (caster, target) in keys.items():
+                assert callable(caster)
+                if target is None:
+                    own_code.add(f"{section}.{key}")
+                    continue
+                cls, name = target
+                assert name in {f.name for f in dataclasses.fields(cls)}, (section, key)
+                targets.append(target)
+        assert own_code == self.OWN_CODE
+        assert len(set(targets)) == len(targets)  # no field is set by two keys
 
     def test_renamed_keys_set_their_fields(self):
         config = {
