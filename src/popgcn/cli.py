@@ -18,7 +18,7 @@ section a run reads: the [dataset] keys of the synthetic cohort even when the
 config names files instead, and each float bound written as the condition
 that holds, so NaN fails it and the settings that cannot be infinite
 (model.lr, model.l2, model.ridge_alpha, selector.ridge_alpha,
-selector.mlp_lr, selector.ae_lr, a longitudinal graph.lambda and the
+selector.mlp_lr, selector.ae_lr, graph.lambda whatever graph.sim is, and the
 synthetic effect sizes, whose sex_effect also rejects NaN) reject inf.
 Functions a library caller can reach without a config, such as
 featsel.rfe_select, check their own arguments as well.

@@ -3,6 +3,7 @@
 Four strategies: recursive feature elimination driven by a closed-form ridge
 classifier, PCA by SVD, the hidden layer of a small supervised MLP, and a
 tied-weight autoencoder (sigmoid code, tanh reconstruction, MSE loss).
+FeatureSelector.fit fits each in one branch, which builds its transform.
 
 The MLP is the graph network of `gcn` at Chebyshev order 0 (one dense ReLU
 layer of target_c units, softmax output), trained by `gcn.train` without
@@ -301,16 +302,16 @@ class SelectorConfig:
 
 
 class FeatureSelector:
-    """Fit on training rows, transform any rows."""
+    """Fit on training rows, transform any rows. fit branches on config.kind
+    once, and each kind's branch keeps the function that transform applies.
+    `diagnostics` reports the fit: RFE's kept columns (selected_indices), PCA's
+    explained_variance_ratio, the MLP's and the autoencoder's loss_history, and
+    the autoencoder's degenerate_features (its constant training columns)."""
 
     def __init__(self, config: SelectorConfig):
         self.config = config
-        self.fitted = False
-        self.selected_indices = None
-        self.pca_info: PcaInfo | None = None
-        self.weights: dict | None = None
-        self.scale: tuple | None = None
         self.diagnostics: dict = {}
+        self._apply = None
 
     def fit(self, x_train, y_train=None):
         cfg = self.config
@@ -318,14 +319,18 @@ class FeatureSelector:
         if cfg.kind in ("rfe", "mlp") and y_train is None:
             raise ContractError(f"selector kind {cfg.kind!r} needs training labels")
         if cfg.kind == "none":
-            pass
+            self._apply = lambda x: x
         elif cfg.kind == "rfe":
             y_signed = 2.0 * np.asarray(y_train, dtype=np.float64) - 1.0
-            self.selected_indices = rfe_select(
+            kept = rfe_select(
                 x_train, y_signed, cfg.target_c, cfg.rfe_step_fraction, cfg.ridge_alpha
             )
+            self.diagnostics["selected_indices"] = kept
+            self._apply = lambda x: x.take(kept, axis=1)
         elif cfg.kind == "pca":
-            self.pca_info = pca_fit(x_train, cfg.target_c)
+            info = pca_fit(x_train, cfg.target_c)
+            self.diagnostics["explained_variance_ratio"] = info.explained_variance_ratio
+            self._apply = lambda x: (x - info.mean) @ info.components.T
         elif cfg.kind == "mlp":
             y = np.asarray(y_train, dtype=np.int64)
             if len(np.unique(y)) < 2:
@@ -341,8 +346,8 @@ class FeatureSelector:
                 seed=cfg.seed,
             )
             model, losses = gcn.train(net, None, x_train, y, np.ones(len(y), dtype=bool))
-            hidden = model.layers[0]
-            self.weights = {"w1": hidden.weight[0], "b1": hidden.bias}
+            w1, b1 = model.layers[0].weight[0], model.layers[0].bias
+            self._apply = lambda x: np.maximum(x @ w1 + b1, 0.0)
             self.diagnostics["loss_history"] = losses
         else:  # autoencoder
             lo, span, degenerate = _minmax_scale_params(x_train)
@@ -350,32 +355,14 @@ class FeatureSelector:
             w, b_enc, _, history = _fit_autoencoder(
                 xs, cfg.target_c, cfg.ae_epochs, cfg.ae_lr, cfg.seed
             )
-            self.weights = {"w": w, "b_enc": b_enc}
-            self.scale = (lo, span, degenerate)
+            self._apply = lambda x: _sigmoid(_minmax_apply(x, lo, span, degenerate) @ w + b_enc)
             self.diagnostics["loss_history"] = history
             self.diagnostics["degenerate_features"] = np.flatnonzero(degenerate).tolist()
-        self.fitted = True
         return self
 
     def transform(self, x):
-        """Reduce the rows of x with the fitted selector.
-
-        The result is a new C-ordered (row-major) array, except for kind
-        'none', which returns x as given. RFE gathers the selected columns
-        row by row (x.take), so each row's kept features lie contiguous.
-        """
-        if not self.fitted:
+        """Rows of x reduced by the fitted selector, as a new C-ordered array
+        (RFE's kept features contiguous per row); kind 'none' returns x as is."""
+        if self._apply is None:
             raise ContractError("selector must be fitted before transform")
-        x = np.asarray(x, dtype=np.float64)
-        kind = self.config.kind
-        if kind == "none":
-            return x
-        if kind == "rfe":
-            return x.take(self.selected_indices, axis=1)
-        if kind == "pca":
-            return (x - self.pca_info.mean) @ self.pca_info.components.T
-        if kind == "mlp":
-            return np.maximum(x @ self.weights["w1"] + self.weights["b1"], 0.0)
-        lo, span, degenerate = self.scale
-        xs = _minmax_apply(x, lo, span, degenerate)
-        return _sigmoid(xs @ self.weights["w"] + self.weights["b_enc"])
+        return self._apply(np.asarray(x, dtype=np.float64))

@@ -163,7 +163,8 @@ class ExperimentDescriptor:
 
     Checked when constructed (and by replace). Features and records may both
     be None, to check the settings before the data are loaded; once given,
-    they must be aligned."""
+    they must be aligned. A network that builds a correlation-kernel graph
+    needs a fitted selector to keep at least 2 features."""
 
     features: FeatureMatrix | None
     records: list[AcquisitionRecord] | None
@@ -196,6 +197,15 @@ class ExperimentDescriptor:
             raise ParameterError("sigma_pairs must be 'train' or 'all'")
         if "\r" in self.name or "\n" in self.name:  # it would split a results.csv row
             raise ParameterError(f"name must be one line, got {self.name!r}")
+        spec, selector = self.graph_spec, self.selector_config
+        kernel = spec.strategy in ("knn", "all") or (
+            spec.strategy in ("phenotypic", "random") and spec.sim_mode == "correlation_kernel"
+        )
+        builds_graph = self.model == "gcn" and self.gcn_config.cheb_order > 0
+        if builds_graph and kernel and selector.kind != "none" and selector.target_c < 2:
+            raise ParameterError(
+                f"target_c must be >= 2 for a correlation-kernel graph, got {selector.target_c}"
+            )
         ids = None if self.records is None else [r.acquisition_id for r in self.records]
         if (None if self.features is None else self.features.ids) != ids:
             raise ContractError("features and records must be aligned")

@@ -46,8 +46,8 @@ DENSE_DENSITY_LIMIT = 0.05
 class GraphSpec:
     """Construction recipe for a population graph, checked when constructed
     (and by replace). theta and sigma may be infinite (an age window or a
-    kernel width that spans every pair); a longitudinal lambda may not. k >= 1
-    for every strategy; build_knn_graph also checks k < N against the data."""
+    kernel width that spans every pair); lambda may not. 1 < lambda and k >= 1
+    whatever the strategy and sim_mode; build_knn_graph also checks k < N."""
 
     strategy: str = "phenotypic"
     measures: tuple[str, ...] = ("SEX", "SITE")
@@ -73,9 +73,9 @@ class GraphSpec:
             raise ParameterError(f"unknown sim_mode {self.sim_mode!r}")
         if not self.theta > 0:
             raise ParameterError(f"theta must be > 0, got {self.theta}")
-        if self.sim_mode == "longitudinal" and not self.lam > 1:
+        if not self.lam > 1:
             raise ParameterError(f"lambda must be > 1, got {self.lam}")
-        if self.sim_mode == "longitudinal" and not self.lam < np.inf:
+        if not self.lam < np.inf:
             raise ParameterError(f"lambda must be finite, got {self.lam}")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")

@@ -290,6 +290,12 @@ class TestRunCommand:
             ("selector.mlp_lr=inf", "mlp_lr must be finite, got inf"),
             ("selector.ae_lr=inf", "ae_lr must be finite, got inf"),
             ("graph.sim=longitudinal graph.lambda=inf", "lambda must be finite, got inf"),
+            ("graph.lambda=nan", "lambda must be > 1, got nan"),
+            ("graph.lambda=0.5", "lambda must be > 1, got 0.5"),
+            (
+                "selector.kind=pca selector.target_c=1",
+                "target_c must be >= 2 for a correlation-kernel graph, got 1",
+            ),
             ("dataset.noise=-1", "noise_scale must be > 0"),
             ("dataset.sex_effect=nan", "sex_effect must be finite, got nan"),
             ("dataset.class_separation=inf", "class_separation must be finite, got inf"),
@@ -463,6 +469,23 @@ class TestSweepCommand:
                        "--param", "model.cheb_order", "--values", values)
         assert code == 1
         assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_nan_values_exit_1_before_any_point_runs(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        # NaN never equals NaN, so two NaN points are not caught as one
+        # point; the first point's lambda is rejected instead.
+        def no_load(*args):
+            raise AssertionError("load_dataset called")
+
+        monkeypatch.setattr("popgcn.dataset.load_dataset", no_load)
+        cfg = write_config(tmp_path, data_dir)
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                       "--param", "graph.lambda", "--values", "nan,nan")
+        assert code == 1
+        assert capsys.readouterr().err == "error: ParameterError: lambda must be > 1, got nan\n"
         assert not out.exists()
 
     def test_bad_param_format(self, tmp_path, data_dir, capsys):

@@ -336,21 +336,6 @@ class TestAutoencoder:
 
 
 class TestFeatureSelectorClass:
-    def fitted_state(self, selector):
-        parts = []
-        if selector.selected_indices is not None:
-            parts.append(selector.selected_indices.tobytes())
-        if selector.pca_info is not None:
-            parts.append(selector.pca_info.mean.tobytes())
-            parts.append(selector.pca_info.components.tobytes())
-        if selector.weights is not None:
-            for key in sorted(selector.weights):
-                parts.append(selector.weights[key].tobytes())
-        if selector.scale is not None:
-            for arr in selector.scale:
-                parts.append(np.asarray(arr).tobytes())
-        return b"".join(parts)
-
     @pytest.mark.parametrize("kind", ["none", "rfe", "pca", "mlp", "autoencoder"])
     def test_fit_uses_training_rows_only(self, kind, rng):
         x, y = separable(n=60, c=8, seed=1)
@@ -360,7 +345,7 @@ class TestFeatureSelectorClass:
         noisy = x.copy()
         noisy[40:] = rng.standard_normal((20, 8)) * 100  # trash non-training rows
         sel_b = FeatureSelector(config).fit(noisy[train_rows], y[train_rows])
-        assert self.fitted_state(sel_a) == self.fitted_state(sel_b)
+        assert sel_a.transform(x).tobytes() == sel_b.transform(x).tobytes()
 
     @pytest.mark.parametrize("kind", ["rfe", "pca", "mlp", "autoencoder"])
     def test_transform_shape(self, kind):
@@ -376,7 +361,15 @@ class TestFeatureSelectorClass:
         sel = FeatureSelector(SelectorConfig(kind="rfe", target_c=5)).fit(x[:30], y[:30])
         out = sel.transform(x)
         assert out.flags.c_contiguous
-        np.testing.assert_array_equal(out, x[:, sel.selected_indices])
+        np.testing.assert_array_equal(out, x[:, sel.diagnostics["selected_indices"]])
+
+    def test_pca_reports_explained_variance(self, rng):
+        x = rng.standard_normal((30, 6)) @ np.diag([3, 2, 1.5, 1, 0.5, 0.2])
+        sel = FeatureSelector(SelectorConfig(kind="pca", target_c=4)).fit(x[:20])
+        np.testing.assert_array_equal(
+            sel.diagnostics["explained_variance_ratio"],
+            pca_fit(x[:20], target_c=4).explained_variance_ratio,
+        )
 
     def test_none_kind_is_identity(self):
         x, y = separable(n=20, c=4)

@@ -490,6 +490,33 @@ class TestRunExperiment:
         with pytest.raises(ParameterError):
             dataclasses.replace(getattr(desc, field), **value)
 
+    @pytest.mark.parametrize(
+        "changes, rejected",
+        [
+            ({}, True),
+            ({"graph_spec": GraphSpec(strategy="knn")}, True),
+            ({"graph_spec": GraphSpec(strategy="all")}, True),
+            ({"graph_spec": GraphSpec(strategy="random")}, True),
+            ({"selector_config": SelectorConfig(kind="rfe", target_c=1)}, True),
+            ({"graph_spec": GraphSpec(sim_mode="none")}, False),
+            ({"graph_spec": GraphSpec(sim_mode="longitudinal")}, False),
+            ({"graph_spec": GraphSpec(strategy="complete")}, False),
+            ({"gcn_config": GcnConfig(cheb_order=0)}, False),
+            ({"model": "mlp"}, False),
+            ({"model": "ridge"}, False),
+            ({"selector_config": SelectorConfig(kind="pca", target_c=2)}, False),
+        ],
+    )
+    def test_one_feature_rejected_only_under_a_kernel_graph(self, changes, rejected):
+        # The correlation kernel needs 2 features per node, so a 1-column
+        # selector is rejected before any data are read where it builds one.
+        settings = {"selector_config": SelectorConfig(kind="pca", target_c=1), **changes}
+        if rejected:
+            with pytest.raises(ParameterError, match="correlation-kernel graph, got 1$"):
+                ExperimentDescriptor(None, None, **settings)
+        else:
+            ExperimentDescriptor(None, None, **settings)
+
     def test_parallel_jobs_match_sequential(self):
         desc = small_experiment(seeds=(0,), folds=3)
         sequential = run_experiment(desc, jobs=1)
