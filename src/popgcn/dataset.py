@@ -19,7 +19,8 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from collections import deque
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,15 +171,20 @@ def load_features(path) -> FeatureMatrix:
     The data section is cut into record-aligned byte ranges of about
     `_RANGE_BYTES` (`_range_starts`), and each range goes through one
     `np.loadtxt` pass (`_parse_chunk`); the id column goes through a
-    converter, so the values never exist as Python floats. `fork_map` parses
-    the ranges on a pool of one forked process per usable core, at most one
-    per range, which holds this process to one malloc arena from then on. A
-    data section that fits in one range, and every file where there is one
-    usable core, no `fork`, or a daemonic process that may not have children,
-    is parsed in this process as a single range. So is a data section that
-    holds a '"' anywhere (`write_features` quotes only an id with a comma, a
-    quote or a line end): a large one loads at one-pass speed, 1.2-1.9 times
-    the time of ranges on two cores for a 104 MB ABIDE-shape file. Either
+    converter, so the values never exist as Python floats. Each range's rows
+    are copied into one matrix as the range arrives, and its table is then
+    dropped. The matrix is sized from the one range's rows, or from the
+    '\n's the scan counts, which bound the rows unless a lone '\r' ends some
+    (the matrix then grows by each range that overflows it). `fork_map`
+    parses the ranges on a pool of one forked process per usable core, at
+    most one per range, which holds this process to one malloc arena from
+    then on. A data section that fits in one range, and every file where
+    there is one usable core, no `fork`, or a daemonic process that may not
+    have children, is parsed in this process as a single range. So is a data
+    section that holds a '"' anywhere (`write_features` quotes only an id
+    with a comma, a quote or a line end): a large one loads at one-pass
+    speed, 1.2-1.9 times the time of ranges on two cores for a 104 MB
+    ABIDE-shape file. Either
     way the result, and every error, is what one pass over the whole data
     section gives. Forking is safe here because the workers only parse and
     return their rows, and popgcn starts no threads before it loads its
@@ -201,28 +207,41 @@ def load_features(path) -> FeatureMatrix:
 
     size = os.path.getsize(path)
     workers = _fork_workers()
-    starts = _range_starts(path, start) if workers > 1 and size - start > _RANGE_BYTES else [start]
+    starts, max_rows = [start], None
+    if workers > 1 and size - start > _RANGE_BYTES:
+        starts, max_rows = _range_starts(path, start)
     ranges = [(path, a, b) for a, b in zip(starts, starts[1:] + [None])]
-    try:
-        pieces = list(fork_map(_parse_range, ranges, workers))
-    except ValueError as exc:  # UnicodeDecodeError included: the re-read reports it
-        raise _locate_bad_cell(path, n_cols, exc) from exc
-
     ids: list[str] = []
-    tables = []
-    for piece_ids, table in pieces:
-        if not piece_ids:
-            continue
-        if table.shape[1] != n_cols:
-            raise _locate_bad_cell(path, n_cols, None)
-        ids += piece_ids
-        tables.append(table[:, 1:])
+    values = None
+    with closing(_parsed_ranges(path, n_cols, ranges, workers)) as pieces:
+        for piece_ids, table in pieces:
+            if not piece_ids:
+                continue
+            if table.shape[1] != n_cols:
+                raise _locate_bad_cell(path, n_cols, None)
+            if values is None:
+                values = np.empty((max_rows or len(piece_ids), n_cols - 1))
+            if len(ids) + len(piece_ids) > len(values):  # rows ended by a lone '\r'
+                values = np.concatenate((values, np.empty((len(piece_ids), n_cols - 1))))
+            values[len(ids) : len(ids) + len(piece_ids)] = table[:, 1:]
+            ids += piece_ids
+            del table  # not held while the next range arrives
     if len(ids) < 2:
         raise IntegrityError(f"{path}: N >= 2 required, got {len(ids)} data rows")
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
         raise IntegrityError(f"{path}: duplicate acquisition_id {dup!r}")
-    return FeatureMatrix(ids=ids, values=np.concatenate(tables))
+    # The rows max_rows counted for blank lines stay unwritten.
+    return FeatureMatrix(ids=ids, values=values[: len(ids)])
+
+
+def _parsed_ranges(path, n_cols: int, ranges, workers: int):
+    """`_parse_range` over `ranges` through fork_map; a cell np.loadtxt
+    rejects raises the error `_locate_bad_cell` finds."""
+    try:
+        yield from fork_map(_parse_range, ranges, workers)
+    except ValueError as exc:  # UnicodeDecodeError included: the re-read reports it
+        raise _locate_bad_cell(path, n_cols, exc) from exc
 
 
 def _read_header(path) -> tuple[list[str], int]:
@@ -256,34 +275,55 @@ def _fork_workers() -> int:
         return os.cpu_count() or 1
 
 
-def fork_map(fn, items, workers: int):
-    """Yield `fn(*item)` for each of `items` in item order, each as soon as
-    it and those before it are done.
+def fork_map(fn, items, workers: int, shared: tuple = ()):
+    """Yield `fn(*shared, *item)` for each of `items` in item order, each as
+    soon as it and those before it are done.
 
     In this process when `workers` or the item count is at most 1, or where
     `_fork_workers` finds none. Otherwise on a fork-context process pool of
-    at most one process per item (it forks them all at the first submit),
-    which pickles `fn` by name. The first error in item order is raised once
-    the items not yet started are cancelled and the pool is joined; a process
-    that dies raises WorkerError. Before the pool starts, glibc's malloc is
-    held to one arena for good: the pool unpickles results in a thread whose
-    own arena would keep their freed memory from the rest of the run (after
-    an abide-shape load, peak RSS read 190-192 MB in 2 of 3 runs, not 154).
+    at most one process per item (it forks them all at the first submit).
+    Each task pickles `fn` by name and its item; the processes inherit
+    `shared` when they fork, so it is never pickled. A result is dropped
+    once it has been yielded, so only the results not yet yielded are held.
+    The first error in item order is raised once the items not yet started
+    are cancelled and the pool is joined; a process that dies raises
+    WorkerError. Before the pool starts, glibc's malloc is held to one arena
+    for good: the pool unpickles results in a thread whose own arena would
+    keep their freed memory from the rest of the run (without it, three
+    abide-shape loads in one process peaked at 108.5-111.6 MB RSS, not
+    103.4-105.9 MB, in 6 runs each).
     """
     items = list(items)
     workers = min(workers, len(items))
     if workers <= 1 or not _fork_workers():
-        yield from (fn(*item) for item in items)
+        yield from (fn(*shared, *item) for item in items)
         return
     _mallopt((_M_ARENA_MAX, 1))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit, initargs=shared,
+    )
     try:
-        for future in [pool.submit(fn, *item) for item in items]:
-            yield future.result()
+        futures = deque(pool.submit(_call_with_inherited, fn, *item) for item in items)
+        while futures:
+            yield futures.popleft().result()
     except BrokenProcessPool:
         raise WorkerError("a worker process exited early") from None
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+# In a fork_map process, the `shared` arguments it inherited.
+_inherited: tuple = ()
+
+
+def _inherit(*shared):
+    global _inherited
+    _inherited = shared
+
+
+def _call_with_inherited(fn, *item):
+    return fn(*_inherited, *item)
 
 
 # glibc mallopt parameters, and the highest values glibc's own dynamic
@@ -318,27 +358,33 @@ def _reuse_freed_memory():
     large array first, such as one on a longitudinal graph, which is built
     from its edges, keeps them low: at 1633 x 138 an epoch then took about
     2600 page faults. This sets them, for the whole process, where glibc's
-    own rule would leave them at most. Set before an abide-shape load, not
-    after it, they raised a run's peak RSS from 154 to 157-161 MB.
+    own rule would leave them at most. Set before an abide-shape load or
+    after it, as run_experiment does, they give the run the same peak RSS
+    (143.2-143.6 MB in 6 runs each, one outlier at 149.3 MB after it).
     """
     _mallopt((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX), (_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX))
 
 
-def _range_starts(path, start: int) -> list[int]:
-    """Where the byte ranges of the data section at `start` begin.
+def _range_starts(path, start: int) -> tuple[list[int], int | None]:
+    """Where the byte ranges of the data section at `start` begin, and the
+    rows it can hold if no row ends at a lone '\r'.
 
     Each range after the first begins just after the first '\n' at least
     `_RANGE_BYTES` past the start of the range before. The file is scanned
-    in blocks of `_SCAN_BYTES`. A '"' anywhere in the data section leaves it
-    in one range: a quoted field may hold a line end that ends no record.
+    in blocks of `_SCAN_BYTES`, which also counts its '\n's: every row but
+    the last ends at one, unless np.loadtxt ends it at a lone '\r'. A '"'
+    anywhere in the data section leaves it in one range, with no count: a
+    quoted field may hold a line end that ends no record.
     """
     starts = [start]
     pos = start
+    line_ends = 0
     with open(path, "rb") as fh:
         fh.seek(start)
         while block := fh.read(_SCAN_BYTES):
             if b'"' in block:
-                return [start]
+                return [start], None
+            line_ends += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
             i = block.find(b"\n", max(starts[-1] + _RANGE_BYTES - 1 - pos, 0))
             while i >= 0:
                 starts.append(pos + i + 1)
@@ -346,7 +392,7 @@ def _range_starts(path, start: int) -> list[int]:
             pos += len(block)
     if starts[-1] == pos:  # the last cut fell at the end of the file
         starts.pop()
-    return starts
+    return starts, line_ends + 1
 
 
 def _parse_range(path, start: int, stop: int | None) -> tuple[list[str], np.ndarray]:

@@ -65,27 +65,39 @@ def ridge_fit(x, y, alpha: float):
     return xc.T @ np.linalg.solve(outer, yc)
 
 
+def _centred_rows(x, rows) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 copy of the rows `rows` of x (a boolean mask or an index
+    array; every row, in x's memory order, when None), centred in place, and
+    its column means. x itself is never written."""
+    x = np.asarray(x, dtype=np.float64)
+    xc = x.copy(order="K") if rows is None else x[rows]
+    mean = xc.mean(axis=0)
+    xc -= mean
+    return xc, mean
+
+
 def rfe_select(
-    x_train, y_train, target_c: int, step_fraction: float = 0.1, alpha: float = 1.0
+    x, y_train, target_c: int, step_fraction: float = 0.1, alpha: float = 1.0, rows=None
 ) -> np.ndarray:
     """Recursive feature elimination: repeatedly drop the features with the
     smallest |ridge coefficient| until exactly target_c remain.
 
-    Each round removes ceil(step_fraction * current_C) features, clipped so
-    the last round lands exactly on target_c. Returns sorted original column
-    indices.
+    The training rows are the rows `rows` of x (a boolean mask or an index
+    array; every row when None), and y_train holds their labels. Each round
+    removes ceil(step_fraction * current_C) features, clipped so the last
+    round lands exactly on target_c. Returns sorted original column indices.
 
     The weights are ridge_fit's on the active columns, computed with one Gram
-    matrix per call. The training rows are centred once, and G = Xc Xc^T
-    (n x n) is formed once. While more columns than rows are active, a round
-    solves the dual system (G + alpha I) a = yc, scores the active columns by
-    |Xc^T a|, and subtracts the dropped columns' outer product from G. Once
-    no more columns than rows remain, rounds call ridge_fit on the active
-    columns, which solves the primal system. ridge_fit's input checks run
-    before the first round, and only if a round runs.
+    matrix per call. The training rows are copied and centred once, in
+    place, and G = Xc Xc^T (n x n) is formed once. While more columns than
+    rows are active, a round solves the dual system (G + alpha I) a = yc,
+    scores the active columns by |Xc^T a|, and subtracts the dropped columns'
+    outer product from G. Once no more columns than rows remain, rounds call
+    ridge_fit on the active columns of the training rows, taken from x, which
+    solves the primal system. ridge_fit's input checks run before the first
+    round, and only if a round runs.
     """
-    x = np.asarray(x_train, dtype=np.float64)
-    y = np.asarray(y_train, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     c = x.shape[1]
     if not 1 <= target_c <= c:
         raise ParameterError(f"target_c must be in [1, {c}], got {target_c}")
@@ -94,9 +106,10 @@ def rfe_select(
     active = np.arange(c)
     if target_c == c:
         return active
-    _check_ridge_inputs(x, y, alpha)
-    n = x.shape[0]
-    xc = x - x.mean(axis=0)
+    xc, _ = _centred_rows(x, rows)
+    y = np.asarray(y_train, dtype=np.float64)
+    _check_ridge_inputs(xc, y, alpha)
+    n = xc.shape[0]
     yc = y - y.mean()
     gram = xc @ xc.T if c > n else None
     while len(active) > target_c:
@@ -106,7 +119,10 @@ def rfe_select(
             system[np.diag_indices(n)] += alpha
             w = (xc.T @ np.linalg.solve(system, yc))[active]
         else:
-            w = ridge_fit(x[:, active], y, alpha)
+            # The uncentred active columns, laid out column-major as
+            # x[rows][:, active] is: ridge_fit's sums depend on the layout.
+            cols = x[:, active] if rows is None else np.asfortranarray(x[np.ix_(rows, active)])
+            w = ridge_fit(cols, y, alpha)
         dropped = np.argsort(np.abs(w), kind="stable")[:n_drop]
         if len(active) - n_drop > max(n, target_c):  # another dual round follows
             cols = xc[:, active[dropped]]
@@ -125,20 +141,20 @@ class PcaInfo:
     rank_deficient: bool
 
 
-def pca_fit(x_train, target_c: int) -> PcaInfo:
-    """The top target_c principal directions of the training rows
-    (mean-centered, singular values descending); a row x projects to
-    (x - mean) @ components.T.
+def pca_fit(x, target_c: int, rows=None) -> PcaInfo:
+    """The top target_c principal directions of the training rows, the rows
+    `rows` of x (a boolean mask or an index array; every row when None),
+    mean-centered, singular values descending; a row x projects to
+    (x - mean) @ components.T. The rows are copied and centred once, in
+    place.
 
     Components beyond the training-data rank are zero vectors and
     rank_deficient is flagged.
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    n, c = x_train.shape
+    centered, mean = _centred_rows(x, rows)
+    n, c = centered.shape
     if not 1 <= target_c <= min(n, c):
         raise ParameterError(f"target_c must be in [1, {min(n, c)}], got {target_c}")
-    mean = x_train.mean(axis=0)
-    centered = x_train - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     # Deterministic sign: largest-|entry| coordinate of each component positive.
     for i in range(vt.shape[0]):
@@ -313,9 +329,12 @@ class FeatureSelector:
         self.diagnostics: dict = {}
         self._apply = None
 
-    def fit(self, x_train, y_train=None):
+    def fit(self, x, y_train=None, rows=None):
+        """Fit on the training rows, the rows `rows` of x (a boolean mask or
+        an index array; every row when None); y_train holds their labels.
+        RFE and PCA copy those rows once and centre the copy; no kind writes x."""
         cfg = self.config
-        x_train = np.asarray(x_train, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         if cfg.kind in ("rfe", "mlp") and y_train is None:
             raise ContractError(f"selector kind {cfg.kind!r} needs training labels")
         if cfg.kind == "none":
@@ -323,12 +342,12 @@ class FeatureSelector:
         elif cfg.kind == "rfe":
             y_signed = 2.0 * np.asarray(y_train, dtype=np.float64) - 1.0
             kept = rfe_select(
-                x_train, y_signed, cfg.target_c, cfg.rfe_step_fraction, cfg.ridge_alpha
+                x, y_signed, cfg.target_c, cfg.rfe_step_fraction, cfg.ridge_alpha, rows
             )
             self.diagnostics["selected_indices"] = kept
             self._apply = lambda x: x.take(kept, axis=1)
         elif cfg.kind == "pca":
-            info = pca_fit(x_train, cfg.target_c)
+            info = pca_fit(x, cfg.target_c, rows)
             self.diagnostics["explained_variance_ratio"] = info.explained_variance_ratio
             self._apply = lambda x: (x - info.mean) @ info.components.T
         elif cfg.kind == "mlp":
@@ -345,11 +364,13 @@ class FeatureSelector:
                 epochs=cfg.mlp_epochs,
                 seed=cfg.seed,
             )
+            x_train = x if rows is None else x[rows]
             model, losses = gcn.train(net, None, x_train, y, np.ones(len(y), dtype=bool))
             w1, b1 = model.layers[0].weight[0], model.layers[0].bias
             self._apply = lambda x: np.maximum(x @ w1 + b1, 0.0)
             self.diagnostics["loss_history"] = losses
         else:  # autoencoder
+            x_train = x if rows is None else x[rows]
             lo, span, degenerate = _minmax_scale_params(x_train)
             xs = _minmax_apply(x_train, lo, span, degenerate)
             w, b_enc, _, history = _fit_autoencoder(

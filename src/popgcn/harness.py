@@ -349,12 +349,14 @@ def _config_echo(desc: ExperimentDescriptor) -> dict:
 def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     """One FoldSeedRecord per seed for the held-out fold `fold`.
 
-    The selector is fit on the fold's labeled training rows. Ridge scores
-    the test rows once, for every seed. Otherwise one network trains per
-    seed, through train and predict: the GcnConfig, or for the MLP baseline
-    that config at cheb_order 0 for mlp_epochs epochs. A network of
-    cheb_order > 0 reads the fold's graph operator, built once for every
-    seed; at order 0 no graph, sigma or operator is built.
+    The selector is fit on the fold's labeled training rows, which it copies
+    once from the feature matrix. Ridge scores the test rows once, for every
+    seed. Otherwise one network trains per seed, through train and predict:
+    the GcnConfig, or for the MLP baseline that config at cheb_order 0 for
+    mlp_epochs epochs. A network of cheb_order > 0 reads the fold's graph
+    operator, built once for every seed; the graph is dropped once the
+    operator is built, and each seed's model once it has predicted. At order
+    0 no graph, sigma or operator is built.
     """
     labels = labels_array(desc.records)
     labeled = labels != UNKNOWN_LABEL
@@ -366,7 +368,7 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
 
     x = desc.features.values
     selector = FeatureSelector(desc.selector_config)
-    selector.fit(x[train_mask], labels[train_mask])
+    selector.fit(x, labels[train_mask], rows=train_mask)
     x_red = selector.transform(x)
 
     y_test = labels[test_idx]
@@ -405,6 +407,7 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
         # Records carry sigma only where it was estimated, not where it was given.
         sigma = graph.provenance.get("sigma") if spec.sigma is None else None
         scaled = gcn_mod.scaled_operator(graph)
+        del graph, reduced  # the seeds read the operator alone
         x_scored, scored = x_red, test_idx
     else:
         # With no operator each row is scored on its own, so only the test rows are.
@@ -417,6 +420,7 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     for seed in desc.seeds:
         model, _ = gcn_mod.train(replace(network, seed=seed), scaled, x_red, visible, train_mask)
         probs, preds = gcn_mod.predict(model, scaled, x_scored)
+        del model  # not alive while the next seed trains
         records.append(record(seed, preds[scored], probs[scored, 1], sigma))
     return records
 
@@ -437,11 +441,13 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     with the training mask, on that operator or, at order 0 (the MLP
     baseline), on the features alone; score the held-out fold. jobs > 1
     runs folds through fork_map, on min(jobs, folds) forked processes (one
-    malloc arena from then on), with the same records; a daemonic caller, or
-    no `fork`, runs them in this process. jobs < 1 raises ParameterError.
-    record_sink, when given, is called with each FoldSeedRecord as its fold
-    finishes, so partial results survive an abort. Under glibc it first
-    raises the process's allocator thresholds (_reuse_freed_memory).
+    malloc arena from then on), with the same records: each task carries its
+    fold index, and the processes inherit the descriptor and the fold
+    assignment. A daemonic caller, or no `fork`, runs them in this process.
+    jobs < 1 raises ParameterError. record_sink, when given, is called with
+    each FoldSeedRecord as its fold finishes, so partial results survive an
+    abort. Under glibc it first raises the process's allocator thresholds
+    (_reuse_freed_memory).
 
     The same descriptor gives a byte-identical report only under the same
     BLAS thread count. Every BLAS product may sum in an order that depends
@@ -453,8 +459,8 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     _reuse_freed_memory()
     folds = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
     all_records: list[FoldSeedRecord] = []
-    tasks = [(desc, folds, fold) for fold in range(desc.folds)]
-    for fold_records in fork_map(_run_fold, tasks, jobs):
+    tasks = [(fold,) for fold in range(desc.folds)]
+    for fold_records in fork_map(_run_fold, tasks, jobs, shared=(desc, folds)):
         all_records.extend(fold_records)
         if record_sink is not None:
             for rec in fold_records:

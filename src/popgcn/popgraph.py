@@ -314,11 +314,16 @@ def build_phenotypic_graph(
         return PopulationGraph.from_edges(
             n, u[keep], v[keep], float(spec.lam) * count[keep], provenance
         )
-    nodes = np.arange(n)
-    w = _gamma_sum(records, spec, nodes[:, None], nodes)
+    # The kernel comes first, so its N x C temporaries are freed before the
+    # N x N measure count is made.
+    sim = None
     if spec.sim_mode == "correlation_kernel":
         sim, provenance["sigma"] = _kernel_matrix(features, spec.sigma, sigma_rows)
+    nodes = np.arange(n)
+    w = _gamma_sum(records, spec, nodes[:, None], nodes)
+    if sim is not None:
         w *= sim
+        del sim
     return PopulationGraph.from_upper(w, provenance)
 
 

@@ -3,7 +3,9 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
 import warnings
+import weakref
 from contextlib import contextmanager
 from unittest import mock
 
@@ -283,7 +285,8 @@ class TestLoaderMatchesReferenceInRanges:
 
 def range_starts_of(path):
     """Where load_features, under the active patch, starts each range."""
-    return dataset._range_starts(path, len(path.read_bytes().split(b"\n", 1)[0]) + 1)
+    starts, _ = dataset._range_starts(path, len(path.read_bytes().split(b"\n", 1)[0]) + 1)
+    return starts
 
 
 @needs_fork
@@ -425,6 +428,62 @@ class TestLoadFeaturesInWorkers:
                 with pytest.raises(RuntimeError, match="worker process exited early"):
                     load_features(path)
 
+    def check_loads_as_plain(self, path, rows):
+        # The matrix is sized from the '\n's the scan counts: the file loads
+        # as the same rows, one per line.
+        plain = path.with_name("plain.csv")
+        plain.write_text(self.HEADER + "".join(rows))
+        loaded, expected = load_features(path), load_features(plain)
+        assert loaded.ids == expected.ids
+        assert loaded.values.view(np.int64).tolist() == expected.values.view(np.int64).tolist()
+        assert loaded.values.flags.c_contiguous
+        assert outcome(load_features, path) == self.serial(path)
+
+    def test_blank_lines_between_rows_and_at_a_cut(self, tmp_path):
+        rows = [self.rows(i, 1) for i in range(40)]
+        path = tmp_path / "f.csv"
+        path.write_text(self.HEADER + "".join(r + "\n" * (i % 3 == 0) for i, r in enumerate(rows)))
+        data = path.read_bytes()
+        cut = range_starts_of(path)[1]
+        path.write_bytes(data[:cut] + b"\n" + data[cut:])  # the bytes before the cut keep it
+        starts = range_starts_of(path)
+        assert len(starts) >= 3 and starts[1] == cut
+        assert path.read_bytes()[cut : cut + 1] == b"\n"
+        self.check_loads_as_plain(path, rows)
+
+    def test_rows_ended_by_a_lone_carriage_return(self, tmp_path):
+        # np.loadtxt ends a row at a lone '\r' too, which the count of '\n's
+        # misses: the matrix grows by each range that overflows it. Cuts
+        # fall only after a '\n'.
+        rows = [self.rows(i, 1) for i in range(80)]
+        path = tmp_path / "f.csv"
+        path.write_text(
+            self.HEADER + "".join(r if i % 4 == 0 else r[:-1] + "\r" for i, r in enumerate(rows)),
+            newline="",
+        )
+        assert len(range_starts_of(path)) >= 3
+        self.check_loads_as_plain(path, rows)
+
+    def test_peak_memory_is_about_one_matrix(self, tmp_path):
+        # Each range's rows go into one matrix as they arrive: no list of
+        # every range's table, and no concatenated copy of them.
+        features, _ = generate_synthetic(
+            SyntheticConfig(n_subjects=300, scans_per_subject=(1, 1), n_features=400, seed=1)
+        )
+        path = tmp_path / "f.csv"
+        write_features(features, path)
+        with mock.patch.multiple(dataset, _RANGE_BYTES=1 << 16, _SCAN_BYTES=1 << 14):
+            assert len(range_starts_of(path)) >= 10
+            load_features(path)  # the modules a pool imports on first use are not counted
+            tracemalloc.start()
+            try:
+                loaded = load_features(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert loaded.values.view(np.int64).tolist() == features.values.view(np.int64).tolist()
+        assert peak < 1.5 * loaded.values.nbytes
+
     @pytest.mark.parametrize(
         "before, cell, id_",
         [
@@ -511,6 +570,21 @@ class TestForkMap:
             results = list(fork_map(report_process, [(i,) for i in range(6)], 2))
         assert [i for i, _ in results] == list(range(6))
         assert os.getpid() not in {pid for _, pid in results}
+
+    @needs_fork
+    def test_drops_each_result_once_yielded(self):
+        results = fork_map(np.full, [(1000, i) for i in range(4)], 2)
+        first = weakref.ref(next(results))
+        assert next(results)[0] == 1
+        assert first() is None
+        assert [r[0] for r in results] == [2, 3]
+
+    @needs_fork
+    def test_processes_inherit_the_shared_arguments(self):
+        shared = (np.arange(3),)
+        results = list(fork_map(np.add, [(10,), (20,)], 2, shared=shared))
+        assert [r.tolist() for r in results] == [[10, 11, 12], [20, 21, 22]]
+        assert dataset._inherited == ()  # set in the forked processes only
 
     @needs_fork
     def test_first_error_cancels_the_items_not_started(self, tmp_path):

@@ -347,6 +347,42 @@ class TestFeatureSelectorClass:
         sel_b = FeatureSelector(config).fit(noisy[train_rows], y[train_rows])
         assert sel_a.transform(x).tobytes() == sel_b.transform(x).tobytes()
 
+    @pytest.mark.parametrize("rows", ["all", "mask", "index"])
+    @pytest.mark.parametrize("kind", ["none", "rfe", "pca", "mlp", "autoencoder"])
+    def test_fit_writes_no_input(self, kind, rows):
+        # RFE and PCA centre a copy of the training rows in place; the
+        # caller's matrix and labels stay as they were.
+        x, y = separable(n=40, c=30)
+        picked = {"all": None, "mask": np.arange(40) % 4 != 0, "index": np.arange(5, 35)}[rows]
+        y_train = y if picked is None else y[picked]
+        x_before, y_before = x.copy(), y_train.copy()
+        config = SelectorConfig(kind=kind, target_c=3, mlp_epochs=3, ae_epochs=3)
+        FeatureSelector(config).fit(x, y_train, rows=picked)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(y_train, y_before)
+
+    @pytest.mark.parametrize("c", [8, 60])  # 8: primal rounds only; 60: dual rounds first
+    def test_rfe_select_and_pca_fit_write_no_input(self, c):
+        x, y = separable(n=40, c=c)
+        y_signed = 2.0 * y - 1.0
+        mask = np.arange(40) % 4 != 0
+        x_before = x.copy()
+        rfe_select(x, y_signed, target_c=3)
+        rfe_select(x, y_signed[mask], target_c=3, rows=mask)
+        pca_fit(x, target_c=3)
+        pca_fit(x, target_c=3, rows=mask)
+        np.testing.assert_array_equal(x, x_before)
+
+    @pytest.mark.parametrize("kind", ["rfe", "pca", "mlp", "autoencoder"])
+    def test_fit_on_rows_equals_fit_on_their_copy(self, kind):
+        x, y = separable(n=60, c=70)  # more columns than rows: RFE's dual rounds
+        mask = np.arange(60) % 3 != 0
+        config = SelectorConfig(kind=kind, target_c=20, mlp_epochs=3, ae_epochs=3)
+        copied = FeatureSelector(config).fit(x[mask], y[mask]).transform(x)
+        for rows in (mask, np.flatnonzero(mask)):
+            fitted = FeatureSelector(config).fit(x, y[mask], rows=rows).transform(x)
+            assert fitted.tobytes() == copied.tobytes()
+
     @pytest.mark.parametrize("kind", ["rfe", "pca", "mlp", "autoencoder"])
     def test_transform_shape(self, kind):
         x, y = separable(n=50, c=8)

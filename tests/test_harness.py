@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -531,8 +532,12 @@ class TestRunExperiment:
         sizes = []
 
         class InlineExecutor(concurrent.futures.Executor):
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)  # as each forked process would
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                dataset._inherit()
 
             def submit(self, fn, *args):
                 future = concurrent.futures.Future()
@@ -543,6 +548,32 @@ class TestRunExperiment:
         desc = small_experiment(seeds=(0,), folds=2)
         assert run_experiment(desc, jobs=16).to_json() == run_experiment(desc, jobs=1).to_json()
         assert sizes == [2]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+    )
+    def test_fold_task_size_does_not_grow_with_the_features(self, monkeypatch):
+        # A task carries its fold index; the forked processes inherit the
+        # descriptor, feature matrix included, and the fold assignment.
+        sizes = []
+
+        class SizedExecutor(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                sizes.append(len(pickle.dumps((fn, args))))
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(dataset, "ProcessPoolExecutor", SizedExecutor)
+        for n_features in (8, 800):
+            features, records = generate_synthetic(
+                SyntheticConfig(n_subjects=36, scans_per_subject=(1, 2), n_features=n_features)
+            )
+            desc = dataclasses.replace(
+                small_experiment(seeds=(0,), folds=2), features=features, records=records
+            )
+            assert run_experiment(desc, jobs=2).to_json() == run_experiment(desc, jobs=1).to_json()
+        assert len(sizes) == 4
+        assert sizes[:2] == sizes[2:]
+        assert max(sizes) < 1024
 
     def test_record_sink_receives_all_records(self):
         captured = []
