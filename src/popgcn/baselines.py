@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, check_above, check_at_least
 from .featsel import _sigmoid, ridge_fit
 
 
@@ -22,19 +22,15 @@ from .featsel import _sigmoid, ridge_fit
 class BaselineConfig:
     """The baselines' own settings: the ridge penalty and the MLP's epoch
     count. The MLP takes every other setting from the experiment's GcnConfig.
-    Checked when constructed (and by replace): 0 < ridge_alpha < inf and
-    mlp_epochs >= 0."""
+    Checked when constructed (and by replace) by the errors checks, NaN
+    failing."""
 
     ridge_alpha: float = 1.0
     mlp_epochs: int = 200
 
     def __post_init__(self):
-        if not self.ridge_alpha > 0:
-            raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
-        if not self.ridge_alpha < np.inf:
-            raise ParameterError(f"ridge_alpha must be finite, got {self.ridge_alpha}")
-        if self.mlp_epochs < 0:
-            raise ParameterError(f"mlp_epochs must be >= 0, got {self.mlp_epochs}")
+        check_above("ridge_alpha", self.ridge_alpha, 0, finite=True)
+        check_at_least("mlp_epochs", self.mlp_epochs, 0)
 
 
 def ridge_classify(x_train, y_train, x_test, alpha: float = 1.0):

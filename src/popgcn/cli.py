@@ -14,13 +14,9 @@ SelectorConfig, GraphSpec, GcnConfig, BaselineConfig, ExperimentDescriptor)
 and nowhere else: each config is built from the INI keys, or the synth/graph
 flags, that were given, every field left out keeps its class default, and
 constructing it checks it, before any data are read. That covers every
-section a run reads: the [dataset] keys of the synthetic cohort even when the
-config names files instead, and each float bound written as the condition
-that holds, so NaN fails it and the settings that cannot be infinite
-(model.lr, model.l2, model.ridge_alpha, selector.ridge_alpha,
-selector.mlp_lr, selector.ae_lr, graph.lambda whatever graph.sim is, and the
-synthetic effect sizes, whose sex_effect also rejects NaN) reject inf.
-Functions a library caller can reach without a config, such as
+section a run reads, the [dataset] keys of the synthetic cohort even when the
+config names files instead. Bounds are checked by the errors checks, so NaN
+fails them. Functions a library caller can reach without a config, such as
 featsel.rfe_select, check their own arguments as well.
 """
 
@@ -35,10 +31,10 @@ from dataclasses import asdict, replace
 
 from . import dataset as ds
 from .baselines import BaselineConfig
-from .errors import FormatError, PopgcnError
+from .errors import FormatError, PopgcnError, check_at_least
 from .featsel import SelectorConfig
 from .gcn import GcnConfig
-from .harness import ExperimentDescriptor, ExperimentReport, check_jobs, run_experiment
+from .harness import ExperimentDescriptor, ExperimentReport, run_experiment
 from .harness import write_results_csv
 from .popgraph import SIM_MODES, STRATEGIES, GraphSpec, build_graph, save_graph
 
@@ -306,14 +302,14 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    check_jobs(args.jobs)
+    check_at_least("jobs", args.jobs, 1)
     report = _run(parse_config(args.config, args.set or []), args.out, args.jobs)
     print(report.summary_table())
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    check_jobs(args.jobs)
+    check_at_least("jobs", args.jobs, 1)
     if "." not in args.param:
         raise ConfigValidationError(f"--param must look like section.key, got {args.param!r}")
     values = [v.strip() for v in args.values.split(",") if v.strip() != ""]

@@ -32,6 +32,9 @@ from .errors import (
     ParameterError,
     ParseError,
     WorkerError,
+    check_above,
+    check_at_least,
+    check_finite,
 )
 
 UNKNOWN_LABEL = -1
@@ -78,7 +81,9 @@ class FeatureMatrix:
             raise ContractError(f"{len(self.ids)} ids for {n} rows")
         if len(set(self.ids)) != n:
             raise IntegrityError("duplicate acquisition_id in feature matrix")
-        if not np.all(np.isfinite(self.values)):
+        # min and max carry any NaN through, so two reductions check every
+        # cell without an N x C bool array; the cell is found only on failure.
+        if not (-np.inf < self.values.min() and self.values.max() < np.inf):
             bad = np.argwhere(~np.isfinite(self.values))[0]
             raise IntegrityError(f"non-finite feature value at row {bad[0]}, column {bad[1]}")
 
@@ -102,7 +107,7 @@ class SyntheticConfig:
     per-subject latent of scale noise_scale shared by all of a subject's scans,
     and i.i.d. per-scan noise of scale 0.25 * noise_scale. Sex, site and gene
     flag are drawn independently of the label. Checked when constructed (and
-    by replace); the four effect sizes must be finite.
+    by replace), the bounds by the errors checks, NaN failing.
     """
 
     n_subjects: int = 600
@@ -116,20 +121,16 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_subjects", "n_sites", "n_features"):
+            check_at_least(name, getattr(self, name), 1)
         lo, hi = self.scans_per_subject
-        if self.n_subjects < 1 or self.n_sites < 1 or self.n_features < 1:
-            raise ParameterError("all counts must be >= 1")
         if lo < 1 or hi < lo:
             raise ParameterError(f"scans_per_subject range invalid: {self.scans_per_subject}")
-        if not (self.class_separation >= 0 and self.site_shift_scale >= 0):
-            raise ParameterError("class_separation and site_shift_scale must be >= 0")
-        if not self.noise_scale > 0:
-            raise ParameterError("noise_scale must be > 0")
-        for name in ("class_separation", "site_shift_scale", "sex_effect", "noise_scale"):
-            if not abs(getattr(self, name)) < np.inf:
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_at_least("class_separation", self.class_separation, 0, finite=True)
+        check_at_least("site_shift_scale", self.site_shift_scale, 0, finite=True)
+        check_above("noise_scale", self.noise_scale, 0, finite=True)
+        check_finite("sex_effect", self.sex_effect)
+        check_at_least("seed", self.seed, 0)
 
 
 def _parse_label(cell: str) -> int:

@@ -1,4 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the bound checks that
+raise ParameterError.
+
+Each check is written as the condition that holds, so NaN fails it, and
+names the setting and the value it got.
+"""
+
+import math
 
 
 class PopgcnError(Exception):
@@ -28,6 +35,28 @@ class DegenerateInputError(PopgcnError):
 
 class ParameterError(PopgcnError):
     """Argument outside its documented range."""
+
+
+def check_at_least(name: str, value, low, finite: bool = False):
+    """Raise ParameterError unless value >= low, and, if finite, value < inf."""
+    if not value >= low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    if finite:
+        check_finite(name, value)
+
+
+def check_above(name: str, value, low, finite: bool = False):
+    """Raise ParameterError unless value > low, and, if finite, value < inf."""
+    if not value > low:
+        raise ParameterError(f"{name} must be > {low}, got {value}")
+    if finite:
+        check_finite(name, value)
+
+
+def check_finite(name: str, value):
+    """Raise ParameterError unless value is neither infinite nor NaN."""
+    if not abs(value) < math.inf:
+        raise ParameterError(f"{name} must be finite, got {value}")
 
 
 class ContractError(PopgcnError):

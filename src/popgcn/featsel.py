@@ -30,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gcn
-from .errors import ContractError, DivergenceError, ParameterError
+from .errors import ContractError, DivergenceError, ParameterError, check_above, check_at_least
 
 
 def _check_ridge_inputs(x: np.ndarray, y: np.ndarray, alpha: float):
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
+    check_above("alpha", alpha, 0)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ContractError("need a 2-D matrix with at least 2 rows")
     if len(np.unique(y)) < 2:
@@ -272,11 +271,8 @@ SELECTOR_KINDS = ("none", "rfe", "pca", "mlp", "autoencoder")
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Feature selector settings, checked when constructed (and by replace),
-    whatever the kind: a known kind, target_c >= 1 for a fitted selector,
-    0 < ridge_alpha < inf, 0 < rfe_step_fraction <= 1, mlp_epochs >= 0,
-    ae_epochs >= 0, 0 < mlp_lr < inf, 0 < ae_lr < inf and seed >= 0. Each
-    float bound is written as the condition that holds, so NaN fails it."""
+    """Feature selector settings, checked when constructed (and by replace)
+    whatever the kind, the bounds by the errors checks, NaN failing."""
 
     kind: str = "none"
     target_c: int = 0  # ignored for kind 'none'
@@ -293,28 +289,16 @@ class SelectorConfig:
             raise ParameterError(f"unknown selector kind {self.kind!r}")
         if self.kind != "none" and self.target_c < 1:
             raise ParameterError("target_c must be >= 1 for fitted selectors")
-        if not self.ridge_alpha > 0:
-            raise ParameterError(f"ridge_alpha must be > 0, got {self.ridge_alpha}")
-        if not self.ridge_alpha < np.inf:
-            raise ParameterError(f"ridge_alpha must be finite, got {self.ridge_alpha}")
+        check_above("ridge_alpha", self.ridge_alpha, 0, finite=True)
         if not 0 < self.rfe_step_fraction <= 1:
             raise ParameterError(
                 f"rfe_step_fraction must be in (0, 1], got {self.rfe_step_fraction}"
             )
-        if self.mlp_epochs < 0:
-            raise ParameterError(f"mlp_epochs must be >= 0, got {self.mlp_epochs}")
-        if self.ae_epochs < 0:
-            raise ParameterError(f"ae_epochs must be >= 0, got {self.ae_epochs}")
-        if not self.mlp_lr > 0:
-            raise ParameterError(f"mlp_lr must be > 0, got {self.mlp_lr}")
-        if not self.mlp_lr < np.inf:
-            raise ParameterError(f"mlp_lr must be finite, got {self.mlp_lr}")
-        if not self.ae_lr > 0:
-            raise ParameterError(f"ae_lr must be > 0, got {self.ae_lr}")
-        if not self.ae_lr < np.inf:
-            raise ParameterError(f"ae_lr must be finite, got {self.ae_lr}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_at_least("mlp_epochs", self.mlp_epochs, 0)
+        check_at_least("ae_epochs", self.ae_epochs, 0)
+        check_above("mlp_lr", self.mlp_lr, 0, finite=True)
+        check_above("ae_lr", self.ae_lr, 0, finite=True)
+        check_at_least("seed", self.seed, 0)
 
 
 class FeatureSelector:

@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import BaselineConfig, ridge_classify
 from .dataset import UNKNOWN_LABEL, AcquisitionRecord, FeatureMatrix, labels_array
 from .dataset import _reuse_freed_memory, fork_map
-from .errors import ContractError, IntegrityError, ParameterError
+from .errors import ContractError, IntegrityError, ParameterError, check_at_least
 from .featsel import FeatureSelector, SelectorConfig
 from .gcn import GcnConfig
 from . import gcn as gcn_mod
@@ -38,8 +38,7 @@ def stratified_group_kfold(records: list[AcquisitionRecord], k: int, seed: int =
     acquisitions, then lower fold index. Unlabeled subjects balance on
     acquisition count alone.
     """
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
+    check_at_least("k", k, 2)
     subject_order: list[str] = []
     by_subject: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
@@ -161,10 +160,11 @@ def ensemble_seeds(pred_labels, probs, true_labels) -> EnsembleResult:
 class ExperimentDescriptor:
     """Everything run_experiment needs; configs echo into the report.
 
-    Checked when constructed (and by replace). Features and records may both
-    be None, to check the settings before the data are loaded; once given,
-    they must be aligned. A network that builds a correlation-kernel graph
-    needs a fitted selector to keep at least 2 features."""
+    Checked when constructed (and by replace), the bounds by the errors
+    checks. Features and records may both be None, to check the settings
+    before the data are loaded; once given, they must be aligned. A network
+    that builds a correlation-kernel graph needs at least 2 features: a
+    fitted selector's target_c, or else the data's columns once given."""
 
     features: FeatureMatrix | None
     records: list[AcquisitionRecord] | None
@@ -182,8 +182,7 @@ class ExperimentDescriptor:
     def __post_init__(self):
         if self.model not in ("gcn", "ridge", "mlp"):
             raise ParameterError(f"unknown model {self.model!r}")
-        if self.folds < 2:
-            raise ParameterError("folds must be >= 2")
+        check_at_least("folds", self.folds, 2)
         if not self.seeds:
             raise ParameterError("need at least one seed")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
@@ -191,24 +190,27 @@ class ExperimentDescriptor:
             raise ParameterError(f"seeds must be distinct, repeated: {repeated}")
         if min(self.seeds) < 0:
             raise ParameterError(f"seeds must be >= 0, got {list(self.seeds)}")
-        if self.fold_seed < 0:
-            raise ParameterError(f"fold_seed must be >= 0, got {self.fold_seed}")
+        check_at_least("fold_seed", self.fold_seed, 0)
         if self.sigma_pairs not in ("train", "all"):
             raise ParameterError("sigma_pairs must be 'train' or 'all'")
         if "\r" in self.name or "\n" in self.name:  # it would split a results.csv row
             raise ParameterError(f"name must be one line, got {self.name!r}")
-        spec, selector = self.graph_spec, self.selector_config
-        kernel = spec.strategy in ("knn", "all") or (
-            spec.strategy in ("phenotypic", "random") and spec.sim_mode == "correlation_kernel"
-        )
+        selector = self.selector_config
         builds_graph = self.model == "gcn" and self.gcn_config.cheb_order > 0
-        if builds_graph and kernel and selector.kind != "none" and selector.target_c < 2:
+        kernel = builds_graph and self.graph_spec.computes_kernel
+        if kernel and selector.kind != "none" and selector.target_c < 2:
             raise ParameterError(
                 f"target_c must be >= 2 for a correlation-kernel graph, got {selector.target_c}"
             )
         ids = None if self.records is None else [r.acquisition_id for r in self.records]
         if (None if self.features is None else self.features.ids) != ids:
             raise ContractError("features and records must be aligned")
+        if kernel and selector.kind == "none" and self.features is not None:
+            n_features = self.features.n_features
+            if n_features < 2:
+                raise ParameterError(
+                    f"n_features must be >= 2 for a correlation-kernel graph, got {n_features}"
+                )
 
 
 @dataclass
@@ -425,12 +427,6 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     return records
 
 
-def check_jobs(jobs: int):
-    """Raise ParameterError unless jobs, the fold worker count, is >= 1."""
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-
-
 def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) -> ExperimentReport:
     """Cross-validated experiment over folds x seeds.
 
@@ -455,7 +451,7 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     products alike (an (871 x 2000) @ (2000 x 64) product differs at 1 and 2
     OpenBLAS threads), and training amplifies those last bits.
     """
-    check_jobs(jobs)
+    check_at_least("jobs", jobs, 1)
     _reuse_freed_memory()
     folds = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
     all_records: list[FoldSeedRecord] = []

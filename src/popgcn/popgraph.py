@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from .dataset import AcquisitionRecord, FeatureMatrix
 from .errors import ContractError, DegenerateInputError, IntegrityError, ParameterError
+from .errors import check_above, check_at_least
 
 STRATEGIES = ("phenotypic", "knn", "complete", "all", "random")
 MEASURES = ("SEX", "SITE", "AGE", "GENE")
@@ -45,9 +46,10 @@ DENSE_DENSITY_LIMIT = 0.05
 @dataclass(frozen=True)
 class GraphSpec:
     """Construction recipe for a population graph, checked when constructed
-    (and by replace). theta and sigma may be infinite (an age window or a
-    kernel width that spans every pair); lambda may not. 1 < lambda and k >= 1
-    whatever the strategy and sim_mode; build_knn_graph also checks k < N."""
+    (and by replace) whatever the strategy and sim_mode, the bounds by the
+    errors checks, NaN failing. theta and sigma may be infinite (an age
+    window or a kernel width that spans every pair); build_knn_graph also
+    checks k < N."""
 
     strategy: str = "phenotypic"
     measures: tuple[str, ...] = ("SEX", "SITE")
@@ -71,18 +73,21 @@ class GraphSpec:
             raise ParameterError(f"strategy {self.strategy!r} needs at least one measure")
         if self.sim_mode not in SIM_MODES:
             raise ParameterError(f"unknown sim_mode {self.sim_mode!r}")
-        if not self.theta > 0:
-            raise ParameterError(f"theta must be > 0, got {self.theta}")
-        if not self.lam > 1:
-            raise ParameterError(f"lambda must be > 1, got {self.lam}")
-        if not self.lam < np.inf:
-            raise ParameterError(f"lambda must be finite, got {self.lam}")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_above("theta", self.theta, 0)
+        check_above("lambda", self.lam, 1, finite=True)
+        check_at_least("k", self.k, 1)
+        if self.sigma is not None:
+            check_above("sigma", self.sigma, 0)
+        check_at_least("seed", self.seed, 0)
+
+    @property
+    def computes_kernel(self) -> bool:
+        """Whether build_graph computes the correlation kernel of the
+        features: knn and 'all' always, phenotypic and random under the
+        correlation_kernel sim_mode."""
+        return self.strategy in ("knn", "all") or (
+            self.strategy in ("phenotypic", "random") and self.sim_mode == "correlation_kernel"
+        )
 
 
 def _stored_dense(n_nodes: int, n_edges: int) -> bool:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, check_above, check_at_least
 from .popgraph import PopulationGraph
 
 ANALYTIC_LAMBDA_MAX = 2.0  # upper bound on normalized-Laplacian eigenvalues
@@ -218,8 +218,7 @@ def scale_laplacian(lap: LaplacianMatrix, lambda_max: float) -> LaplacianMatrix:
     """Rescale to the Chebyshev domain: Ls = (2 / lambda_max) L - I."""
     if lap.kind != "normalized":
         raise ContractError(f"expected a normalized Laplacian, got kind {lap.kind!r}")
-    if not lambda_max > 0:
-        raise ParameterError(f"lambda_max must be > 0, got {lambda_max}")
+    check_above("lambda_max", lambda_max, 0)
     factor = 2.0 / lambda_max
     if lap.is_sparse:
         scaled = (lap.matrix * factor - sp.identity(lap.n, format="csr")).tocsr()
@@ -237,8 +236,7 @@ def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> list[np.ndarray]:
     """
     if scaled.kind != "scaled":
         raise ContractError(f"expected a scaled Laplacian, got kind {scaled.kind!r}")
-    if order < 0:
-        raise ParameterError(f"order must be >= 0, got {order}")
+    check_at_least("order", order, 0)
     x = np.asarray(x, dtype=np.float64)
     terms = [x]
     if order >= 1:

@@ -24,6 +24,30 @@ from popgcn.dataset import SyntheticConfig
 from popgcn.popgraph import GraphSpec
 
 
+def _float_keys():
+    """Every section.key of CONFIG_SCHEMA whose caster reads a float."""
+    keys = []
+    for section, entries in CONFIG_SCHEMA.items():
+        for key, (caster, _) in entries.items():
+            try:
+                value = caster("0.5")
+            except ValueError:
+                continue
+            if isinstance(value, float):
+                keys.append(f"{section}.{key}")
+    return keys
+
+
+# Every float setting rejects NaN, and every one but the age window and the
+# kernel width, which may span every pair, rejects inf.
+NON_FINITE_SETTINGS = [
+    (f"{key}={text}", f"got {text}")
+    for text in ("nan", "inf")
+    for key in _float_keys()
+    if not (text == "inf" and key in ("graph.theta", "graph.sigma"))
+]
+
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
 )
@@ -303,7 +327,8 @@ class TestRunCommand:
             ("graph.k=0", "k must be >= 1, got 0"),
             ("experiment.name=a\rb", "name must be one line, got 'a\\rb'"),
             ("experiment.name=a\nb", "name must be one line, got 'a\\nb'"),
-        ],
+        ]
+        + NON_FINITE_SETTINGS,
     )
     def test_bad_setting_exits_1_before_reading_data(
         self, tmp_path, data_dir, capsys, monkeypatch, override, message
@@ -325,6 +350,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert message in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ParameterError: ")
+        assert not out.exists()
+
+    def test_one_feature_kernel_run_exits_1_before_any_output(self, tmp_path, capsys):
+        # The default SEX+SITE graph computes a correlation kernel, which
+        # needs 2 columns, over the unselected features: the data are read,
+        # then the run is rejected before its output directory is made.
+        cohort = tmp_path / "cohort"
+        assert run_cli("synth", "--out", str(cohort), "--subjects", "24", "--features", "1") == 0
+        cfg = write_config(tmp_path, cohort)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: ParameterError: "
+            "n_features must be >= 2 for a correlation-kernel graph, got 1\n"
+        )
         assert not out.exists()
 
     @needs_fork

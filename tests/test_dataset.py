@@ -690,8 +690,8 @@ class TestGenerateSynthetic:
             ({"noise_scale": 0.0}, "noise_scale must be > 0"),
             ({"scans_per_subject": (2, 1)}, "scans_per_subject range invalid"),
             ({"noise_scale": float("nan")}, "noise_scale must be > 0"),
-            ({"class_separation": float("nan")}, "class_separation and site_shift_scale"),
-            ({"site_shift_scale": float("nan")}, "class_separation and site_shift_scale"),
+            ({"class_separation": float("nan")}, "^class_separation must be >= 0, got nan$"),
+            ({"site_shift_scale": float("nan")}, "^site_shift_scale must be >= 0, got nan$"),
         ],
     )
     def test_config_checked_when_made(self, settings, message):

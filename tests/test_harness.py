@@ -518,6 +518,35 @@ class TestRunExperiment:
         else:
             ExperimentDescriptor(None, None, **settings)
 
+    @pytest.mark.parametrize(
+        "changes, rejected",
+        [
+            ({}, True),
+            ({"graph_spec": GraphSpec(strategy="knn")}, True),
+            ({"graph_spec": GraphSpec(strategy="all")}, True),
+            ({"graph_spec": GraphSpec(strategy="random")}, True),
+            ({"graph_spec": GraphSpec(sim_mode="none")}, False),
+            ({"graph_spec": GraphSpec(sim_mode="longitudinal")}, False),
+            ({"graph_spec": GraphSpec(strategy="complete")}, False),
+            ({"gcn_config": GcnConfig(cheb_order=0)}, False),
+            ({"model": "ridge"}, False),
+            ({"selector_config": SelectorConfig(kind="mlp", target_c=2)}, False),
+        ],
+    )
+    def test_one_column_data_rejected_only_under_an_unselected_kernel_graph(
+        self, changes, rejected
+    ):
+        # With no selector the kernel reads the data's own columns, which
+        # only the data can tell; a fitted selector's width is its target_c.
+        features, records = generate_synthetic(SyntheticConfig(n_subjects=12, n_features=1))
+        ExperimentDescriptor(None, None, **changes)
+        message = "^n_features must be >= 2 for a correlation-kernel graph, got 1$"
+        if rejected:
+            with pytest.raises(ParameterError, match=message):
+                ExperimentDescriptor(features, records, **changes)
+        else:
+            ExperimentDescriptor(features, records, **changes)
+
     def test_parallel_jobs_match_sequential(self):
         desc = small_experiment(seeds=(0,), folds=3)
         sequential = run_experiment(desc, jobs=1)
