@@ -315,8 +315,9 @@ class FeatureSelector:
 
     def fit(self, x, y_train=None, rows=None):
         """Fit on the training rows, the rows `rows` of x (a boolean mask or
-        an index array; every row when None); y_train holds their labels.
-        RFE and PCA copy those rows once and centre the copy; no kind writes x."""
+        a sorted index array; every row when None); y_train holds their
+        labels. RFE and PCA copy those rows once and centre the copy, and the
+        MLP passes their indices to gcn.train; no kind writes x."""
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
         if cfg.kind in ("rfe", "mlp") and y_train is None:
@@ -348,8 +349,8 @@ class FeatureSelector:
                 epochs=cfg.mlp_epochs,
                 seed=cfg.seed,
             )
-            x_train = x if rows is None else x[rows]
-            model, losses = gcn.train(net, None, x_train, y, np.ones(len(y), dtype=bool))
+            every = np.arange(len(x))
+            model, losses = gcn.train(net, None, x, y, every if rows is None else every[rows])
             w1, b1 = model.layers[0].weight[0], model.layers[0].bias
             self._apply = lambda x: np.maximum(x @ w1 + b1, 0.0)
             self.diagnostics["loss_history"] = losses

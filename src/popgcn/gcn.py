@@ -7,17 +7,17 @@ producing logits. The loss is softmax cross-entropy averaged over masked
 features into the convolutions but never touch the loss. Gradients are exact
 and hand-derived; the optimizer is Adam. Everything is float64 numpy.
 
-Training runs only on the rows the loss can reach: the connected components
-of a sparse operator that hold a masked node (each held-out subject of a
-longitudinal graph is a component of its own), read from the labels the
-operator caches (LaplacianMatrix.components), or the masked rows of an
-order-0 network; a dense operator trains every row. No edge is dropped, so
-the trained rows' forward values equal the whole graph's. Dropout draws its
-keep masks over the trained rows alone, as 16-bit lanes of full-range
-64-bit draws compared with round(rate * 65536) (_keep_mask), so rows that
-cannot reach the loss neither train nor consume random draws: an order-0
-network trains the same with or without unmasked rows appended. Predict
-runs on the whole graph.
+Train and predict read rows by one reach rule (_reach). Each is given sorted
+row indices, train its loss's labelled rows and predict the rows it scores,
+and runs on the rows its output depends on: those rows at cheb_order 0,
+where no row affects another; under a sparse operator, the connected
+components that hold them (each held-out subject of a longitudinal graph is
+a component of its own), labelled once per operator
+(LaplacianMatrix.components); every row under a dense operator. No edge is
+dropped, so those rows' forward values equal the whole graph's, bit for bit.
+Dropout draws its keep masks over the trained rows alone, as 16-bit lanes of
+full-range 64-bit draws compared with round(rate * 65536) (_keep_mask), so
+rows that cannot reach the loss neither train nor consume random draws.
 
 At cheb_order 0 the convolutions are plain dense layers and no operator is
 needed; this is the one dense network of the package, shared by the MLP
@@ -299,10 +299,10 @@ def epoch_constants(model: GcnModel, labels, mask, grad: np.ndarray) -> EpochCon
     """The epoch constants of a training run on these rows.
 
     grad is the vector, of model.flat's layout, that each epoch's gradients
-    are written into. Only the masked rows' labels are read.
+    are written into; labels are the masked rows', in row order.
     """
     mask = np.asarray(mask, dtype=bool)
-    y = np.asarray(labels)[mask]
+    y = np.asarray(labels)
     rows = np.arange(len(y))
     one_hot = np.zeros((len(y), N_CLASSES))
     one_hot[rows, y] = 1.0
@@ -430,48 +430,30 @@ def adam_step(model: GcnModel, grad: np.ndarray) -> GcnModel:
     return model
 
 
-def _check_training_inputs(config, scaled, x, labels, mask):
+def _check_inputs(config, scaled, x, rows):
+    """x as float64, and rows checked as sorted distinct indices of its rows."""
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    mask = np.asarray(mask, dtype=bool)
-    if scaled is None:
-        if config.cheb_order > 0:
-            raise ContractError("cheb_order > 0 requires a scaled Laplacian")
-        n = x.shape[0]
-    else:
-        n = scaled.n
+    if scaled is None and config.cheb_order > 0:
+        raise ContractError("cheb_order > 0 requires a scaled Laplacian")
+    n = x.shape[0] if scaled is None else scaled.n
     if x.shape[0] != n:
         raise ContractError(f"{x.shape[0]} feature rows for {n} nodes")
-    if len(labels) != n or len(mask) != n:
-        raise ContractError("labels and mask must have one entry per node")
-    if not mask.any():
-        raise ContractError("training mask must select at least one node")
-    if np.any((labels[mask] < 0) | (labels[mask] >= N_CLASSES)):
-        raise ContractError(f"masked nodes must carry known labels in [0, {N_CLASSES})")
-    return x, labels, mask
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or len(rows) == 0 or rows.dtype.kind not in "iu":
+        raise ContractError("rows must be a non-empty array of row indices")
+    if rows[0] < 0 or rows[-1] >= n or np.any(rows[1:] <= rows[:-1]):
+        raise ContractError(f"rows must be sorted, distinct and in [0, {n})")
+    return x, rows
 
 
-def _trained_rows(config: GcnConfig, scaled: LaplacianMatrix | None, mask):
-    """Sorted rows the masked loss can reach, or None when every row can.
-
-    A row reaches the loss only through a chain of operator entries to a
-    masked row, so the rows are the union of the operator's connected
-    components that hold a masked node; at cheb_order 0 no row affects
-    another, and they are the masked rows. A dense operator trains every row,
-    connected or not; popgraph stores a graph dense only when its density
-    exceeds popgraph.DENSE_DENSITY_LIMIT.
-    """
-    if config.cheb_order == 0:
-        rows = np.flatnonzero(mask)
-    elif scaled.is_sparse:
-        # The operator labels its components once, for every seed trained on
-        # it. Every stored entry counts as an edge, explicit zeros included,
-        # so the rows' entries only ever point at other trained rows.
-        _, component = scaled.components
-        rows = np.flatnonzero(np.isin(component, component[mask]))
-    else:
-        return None
-    return None if len(rows) == len(mask) else rows
+def _check_training_inputs(config, scaled, x, labels, rows):
+    x, rows = _check_inputs(config, scaled, x, rows)
+    labels = np.asarray(labels)
+    if len(labels) != len(rows):
+        raise ContractError(f"{len(labels)} labels for {len(rows)} training rows")
+    if np.any((labels < 0) | (labels >= N_CLASSES)):
+        raise ContractError(f"training rows must carry known labels in [0, {N_CLASSES})")
+    return x, labels, rows
 
 
 def _principal_submatrix(scaled: LaplacianMatrix, rows) -> LaplacianMatrix:
@@ -485,37 +467,55 @@ def _principal_submatrix(scaled: LaplacianMatrix, rows) -> LaplacianMatrix:
     return LaplacianMatrix(matrix=scaled.matrix[rows][:, rows], kind="scaled")
 
 
-def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
+def _reach(config: GcnConfig, scaled: LaplacianMatrix | None, x, rows):
+    """The operator, features and `rows`, renumbered, restricted to the rows
+    the output on `rows` depends on (the module's reach rule); the inputs as
+    given when that is every row. popgraph stores a graph dense, reaching
+    every row, connected or not, only above popgraph.DENSE_DENSITY_LIMIT.
+    """
+    if config.cheb_order == 0:
+        reach = rows
+    elif scaled.is_sparse:
+        # The operator labels its components once, for every seed trained on
+        # it. Every stored entry counts as an edge, explicit zeros included,
+        # so the reach's entries only ever point at other rows of the reach.
+        _, component = scaled.components
+        reach = np.flatnonzero(np.isin(component, component[rows]))
+    else:
+        return scaled, x, rows
+    if len(reach) == len(x):
+        return scaled, x, rows
+    scaled = None if config.cheb_order == 0 else _principal_submatrix(scaled, reach)
+    return scaled, x[reach], np.searchsorted(reach, rows)
+
+
+def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, rows):
     """Semi-supervised training for config.epochs Adam steps.
 
     `scaled` is the graph's operator from scaled_operator, built once per
     graph and shared by every model trained and evaluated on it; a network of
-    cheb_order 0 is a plain dense network and takes None. Returns
-    (model, losses), the training loss of each epoch as a float. Raises
-    DivergenceError on a non-finite loss. Every epoch's dropout draws from
-    the generator of config.seed, which also draws the initial weights, and
-    the L2 penalty is config.l2_coeff.
+    cheb_order 0 is a plain dense network and takes None. x holds every
+    node's features; rows are the sorted indices of the labelled training
+    rows, and labels holds their labels, one per row. No other row's label
+    is read. Returns (model, losses), the training loss of each epoch as a
+    float. Raises DivergenceError on a non-finite loss. Every epoch's dropout
+    draws from the generator of config.seed, which also draws the initial
+    weights, and the L2 penalty is config.l2_coeff.
 
-    Only the rows the loss can reach train (_trained_rows): the operator's
-    connected components that hold a masked node, on the principal
-    submatrix of a CSR operator; the masked rows alone at cheb_order 0; every
-    row of a dense operator. The other rows' gradients are exactly zero.
-    Dropout draws its keep masks (_keep_mask) over the trained rows only, so
-    training equals training on those rows alone, the principal submatrix
-    and x[rows], bit for bit; the untrained rows change neither the result
-    nor the random stream.
+    Only the rows the loss can reach train (_reach): the other rows'
+    gradients are exactly zero and they get no dropout draws, so training
+    equals training on the reached rows alone, bit for bit.
 
     One gradient vector of model.flat's layout and the other epoch
     constants are built per call (epoch_constants); each epoch's
     loss_and_grads writes into that vector and adam_step steps the whole
     parameter vector by it.
     """
-    x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
+    x, labels, rows = _check_training_inputs(config, scaled, x, labels, rows)
     rng = np.random.default_rng(config.seed)
-    rows = _trained_rows(config, scaled, mask)
-    if rows is not None:
-        scaled = None if config.cheb_order == 0 else _principal_submatrix(scaled, rows)
-        x, labels, mask = x[rows], labels[rows], mask[rows]
+    scaled, x, rows = _reach(config, scaled, x, rows)
+    mask = np.zeros(len(x), dtype=bool)
+    mask[rows] = True
     model = init_model(config, x.shape[1], rng)
     grad = np.empty_like(model.flat)
     constants = epoch_constants(model, labels, mask, grad)
@@ -529,9 +529,12 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, mask):
     return model, losses
 
 
-def predict(model: GcnModel, scaled: LaplacianMatrix | None, x):
-    """Per-node class probabilities and argmax labels (ties -> lower index)."""
-    _, probs, e_sum = _softmax_terms(forward(model, scaled, x))
+def predict(model: GcnModel, scaled: LaplacianMatrix | None, x, rows):
+    """Class probabilities and argmax labels (ties -> lower index) of the
+    rows `rows`, sorted indices into x, which holds every node's features.
+    Only the rows their outputs depend on are read (_reach)."""
+    x, rows = _check_inputs(model.config, scaled, x, rows)
+    scaled, x, rows = _reach(model.config, scaled, x, rows)
+    _, probs, e_sum = _softmax_terms(forward(model, scaled, x)[rows])
     probs /= e_sum[:, None]
     return probs, np.argmax(probs, axis=1)
-

@@ -4,11 +4,13 @@ experiment driver.
 Folds partition acquisitions with all of a subject's scans kept together and
 subject-level class counts balanced greedily. Accuracy thresholds positive
 probabilities at 0.5 (ties -> class 0); AUC is the exact pairwise
-Mann-Whitney statistic, ties counted half. Experiments refit the feature
-selector inside every fold and hide test labels from training entirely. A
-graph network rebuilds the graph in every fold, with the kernel width
-estimated from training-node pairs only. The MLP baseline is the same network
-at Chebyshev order 0, which reads no graph, so none is built for it.
+Mann-Whitney statistic, ties counted half. Each fold picks its plan once:
+the sorted labelled rows outside it, which train, and inside it, which are
+scored. The feature selector is refit on the training rows in every fold,
+and no held-out label reaches a network. A graph network rebuilds the graph
+in every fold, with the kernel width estimated from training-node pairs
+only. The MLP baseline is the same network at Chebyshev order 0, which
+reads no graph, so none is built for it.
 """
 
 from __future__ import annotations
@@ -164,7 +166,11 @@ class ExperimentDescriptor:
     checks. Features and records may both be None, to check the settings
     before the data are loaded; once given, they must be aligned. A network
     that builds a correlation-kernel graph needs at least 2 features: a
-    fitted selector's target_c, or else the data's columns once given."""
+    fitted selector's target_c, or else the data's columns once given. The
+    data must also hold at least target_c columns for an rfe or pca
+    selector, more than k acquisitions for a network's knn graph, and at
+    least `folds` distinct subjects, each checked with the message of the
+    check that would fail in the run."""
 
     features: FeatureMatrix | None
     records: list[AcquisitionRecord] | None
@@ -205,12 +211,22 @@ class ExperimentDescriptor:
         ids = None if self.records is None else [r.acquisition_id for r in self.records]
         if (None if self.features is None else self.features.ids) != ids:
             raise ContractError("features and records must be aligned")
-        if kernel and selector.kind == "none" and self.features is not None:
-            n_features = self.features.n_features
-            if n_features < 2:
-                raise ParameterError(
-                    f"n_features must be >= 2 for a correlation-kernel graph, got {n_features}"
-                )
+        if self.features is None:
+            return
+        n_features, n = self.features.n_features, len(self.records)
+        if kernel and selector.kind == "none" and n_features < 2:
+            raise ParameterError(
+                f"n_features must be >= 2 for a correlation-kernel graph, got {n_features}"
+            )
+        if selector.kind in ("rfe", "pca") and not selector.target_c <= n_features:
+            raise ParameterError(f"target_c must be in [1, {n_features}], got {selector.target_c}")
+        if builds_graph and self.graph_spec.strategy == "knn" and not self.graph_spec.k < n:
+            raise ParameterError(f"k must satisfy 1 <= k < N={n}, got {self.graph_spec.k}")
+        n_subjects = len({r.subject_id for r in self.records})
+        if not self.folds <= n_subjects:
+            raise ParameterError(
+                f"need at least k={self.folds} distinct subjects, got {n_subjects}"
+            )
 
 
 @dataclass
@@ -351,36 +367,37 @@ def _config_echo(desc: ExperimentDescriptor) -> dict:
 def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     """One FoldSeedRecord per seed for the held-out fold `fold`.
 
-    The selector is fit on the fold's labeled training rows, which it copies
-    once from the feature matrix. Ridge scores the test rows once, for every
-    seed. Otherwise one network trains per seed, through train and predict:
-    the GcnConfig, or for the MLP baseline that config at cheb_order 0 for
-    mlp_epochs epochs. A network of cheb_order > 0 reads the fold's graph
-    operator, built once for every seed; the graph is dropped once the
-    operator is built, and each seed's model once it has predicted. At order
-    0 no graph, sigma or operator is built.
+    The fold's plan is two sorted index arrays, picked once: train_rows, the
+    labelled rows outside the fold, and test_rows, the labelled rows inside
+    it. Every step reads rows through them: the selector fits on train_rows,
+    the kernel width comes from their pairs, ridge fits on them and scores
+    test_rows once, for every seed. Otherwise one network trains per seed on
+    train_rows and their labels alone, and predicts test_rows: the GcnConfig,
+    or for the MLP baseline that config at cheb_order 0 for mlp_epochs
+    epochs. A network of cheb_order > 0 reads the fold's graph operator,
+    built once for every seed; the graph is dropped once the operator is
+    built, and each seed's model once it has predicted. At order 0 no graph,
+    sigma or operator is built.
     """
     labels = labels_array(desc.records)
     labeled = labels != UNKNOWN_LABEL
     in_fold = folds == fold
-    train_mask = labeled & ~in_fold
-    test_idx = np.flatnonzero(labeled & in_fold)
-    if not train_mask.any() or len(test_idx) == 0:
+    train_rows = np.flatnonzero(labeled & ~in_fold)
+    test_rows = np.flatnonzero(labeled & in_fold)
+    if len(train_rows) == 0 or len(test_rows) == 0:
         raise IntegrityError(f"fold {fold} leaves no training or no test nodes")
+    y_train, y_test = labels[train_rows], labels[test_rows]
 
-    x = desc.features.values
     selector = FeatureSelector(desc.selector_config)
-    selector.fit(x, labels[train_mask], rows=train_mask)
-    x_red = selector.transform(x)
-
-    y_test = labels[test_idx]
+    selector.fit(desc.features.values, y_train, rows=train_rows)
+    x_red = selector.transform(desc.features.values)
 
     def record(seed, preds, pos, sigma=None) -> FoldSeedRecord:
         metrics = compute_metrics(pos, y_test)
         return FoldSeedRecord(
             fold=fold,
             seed=seed,
-            test_indices=test_idx.tolist(),
+            test_indices=test_rows.tolist(),
             true_labels=y_test.tolist(),
             pred_labels=preds.tolist(),
             probs=pos.tolist(),
@@ -391,8 +408,7 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
 
     if desc.model == "ridge":
         preds, probs = ridge_classify(
-            x_red[train_mask], labels[train_mask], x_red[test_idx],
-            desc.baseline_config.ridge_alpha,
+            x_red[train_rows], y_train, x_red[test_rows], desc.baseline_config.ridge_alpha
         )
         # Deterministic: identical across seeds.
         return [record(seed, preds, probs) for seed in desc.seeds]
@@ -403,46 +419,40 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     scaled, sigma = None, None
     if network.cheb_order > 0:
         spec = desc.graph_spec
-        sigma_rows = np.flatnonzero(train_mask) if desc.sigma_pairs == "train" else None
+        sigma_rows = train_rows if desc.sigma_pairs == "train" else None
         reduced = FeatureMatrix(ids=list(desc.features.ids), values=x_red)
         graph = build_graph(reduced, desc.records, spec, sigma_rows)
         # Records carry sigma only where it was estimated, not where it was given.
         sigma = graph.provenance.get("sigma") if spec.sigma is None else None
         scaled = gcn_mod.scaled_operator(graph)
         del graph, reduced  # the seeds read the operator alone
-        x_scored, scored = x_red, test_idx
-    else:
-        # With no operator each row is scored on its own, so only the test rows are.
-        x_scored, scored = x_red[test_idx], slice(None)
 
-    # Test labels are hidden from training: only training-mask labels are
-    # visible, everything else is passed as unknown.
-    visible = np.where(train_mask, labels, UNKNOWN_LABEL)
     records = []
     for seed in desc.seeds:
-        model, _ = gcn_mod.train(replace(network, seed=seed), scaled, x_red, visible, train_mask)
-        probs, preds = gcn_mod.predict(model, scaled, x_scored)
+        model, _ = gcn_mod.train(replace(network, seed=seed), scaled, x_red, y_train, train_rows)
+        probs, preds = gcn_mod.predict(model, scaled, x_red, test_rows)
         del model  # not alive while the next seed trains
-        records.append(record(seed, preds[scored], probs[scored, 1], sigma))
+        records.append(record(seed, preds, probs[:, 1], sigma))
     return records
 
 
 def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) -> ExperimentReport:
     """Cross-validated experiment over folds x seeds.
 
-    Per fold (_run_fold): fit the selector on training rows; for a network
-    of cheb_order > 0, build the graph over all nodes with build_graph, whose
-    kernel width, if estimated, comes from training-node pairs (all pairs
-    under sigma_pairs='all'), and its scaled operator once; train every seed
-    with the training mask, on that operator or, at order 0 (the MLP
-    baseline), on the features alone; score the held-out fold. jobs > 1
-    runs folds through fork_map, on min(jobs, folds) forked processes (one
-    malloc arena from then on), with the same records: each task carries its
-    fold index, and the processes inherit the descriptor and the fold
-    assignment. A daemonic caller, or no `fork`, runs them in this process.
-    jobs < 1 raises ParameterError. record_sink, when given, is called with
-    each FoldSeedRecord as its fold finishes, so partial results survive an
-    abort. Under glibc it first raises the process's allocator thresholds
+    Per fold (_run_fold): pick the fold plan, the training and the scored
+    rows; fit the selector on the training rows; for a network of
+    cheb_order > 0, build the graph over all nodes with build_graph, whose
+    kernel width, if estimated, comes from training-node pairs (all pairs under
+    sigma_pairs='all'), and its scaled operator once; train every seed on the
+    training rows and their labels, on that operator or, at order 0 (the MLP
+    baseline), on the features alone; predict the scored rows. jobs > 1 runs
+    folds through fork_map, on min(jobs, folds) forked processes (one malloc
+    arena from then on), with the same records: each task carries its fold
+    index, and the processes inherit the descriptor and the fold assignment. A
+    daemonic caller, or no `fork`, runs them in this process. jobs < 1 raises
+    ParameterError. record_sink, when given, is called with each
+    FoldSeedRecord as its fold finishes, so partial results survive an abort.
+    Under glibc it first raises the process's allocator thresholds
     (_reuse_freed_memory).
 
     The same descriptor gives a byte-identical report only under the same

@@ -175,11 +175,14 @@ def adam_update_reference(params, grads, moment1, moment2, step, lr):
 
 def train_reference(config, scaled, x, labels, mask):
     """`gcn.train` built from the formulas above; returns (model, losses).
+    It takes every node's labels and the bool mask of the training rows,
+    where `gcn.train` takes those rows' labels and indices.
 
     Adam steps each parameter and its moments as separate arrays (views of
     the model's vectors), never the whole vector at once.
     """
-    x, labels, mask = _check_training_inputs(config, scaled, x, labels, mask)
+    labels, mask = np.asarray(labels), np.asarray(mask, dtype=bool)
+    x, _, _ = _check_training_inputs(config, scaled, x, labels[mask], np.flatnonzero(mask))
     rng = np.random.default_rng(config.seed)
     model = init_model(config, x.shape[1], rng)
     losses = []

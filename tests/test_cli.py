@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -366,6 +367,30 @@ class TestRunCommand:
             "error: ParameterError: "
             "n_features must be >= 2 for a correlation-kernel graph, got 1\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("graph.strategy=knn graph.k=500", r"k must satisfy 1 <= k < N=\d+, got 500"),
+            ("selector.kind=rfe selector.target_c=50", r"target_c must be in \[1, 6\], got 50"),
+            ("selector.kind=pca selector.target_c=50", r"target_c must be in \[1, 6\], got 50"),
+            ("cv.folds=100", "need at least k=100 distinct subjects, got 24"),
+        ],
+    )
+    def test_setting_beyond_the_data_exits_1_before_any_output(
+        self, tmp_path, data_dir, capsys, override, message
+    ):
+        # Each setting is valid until the data are read (24 subjects, 6
+        # features); then the run is rejected before its output directory
+        # is made, with the message of the check that would fail in a fold.
+        cfg = write_config(tmp_path, data_dir)
+        out = tmp_path / "out"
+        given = [arg for item in override.split(" ") for arg in ("--set", item)]
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--out", str(out), *given) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: ParameterError: {message}\n", err)
         assert not out.exists()
 
     @needs_fork

@@ -273,7 +273,7 @@ class TestMlpExtract:
             epochs=40,
             seed=7,
         )
-        model, losses = train(net, None, x[:60], y[:60], np.ones(60, dtype=bool))
+        model, losses = train(net, None, x, y[:60], np.arange(60))
         hidden = model.layers[0]
         expected = np.maximum(x @ hidden.weight[0] + hidden.bias, 0.0)
         np.testing.assert_array_equal(sel.transform(x), expected)

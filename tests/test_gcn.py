@@ -304,7 +304,7 @@ class TestBackward:
 
 def constants(model, labels, mask):
     """loss_and_grads' epoch constants, over a new gradient vector."""
-    return epoch_constants(model, labels, mask, np.empty_like(model.flat))
+    return epoch_constants(model, labels[mask], mask, np.empty_like(model.flat))
 
 
 def gradient_case(n_features, width, hidden_layers, cheb_order=2, dropout_rate=0.0):
@@ -420,8 +420,8 @@ class TestAdam:
     def test_identical_runs_same_seed(self):
         _, scaled, x, labels, mask, _, _ = small_setup(seed=2)
         config = GcnConfig(epochs=12, hidden_width=4, seed=3)
-        m1, h1 = train(config, scaled, x, labels, mask)
-        m2, h2 = train(config, scaled, x, labels, mask)
+        m1, h1 = train(config, scaled, x, labels[mask], np.flatnonzero(mask))
+        m2, h2 = train(config, scaled, x, labels[mask], np.flatnonzero(mask))
         assert model_bytes(m1) == model_bytes(m2)
         assert h1 == h2
 
@@ -438,32 +438,32 @@ def separable_case(n=60, c=5, seed=0):
 class TestTrain:
     def test_separable_complete_graph_reaches_95_percent(self):
         scaled, x, labels = separable_case()
-        mask = np.ones(len(labels), dtype=bool)
+        rows = np.arange(len(labels))
         config = GcnConfig(epochs=150, hidden_width=5)
-        model, _ = train(config, scaled, x, labels, mask)
-        _, pred = predict(model, scaled, x)
-        assert np.mean(pred[mask] == labels[mask]) >= 0.95
+        model, _ = train(config, scaled, x, labels, rows)
+        _, pred = predict(model, scaled, x, np.arange(len(x)))
+        assert np.mean(pred == labels) >= 0.95
 
     def test_order_zero_separable_held_out_accuracy(self):
         # The MLP baseline: no operator, trained on the first 80 rows alone.
         _, x, labels = separable_case(n=120, seed=5)
         config = GcnConfig(cheb_order=0, epochs=150, hidden_width=8, dropout_rate=0.1)
-        model, _ = train(config, None, x[:80], labels[:80], np.ones(80, dtype=bool))
-        _, pred = predict(model, None, x[80:])
+        model, _ = train(config, None, x, labels[:80], np.arange(80))
+        _, pred = predict(model, None, x, np.arange(80, 120))
         assert np.mean(pred == labels[80:]) >= 0.9
 
     def test_loss_decreases_over_first_10_epochs(self):
         scaled, x, labels = separable_case(seed=4)
-        mask = np.ones(len(labels), dtype=bool)
+        rows = np.arange(len(labels))
         config = GcnConfig(epochs=10, hidden_width=5)
-        _, losses = train(config, scaled, x, labels, mask)
+        _, losses = train(config, scaled, x, labels, rows)
         assert losses[-1] < losses[0]
 
     def test_zero_epochs_returns_initial_model(self):
         scaled, x, labels = separable_case()
-        mask = np.ones(len(labels), dtype=bool)
+        rows = np.arange(len(labels))
         config = GcnConfig(epochs=0)
-        model, losses = train(config, scaled, x, labels, mask)
+        model, losses = train(config, scaled, x, labels, rows)
         assert losses == []
         reference = init_model(config, x.shape[1], np.random.default_rng(config.seed))
         assert model_bytes(model) == model_bytes(reference)
@@ -476,8 +476,8 @@ class TestTrain:
         mask = np.zeros(20, dtype=bool)
         mask[:14] = True
         config = GcnConfig(epochs=25, hidden_width=4, dropout_rate=0.0, seed=1)
-        model, _ = train(config, scaled_operator(g), x, labels, mask)
-        probs, _ = predict(model, scaled_operator(g), x)
+        model, _ = train(config, scaled_operator(g), x, labels[:14], np.arange(14))
+        probs, _ = predict(model, scaled_operator(g), x, np.arange(20))
 
         perm = rng.permutation(20)  # node i moves to position perm[i]
         new_u = np.minimum(perm[g.edges_u], perm[g.edges_v])
@@ -487,8 +487,9 @@ class TestTrain:
         inv = np.empty(20, dtype=int)
         inv[perm] = np.arange(20)
         scaled2 = scaled_operator(g2)
-        model2, _ = train(config, scaled2, x[inv], labels[inv], mask[inv])
-        probs2, _ = predict(model2, scaled2, x[inv])
+        rows2 = np.flatnonzero(mask[inv])
+        model2, _ = train(config, scaled2, x[inv], labels[inv][rows2], rows2)
+        probs2, _ = predict(model2, scaled2, x[inv], np.arange(20))
         np.testing.assert_allclose(probs2[perm], probs, atol=1e-6)
 
     @pytest.mark.parametrize("cheb_order", [3, 0])
@@ -498,37 +499,37 @@ class TestTrain:
             # No Chebyshev sum to amplify the inputs: ten copies of each
             # feature make the dense layer's sums overflow instead.
             scaled, x = None, np.tile(x, 10)
-        mask = np.ones(len(labels), dtype=bool)
+        rows = np.arange(len(labels))
         config = GcnConfig(epochs=5, hidden_width=5, cheb_order=cheb_order)
         # Features near the float64 ceiling overflow the convolutions to inf,
         # turning the cross-entropy into inf - inf = nan on the first epoch.
         with pytest.raises(DivergenceError) as exc, np.errstate(all="ignore"):
-            train(config, scaled, x / np.abs(x).max() * 1e308, labels, mask)
+            train(config, scaled, x / np.abs(x).max() * 1e308, labels, rows)
         assert exc.value.epoch == 0
 
     def test_three_classes_train_and_out_of_range_label_rejected(self):
         # The output layer has N_CLASSES = 2 columns; a third class is rejected.
         scaled, x, labels = separable_case()
-        mask = np.ones(len(labels), dtype=bool)
+        rows = np.arange(len(labels))
         labels = labels.copy()
         labels[0] = 2
         with pytest.raises(ContractError, match=r"known labels in \[0, 2\)"):
-            train(GcnConfig(epochs=3, hidden_width=4), scaled, x, labels, mask)
+            train(GcnConfig(epochs=3, hidden_width=4), scaled, x, labels, rows)
 
     def test_order_zero_without_operator_and_operator_required_above(self):
         _, x, labels = separable_case()
-        mask = np.ones(len(labels), dtype=bool)
-        train(GcnConfig(epochs=1, hidden_width=3, cheb_order=0), None, x, labels, mask)
+        rows = np.arange(len(labels))
+        train(GcnConfig(epochs=1, hidden_width=3, cheb_order=0), None, x, labels, rows)
         with pytest.raises(ContractError):
-            train(GcnConfig(epochs=1, hidden_width=3, cheb_order=1), None, x, labels, mask)
+            train(GcnConfig(epochs=1, hidden_width=3, cheb_order=1), None, x, labels, rows)
 
     def test_masked_unknown_labels_rejected(self):
         scaled, x, labels = separable_case()
-        mask = np.ones(len(labels), dtype=bool)
+        rows = np.arange(len(labels))
         labels = labels.copy()
         labels[0] = -1
         with pytest.raises(ContractError):
-            train(GcnConfig(epochs=1), scaled, x, labels, mask)
+            train(GcnConfig(epochs=1), scaled, x, labels, rows)
 
 
 class TestKHopInfluence:
@@ -571,9 +572,9 @@ class TestKHopInfluence:
 class TestPredict:
     def test_rows_sum_to_one(self):
         scaled, x, labels = separable_case(n=30)
-        mask = np.ones(30, dtype=bool)
-        model, _ = train(GcnConfig(epochs=20, hidden_width=5), scaled, x, labels, mask)
-        probs, preds = predict(model, scaled, x)
+        rows = np.arange(30)
+        model, _ = train(GcnConfig(epochs=20, hidden_width=5), scaled, x, labels, rows)
+        probs, preds = predict(model, scaled, x, rows)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.array_equal(preds, np.argmax(probs, axis=1))
 

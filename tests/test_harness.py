@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from popgcn.dataset import (
     labels_array,
 )
 from popgcn.errors import ContractError, IntegrityError, ParameterError
-from popgcn.featsel import SelectorConfig
+from popgcn.featsel import FeatureSelector, SelectorConfig
 from popgcn.gcn import GcnConfig
 from popgcn.harness import (
     ExperimentDescriptor,
@@ -33,7 +34,7 @@ from popgcn.harness import (
     run_experiment,
     stratified_group_kfold,
 )
-from popgcn.popgraph import GraphSpec, correlation_distance_matrix
+from popgcn.popgraph import GraphSpec, build_knn_graph, correlation_distance_matrix
 from oracles import fractional_ranks
 
 
@@ -254,6 +255,15 @@ def small_experiment(seed=0, model="gcn", seeds=(0, 1), folds=3):
     )
 
 
+def assert_same_error(fold_time_check, build):
+    """build raises the ParameterError that fold_time_check raises, word for word."""
+    with pytest.raises(ParameterError) as fold_time:
+        fold_time_check()
+    with pytest.raises(ParameterError) as early:
+        build()
+    assert str(early.value) == str(fold_time.value)
+
+
 def no_graph(*args, **kwargs):
     raise AssertionError("this model reads no graph")
 
@@ -382,6 +392,28 @@ class TestRunExperiment:
         network = dataclasses.replace(desc.gcn_config, cheb_order=0, epochs=7)
         assert seen == [(dataclasses.replace(network, seed=s), None) for s in (0, 3)]
 
+    @pytest.mark.parametrize("model", ["gcn", "mlp"])
+    def test_train_is_given_the_training_rows_and_their_labels_alone(self, monkeypatch, model):
+        desc = small_experiment(model=model, seeds=(0, 1))
+        seen = []
+        real_train = gcn_mod.train
+
+        def spy(config, scaled, x, y_train, rows):
+            seen.append((y_train, rows))
+            return real_train(config, scaled, x, y_train, rows)
+
+        monkeypatch.setattr(gcn_mod, "train", spy)
+        assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+        _run_fold(desc, assignment, 0)
+        labels = labels_array(desc.records)
+        train_rows = np.flatnonzero((assignment != 0) & (labels != UNKNOWN_LABEL))
+        assert len(seen) == 2
+        for y_train, rows in seen:
+            assert len(y_train) == len(rows)
+            assert not np.any(assignment[rows] == 0)
+            np.testing.assert_array_equal(rows, train_rows)
+            np.testing.assert_array_equal(y_train, labels[train_rows])
+
     def test_order_zero_gcn_builds_no_graph_and_equals_the_mlp(self, monkeypatch):
         monkeypatch.setattr(harness, "build_graph", no_graph)
         monkeypatch.setattr(gcn_mod, "scaled_operator", no_graph)
@@ -401,8 +433,8 @@ class TestRunExperiment:
         scored = []
         real_predict = gcn_mod.predict
 
-        def spy(model, scaled, x):
-            probs, preds = real_predict(model, scaled, x)
+        def spy(model, scaled, x, rows):
+            probs, preds = real_predict(model, scaled, x, rows)
             scored.append(probs)
             return probs, preds
 
@@ -546,6 +578,56 @@ class TestRunExperiment:
                 ExperimentDescriptor(features, records, **changes)
         else:
             ExperimentDescriptor(features, records, **changes)
+
+    @pytest.mark.parametrize(
+        "changes, applies",
+        [
+            ({"graph_spec": GraphSpec(strategy="knn")}, True),
+            ({"graph_spec": GraphSpec(strategy="phenotypic")}, False),
+            ({"graph_spec": GraphSpec(strategy="knn"), "model": "mlp"}, False),
+            ({"graph_spec": GraphSpec(strategy="knn"), "model": "ridge"}, False),
+            ({"graph_spec": GraphSpec(strategy="knn"), "gcn_config": GcnConfig(cheb_order=0)}, False),
+        ],
+    )
+    def test_knn_k_checked_against_the_data_only_where_a_knn_graph_is_built(
+        self, changes, applies
+    ):
+        desc = dataclasses.replace(small_experiment(), **changes)
+        n = len(desc.records)
+        spec = desc.graph_spec
+        dataclasses.replace(desc, graph_spec=dataclasses.replace(spec, k=n - 1))
+        build = partial(dataclasses.replace, desc, graph_spec=dataclasses.replace(spec, k=n))
+        if applies:
+            assert_same_error(partial(build_knn_graph, desc.features, n), build)
+        else:
+            build()
+
+    @pytest.mark.parametrize(
+        "kind, applies", [("rfe", True), ("pca", True), ("mlp", False), ("autoencoder", False)]
+    )
+    def test_target_c_checked_against_the_columns_only_for_rfe_and_pca(self, kind, applies):
+        desc = small_experiment()
+        c = desc.features.n_features
+        dataclasses.replace(desc, selector_config=SelectorConfig(kind=kind, target_c=c))
+        wide = SelectorConfig(kind=kind, target_c=c + 1, mlp_epochs=1, ae_epochs=1)
+        build = partial(dataclasses.replace, desc, selector_config=wide)
+        if applies:
+            fit = partial(
+                FeatureSelector(wide).fit, desc.features.values, labels_array(desc.records)
+            )
+            assert_same_error(fit, build)
+        else:
+            build()
+
+    def test_folds_checked_against_the_subjects_once_the_data_are_given(self):
+        desc = small_experiment()
+        n_subjects = len({r.subject_id for r in desc.records})
+        dataclasses.replace(desc, folds=n_subjects)
+        settings = dataclasses.replace(desc, features=None, records=None, folds=n_subjects + 1)
+        assert_same_error(
+            partial(stratified_group_kfold, desc.records, n_subjects + 1),
+            partial(dataclasses.replace, settings, features=desc.features, records=desc.records),
+        )
 
     def test_parallel_jobs_match_sequential(self):
         desc = small_experiment(seeds=(0,), folds=3)

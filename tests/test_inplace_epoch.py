@@ -38,18 +38,20 @@ from popgcn.gcn import (
     _keep_mask,
     _output_side,
     _principal_submatrix,
+    _reach,
     _softmax_terms,
-    _trained_rows,
     adam_update,
     epoch_constants,
     flat_views,
+    forward,
     init_model,
     loss_and_grads,
     predict,
     scaled_operator,
     train,
 )
-from popgcn.popgraph import PopulationGraph
+from popgcn.dataset import SyntheticConfig, generate_synthetic, labels_array
+from popgcn.popgraph import GraphSpec, PopulationGraph, build_graph
 from popgcn.spectral import chebyshev_basis, chebyshev_weighted_sum
 
 
@@ -80,13 +82,28 @@ NETWORKS = {
 }
 
 
+def reach(config, operator, mask):
+    """(operator, rows) that _reach keeps for the masked rows; the rows are
+    read back from features that hold each row's index."""
+    index = np.arange(len(mask), dtype=np.float64)[:, None]
+    operator, kept, _ = _reach(config, operator, index, np.flatnonzero(mask))
+    return operator, kept[:, 0].astype(np.int64)
+
+
+def train_masked(config, operator, x, labels, mask):
+    """train on the masked rows, given every node's labels."""
+    return train(config, operator, x, labels[mask], np.flatnonzero(mask))
+
+
+def predict_all(model, operator, x):
+    """predict on every row."""
+    return predict(model, operator, x, np.arange(len(x)))
+
+
 def train_reference_on_trained_rows(config, operator, x, labels, mask):
-    """train_reference on the rows train keeps (all of them when rows is None)."""
-    rows = _trained_rows(config, operator, mask)
-    if rows is not None:
-        operator = None if operator is None else _principal_submatrix(operator, rows)
-        x, labels, mask = x[rows], labels[rows], mask[rows]
-    return train_reference(config, operator, x, labels, mask)
+    """train_reference on the rows train keeps, the operator restricted to them."""
+    operator, rows = reach(config, operator, mask)
+    return train_reference(config, operator, x[rows], labels[rows], mask[rows])
 
 
 class TestTrainMatchesReference:
@@ -102,7 +119,7 @@ class TestTrainMatchesReference:
             dropout_rate=0.3, l2_coeff=5e-4, learning_rate=0.01, epochs=6, seed=3,
         )
         operator = scaled if order > 0 else None
-        model, losses = train(config, operator, x, labels, mask)
+        model, losses = train_masked(config, operator, x, labels, mask)
         ref_model, ref_losses = train_reference_on_trained_rows(
             config, operator, x, labels, mask
         )
@@ -114,7 +131,7 @@ class TestTrainMatchesReference:
             assert_bits_equal(p, ref)
         assert_bits_equal(model.moment1, ref_model.moment1)
         assert_bits_equal(model.moment2, ref_model.moment2)
-        probs, _ = predict(model, operator, x)
+        probs, _ = predict_all(model, operator, x)
         assert_bits_equal(probs, predict_reference(ref_model, operator, x))
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))
@@ -131,21 +148,21 @@ class TestTrainMatchesReference:
             dropout_rate=0.3, l2_coeff=5e-4, learning_rate=0.01, epochs=4, seed=3,
         )
         operator = scaled if order > 0 else None
-        model, losses = train(config, operator, x, labels, mask)
+        model, losses = train_masked(config, operator, x, labels, mask)
         old_model, old_losses = train_reference_on_trained_rows(
             config, operator, x, labels, mask
         )
         np.testing.assert_allclose(losses, old_losses, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.flat, old_model.flat, rtol=0, atol=1e-12)
-        probs, _ = predict(model, operator, x)
-        old_probs, _ = predict(old_model, operator, x)
+        probs, _ = predict_all(model, operator, x)
+        old_probs, _ = predict_all(old_model, operator, x)
         np.testing.assert_allclose(probs, old_probs, rtol=0, atol=1e-12)
 
     def test_fortran_ordered_features(self):
         scaled, x, labels, mask = epoch_case(30, 40)
         x = np.asfortranarray(x)
         config = GcnConfig(hidden_width=6, dropout_rate=0.3, epochs=4, seed=1)
-        model, _ = train(config, scaled, x, labels, mask)
+        model, _ = train_masked(config, scaled, x, labels, mask)
         ref_model, _ = train_reference(config, scaled, x, labels, mask)
         for p, ref in zip(model.parameters(), ref_model.parameters()):
             assert_bits_equal(p, ref)
@@ -158,7 +175,7 @@ class TestPiecesMatchReference:
             hidden_layers=2, hidden_width=5, dropout_rate=0.4, l2_coeff=1e-3, seed=2
         )
         model = init_model(config, 12, np.random.default_rng(config.seed))
-        constants = epoch_constants(model, labels, mask, np.empty_like(model.flat))
+        constants = epoch_constants(model, labels[mask], mask, np.empty_like(model.flat))
         loss, grads, logits = loss_and_grads(
             model, scaled, x, constants, np.random.default_rng(7)
         )
@@ -348,9 +365,9 @@ class TestNoStateBetweenTrainCalls:
         other_mask[:12] = ~other_mask[:12]
         other = replace(config, hidden_width=3)
 
-        first, first_losses = train(config, scaled, x, labels, mask)
-        train(other, scaled, x, 1 - labels, other_mask)
-        again, again_losses = train(config, scaled, x, labels, mask)
+        first, first_losses = train_masked(config, scaled, x, labels, mask)
+        train_masked(other, scaled, x, 1 - labels, other_mask)
+        again, again_losses = train_masked(config, scaled, x, labels, mask)
         assert again_losses == first_losses
         for a, b in [(again.flat, first.flat), (again.moment1, first.moment1),
                      (again.moment2, first.moment2)]:
@@ -399,14 +416,14 @@ def trained_row_counts(monkeypatch):
 
 def assert_matches_reference(config, operator, x, labels, mask, ref_operator, rows):
     """train on the graph equals train_reference on `rows` alone, bit for bit."""
-    model, losses = train(config, operator, x, labels, mask)
+    model, losses = train_masked(config, operator, x, labels, mask)
     ref_model, ref_losses = train_reference(
         config, ref_operator, x[rows], labels[rows], mask[rows]
     )
     assert losses == ref_losses
     for p, ref in zip(model.parameters(), ref_model.parameters()):
         assert_bits_equal(p, ref)
-    probs, labels_out = predict(model, operator, x)
+    probs, labels_out = predict_all(model, operator, x)
     ref_probs = predict_reference(ref_model, operator, x)
     assert_bits_equal(probs, ref_probs)
     np.testing.assert_array_equal(labels_out, np.argmax(ref_probs, axis=1))
@@ -426,7 +443,7 @@ class TestTrainedRows:
         scaled, x, labels, mask, reached = shuffled_components_case(n, 4, [1, 3])
         assert scaled.is_sparse
         assert not mask.all() and not mask[reached].all()
-        rows = _trained_rows(TRAINED_ROWS_CONFIG, scaled, mask)
+        _, rows = reach(TRAINED_ROWS_CONFIG, scaled, mask)
         np.testing.assert_array_equal(rows, reached)
 
         counts = trained_row_counts(monkeypatch)
@@ -442,7 +459,7 @@ class TestTrainedRows:
             dropout_rate=0.3, epochs=6, seed=4,
         )
         assert not mask.all()
-        np.testing.assert_array_equal(_trained_rows(config, None, mask), np.flatnonzero(mask))
+        np.testing.assert_array_equal(reach(config, None, mask)[1], np.flatnonzero(mask))
 
         counts = trained_row_counts(monkeypatch)
         assert_matches_reference(config, None, x, labels, mask, None, np.flatnonzero(mask))
@@ -457,14 +474,14 @@ class TestTrainedRows:
             hidden_layers=hidden_layers, hidden_width=5, cheb_order=0,
             dropout_rate=0.3, epochs=6, seed=4,
         )
-        model, losses = train(config, None, x, labels, np.ones(60, dtype=bool))
+        model, losses = train_masked(config, None, x, labels, np.ones(60, dtype=bool))
 
         mask = np.ones(90, dtype=bool)
         mask[rng.choice(90, size=30, replace=False)] = False
         x_more = rng.standard_normal((90, 7))
         labels_more = np.full(90, -1)
         x_more[mask], labels_more[mask] = x, labels
-        more_model, more_losses = train(config, None, x_more, labels_more, mask)
+        more_model, more_losses = train_masked(config, None, x_more, labels_more, mask)
         assert more_losses == losses
         for p, ref in zip(more_model.parameters(), model.parameters()):
             assert_bits_equal(p, ref)
@@ -484,16 +501,17 @@ class TestTrainedRows:
             assert len(reached) < 40
         assert scaled.is_sparse == sparse
         assert not mask.all()
-        assert _trained_rows(TRAINED_ROWS_CONFIG, scaled, mask) is None
+        operator, rows = reach(TRAINED_ROWS_CONFIG, scaled, mask)
+        assert operator is scaled and len(rows) == len(mask)
 
         counts = trained_row_counts(monkeypatch)
-        model, losses = train(TRAINED_ROWS_CONFIG, scaled, x, labels, mask)
+        model, losses = train_masked(TRAINED_ROWS_CONFIG, scaled, x, labels, mask)
         ref_model, ref_losses = train_reference(TRAINED_ROWS_CONFIG, scaled, x, labels, mask)
         assert counts == [len(mask)] * TRAINED_ROWS_CONFIG.epochs
         assert losses == ref_losses
         for p, ref in zip(model.parameters(), ref_model.parameters()):
             assert_bits_equal(p, ref)
-        probs, _ = predict(model, scaled, x)
+        probs, _ = predict_all(model, scaled, x)
         assert_bits_equal(probs, predict_reference(ref_model, scaled, x))
 
     def test_restricted_operator_products_equal_full_rows(self, rng):
@@ -514,3 +532,57 @@ class TestTrainedRows:
         basis = chebyshev_basis(sub, block[reached], 3)
         for term, ref in zip(basis, chebyshev_basis(scaled, block, 3)):
             assert_bits_equal(term, ref[reached])
+
+
+def cohort_case(graph):
+    """(model, operator, x, subjects) of a 30-subject cohort with 1-3 scans
+    each, the model trained 3 epochs on every other row: on the default
+    SEX+SITE kernel graph ('dense'), on the longitudinal graph, one CSR
+    component per subject ('csr'), or at cheb_order 0 with no graph."""
+    features, records = generate_synthetic(
+        SyntheticConfig(n_subjects=30, scans_per_subject=(1, 3), n_features=6, seed=1)
+    )
+    operator = None
+    if graph != "order_zero":
+        spec = GraphSpec(sim_mode="longitudinal", measures=("AGE", "SEX", "GENE"))
+        operator = scaled_operator(
+            build_graph(features, records, GraphSpec() if graph == "dense" else spec)
+        )
+        assert operator.is_sparse == (graph == "csr")
+    config = GcnConfig(hidden_width=5, cheb_order=0 if operator is None else 3, epochs=3)
+    x = features.values
+    model, _ = train(config, operator, x, labels_array(records)[::2], np.arange(0, len(x), 2))
+    return model, operator, x, np.array([r.subject_id for r in records])
+
+
+class TestPredictReach:
+    @pytest.mark.parametrize("graph", ["dense", "csr", "order_zero"])
+    def test_scored_rows_equal_the_whole_graph_forward(self, graph):
+        model, operator, x, subjects = cohort_case(graph)
+        rows = np.arange(1, len(x), 4)  # spread over many subjects' components
+        assert 1 < len(set(subjects[rows])) < len(set(subjects))
+        _, e, e_sum = _softmax_terms(forward(model, operator, x))
+        whole = e / e_sum[:, None]
+        probs, preds = predict(model, operator, x, rows)
+        assert_bits_equal(probs, whole[rows])
+        np.testing.assert_array_equal(preds, np.argmax(whole[rows], axis=1))
+
+    @pytest.mark.parametrize("graph", ["csr", "order_zero"])
+    def test_rows_outside_the_reach_are_never_read(self, rng, graph):
+        model, operator, x, subjects = cohort_case(graph)
+        rows = np.arange(1, len(x), 4)
+        mask = np.zeros(len(x), dtype=bool)
+        mask[rows] = True
+        _, reached = reach(model.config, operator, mask)
+        if graph == "csr":  # the scans of the rows' subjects
+            np.testing.assert_array_equal(reached, np.flatnonzero(np.isin(subjects, subjects[rows])))
+        else:
+            np.testing.assert_array_equal(reached, rows)
+        outside = np.setdiff1d(np.arange(len(x)), reached)
+        assert len(outside) > 0
+        tampered = x.copy()
+        tampered[outside] = rng.standard_normal((len(outside), x.shape[1])) * 50
+        probs, preds = predict(model, operator, x, rows)
+        tampered_probs, tampered_preds = predict(model, operator, tampered, rows)
+        assert_bits_equal(tampered_probs, probs)
+        np.testing.assert_array_equal(tampered_preds, preds)
