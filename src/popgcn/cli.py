@@ -5,8 +5,10 @@ population graph), run (one cross-validated experiment from a config file),
 sweep (repeat run over a list of values for one config key), report (print a
 saved report). Every run writes a machine-readable echo of the fully resolved
 configuration; outputs contain no timestamps, so a fixed config and seed give
-byte-identical files. A sweep checks every point, and rejects two values
-that give the same setting, before the first point runs.
+byte-identical files. A sweep checks every point's settings, and rejects two
+values that give the same setting, before it reads any data; it then checks
+every point against its data, each distinct dataset read once and shared by
+the points that name it, before the first point runs.
 
 CONFIG_SCHEMA alone routes each INI key to its caster and to the config field
 it sets. Defaults and their checks live on the config classes (SyntheticConfig,
@@ -253,9 +255,11 @@ def _write_text(path, text: str):
         fh.write(text + "\n")
 
 
-def _run(config: dict, out_dir: str, jobs: int) -> ExperimentReport:
-    """Run one experiment and write its files, config echo first."""
-    descriptor = build_descriptor(config)
+def _run(
+    descriptor: ExperimentDescriptor, config: dict, out_dir: str, jobs: int
+) -> ExperimentReport:
+    """Run the experiment `descriptor`, which `config` describes, and write
+    its files, config echo first."""
     os.makedirs(out_dir, exist_ok=True)
     write_config_echo(config, os.path.join(out_dir, "config_echo.cfg"))
 
@@ -303,7 +307,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_run(args) -> int:
     check_at_least("jobs", args.jobs, 1)
-    report = _run(parse_config(args.config, args.set or []), args.out, args.jobs)
+    config = parse_config(args.config, args.set or [])
+    report = _run(build_descriptor(config), config, args.out, args.jobs)
     print(report.summary_table())
     return 0
 
@@ -316,8 +321,10 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigValidationError("--values is empty")
     # Every point's settings are checked, and no two points may give the
-    # same setting, before the first point runs.
-    parsed, configs = [], []
+    # same setting, before any data are read. Then each point is checked
+    # against its data before the first point runs: each distinct [dataset]
+    # section is read once, and its points share the data.
+    parsed, points = [], []
     for value in values:
         overrides = list(args.set or []) + [f"{args.param}={value}"]
         config = parse_config(args.config, overrides)
@@ -328,13 +335,20 @@ def _cmd_sweep(args) -> int:
         experiment = config.get("experiment", {})
         name = experiment.get("name", ExperimentDescriptor.name)
         config = {**config, "experiment": {**experiment, "name": f"{name}[{args.param}={value}]"}}
-        _settings(config)
-        configs.append(config)
+        points.append((value, config, *_settings(config)))
+    loaded: dict[tuple, tuple] = {}
+    runs = []
+    for value, config, settings, synthetic in points:
+        section = tuple(sorted(config.get("dataset", {}).items()))
+        if section not in loaded:
+            loaded[section] = _load_or_generate_dataset(config, synthetic)
+        features, records = loaded[section]
+        runs.append((value, config, replace(settings, features=features, records=records)))
     rows: list[list] = []
     summaries: list[str] = []
-    for value, config in zip(values, configs):
+    for value, config, descriptor in runs:
         sub_dir = os.path.join(args.out, f"{args.param.replace('.', '_')}_{value}")
-        report = _run(config, sub_dir, args.jobs)
+        report = _run(descriptor, config, sub_dir, args.jobs)
         rows += report.csv_rows()
         summaries.append(report.summary_table())
     write_results_csv(os.path.join(args.out, "results.csv"), rows)

@@ -26,7 +26,15 @@ autoencoder selector).
 
 A convolution sum_k T_k(Ls) H W_k applies the N x N operator on the narrower
 side of its layer: to the C_in columns of H, or, when C_out < C_in, to the
-C_out columns of each H W_k. Both orders give the same function.
+C_out columns of each H W_k. Both orders give the same function. A dense
+operator is applied as (X.T @ Ls).T (spectral._apply), which is Ls @ X only
+because the operator is exactly symmetric, as normalized_laplacian and
+scale_laplacian build it. An output-side layer, under any operator, forms
+its weight gradient the same way round, as the transpose of
+(T(Ls) G)^T H rather than as H^T (T(Ls) G): OpenBLAS runs that
+(K+1) C_out x N by N x C_in product faster (3.1 against 5.0 ms at ABIDE
+shape, 2000 x 871 by 871 x 64, 2 threads). Input-side layers keep
+H_k^T G, which is no faster transposed at their narrow widths.
 
 A model's weights and biases are views into one contiguous float64 vector
 (GcnModel.flat), and its two Adam moments are vectors of the same layout.
@@ -368,11 +376,12 @@ def loss_and_grads(model, scaled, x, constants: EpochConstants, rng=None):
         # dL/dW_k = (T_k(Ls) H)^T G = H^T (T_k(Ls) G), as T_k(Ls) is symmetric;
         # dL/dH = sum_k T_k(Ls) G W_k^T. An input-side layer reuses its forward
         # basis and evaluates dL/dH by one Clenshaw pass; an output-side layer
-        # builds the basis of G, which is C_out columns wide.
+        # builds the basis of G, which is C_out columns wide, and forms every
+        # dL/dW_k^T = (T_k(Ls) G)^T H in one product (the module docstring).
         output_side = _output_side(layer.weight)
         if output_side:
             tg = np.hstack(chebyshev_basis(scaled, grad_z, k1 - 1))
-            grad_w[...] = (cache.inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
+            grad_w[...] = (tg.T @ cache.inputs).reshape(k1, c_out, c_in).transpose(0, 2, 1)
         else:
             for k in range(k1):
                 np.matmul(cache.inputs[k].T, grad_z, out=grad_w[k])

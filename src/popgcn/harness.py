@@ -168,9 +168,10 @@ class ExperimentDescriptor:
     that builds a correlation-kernel graph needs at least 2 features: a
     fitted selector's target_c, or else the data's columns once given. The
     data must also hold at least target_c columns for an rfe or pca
-    selector, more than k acquisitions for a network's knn graph, and at
-    least `folds` distinct subjects, each checked with the message of the
-    check that would fail in the run."""
+    selector, and for pca at least target_c training rows in every fold of
+    the run's assignment; more than k acquisitions for a network's knn
+    graph; and at least `folds` distinct subjects. Each is checked with the
+    message of the check that would fail in the run."""
 
     features: FeatureMatrix | None
     records: list[AcquisitionRecord] | None
@@ -218,8 +219,6 @@ class ExperimentDescriptor:
             raise ParameterError(
                 f"n_features must be >= 2 for a correlation-kernel graph, got {n_features}"
             )
-        if selector.kind in ("rfe", "pca") and not selector.target_c <= n_features:
-            raise ParameterError(f"target_c must be in [1, {n_features}], got {selector.target_c}")
         if builds_graph and self.graph_spec.strategy == "knn" and not self.graph_spec.k < n:
             raise ParameterError(f"k must satisfy 1 <= k < N={n}, got {self.graph_spec.k}")
         n_subjects = len({r.subject_id for r in self.records})
@@ -227,6 +226,15 @@ class ExperimentDescriptor:
             raise ParameterError(
                 f"need at least k={self.folds} distinct subjects, got {n_subjects}"
             )
+        limit = n_features
+        if selector.kind == "pca":
+            # pca_fit also bounds target_c by the fold's training rows.
+            folds = stratified_group_kfold(self.records, self.folds, self.fold_seed)
+            labeled = labels_array(self.records) != UNKNOWN_LABEL
+            training = [np.count_nonzero(labeled & (folds != f)) for f in range(self.folds)]
+            limit = min(limit, *training)
+        if selector.kind in ("rfe", "pca") and not selector.target_c <= limit:
+            raise ParameterError(f"target_c must be in [1, {limit}], got {selector.target_c}")
 
 
 @dataclass

@@ -14,9 +14,16 @@ loss gathers each masked row's label logit by fancy indexing and subtracts
 1.0 there, where the package reads a flat index and subtracts a one-hot
 matrix. The tied-weight autoencoder's loss, gradients and fit are kept in
 their allocating form as well.
+
+A BLAS product's last bits can depend on its operands' orientation and
+memory order, so the oracles present the package's: a dense operator
+multiplies the transposed terms from the right, an output-side layer's
+weight gradient is the transpose of (T(Ls) G)^T H, and a fresh array takes
+the memory order that the package's in-place update keeps (in_order_of).
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from popgcn.gcn import (
     ADAM_BETA1,
@@ -40,22 +47,37 @@ def sigmoid_reference(z):
 
 def chebyshev_basis_reference(scaled, x, order):
     x = np.asarray(x, dtype=np.float64)
-    terms = [x.copy()]
+    if sp.issparse(scaled.matrix):
+        terms = [x.copy(order="K")]
+        if order >= 1:
+            terms.append(scaled.matrix @ x)
+        for _ in range(2, order + 1):
+            terms.append(2.0 * (scaled.matrix @ terms[-1]) - terms[-2])
+        return terms
+    # A dense Ls multiplies the transposed terms from the right, as the
+    # package applies it: Ls is symmetric, so T_k(Ls) X = (X^T T_k(Ls))^T.
+    rows = [x.T]
     if order >= 1:
-        terms.append(scaled.matrix @ x)
+        rows.append(x.T @ scaled.matrix)
     for _ in range(2, order + 1):
-        terms.append(2.0 * (scaled.matrix @ terms[-1]) - terms[-2])
-    return terms
+        rows.append(2.0 * (rows[-1] @ scaled.matrix) - rows[-2])
+    return [x.copy(order="K")] + [r.T for r in rows[1:]]
 
 
 def chebyshev_weighted_sum_reference(scaled, parts):
     order = len(parts) - 1
     if order == 0:
         return parts[0].copy()
-    b1, b2 = parts[order], 0.0
+    if sp.issparse(scaled.matrix):
+        b1, b2 = parts[order], 0.0
+        for k in range(order - 1, 0, -1):
+            b1, b2 = parts[k] + 2.0 * (scaled.matrix @ b1) - b2, b1
+        return parts[0] + scaled.matrix @ b1 - b2
+    # On the transposes, as in chebyshev_basis_reference.
+    b1, b2 = parts[order].T, 0.0
     for k in range(order - 1, 0, -1):
-        b1, b2 = parts[k] + 2.0 * (scaled.matrix @ b1) - b2, b1
-    return parts[0] + scaled.matrix @ b1 - b2
+        b1, b2 = parts[k].T + 2.0 * (b1 @ scaled.matrix) - b2, b1
+    return (parts[0].T + b1 @ scaled.matrix - b2).T
 
 
 def keep_mask_reference(rng, shape, rate):
@@ -70,8 +92,17 @@ def keep_mask_reference(rng, shape, rate):
     return (lanes.ravel()[:size] >= round(rate * 65536)).reshape(shape)
 
 
+def in_order_of(a, value):
+    """value as a fresh array in a's memory order, which the package's
+    in-place update of a keeps. The values do not depend on the order, but
+    the last bits of a later BLAS product of them can."""
+    out = np.empty_like(a)
+    out[...] = value
+    return out
+
+
 def dropout_reference(h, keep, rate):
-    return h * keep / (1.0 - rate)
+    return in_order_of(h, h * keep / (1.0 - rate))
 
 
 def bias_grad_reference(grad_z):
@@ -142,7 +173,7 @@ def loss_and_grads_reference(model, scaled, x, labels, mask, l2_coeff, train, rn
         output_side = _output_side(layer.weight)
         if output_side:
             tg = np.hstack(chebyshev_basis_reference(scaled, grad_z, k1 - 1))
-            grad_w = (inputs.T @ tg).reshape(c_in, k1, c_out).transpose(1, 0, 2)
+            grad_w = (tg.T @ inputs).reshape(k1, c_out, c_in).transpose(0, 2, 1)
         else:
             grad_w = np.stack([inputs[k].T @ grad_z for k in range(k1)])
         grad_w += 2.0 * l2_coeff * layer.weight
@@ -157,7 +188,7 @@ def loss_and_grads_reference(model, scaled, x, labels, mask, l2_coeff, train, rn
             grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum_reference(scaled, parts)
         if keep is not None:
             grad_h = dropout_reference(grad_h, keep, cfg.dropout_rate)
-        grad_z = grad_h * (caches[li - 1][2] > 0.0)
+        grad_z = in_order_of(grad_h, grad_h * (caches[li - 1][2] > 0.0))
     return loss, grads, logits
 
 

@@ -369,6 +369,29 @@ class TestRunCommand:
         )
         assert not out.exists()
 
+    def test_pca_beyond_a_folds_training_rows_exits_1_before_any_output(
+        self, tmp_path, capsys
+    ):
+        # 300 columns hold 100 components, but each of the 2 folds trains on
+        # 30 of the 60 one-scan subjects, which bounds PCA's target_c.
+        cohort = tmp_path / "wide"
+        assert run_cli(
+            "synth", "--out", str(cohort), "--subjects", "60", "--scans-max", "1",
+            "--features", "300",
+        ) == 0
+        cfg = write_config(tmp_path, cohort)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(
+            "run", "--config", str(cfg), "--out", str(out),
+            "--set", "selector.kind=pca", "--set", "selector.target_c=100",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ParameterError: target_c must be in [1, 30], got 100\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "override, message",
         [
@@ -553,6 +576,42 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: ParameterError: lambda must be > 1, got nan\n"
         assert not out.exists()
+
+    def test_point_beyond_its_data_exits_1_before_any_point_runs(self, tmp_path, capsys):
+        cohort = tmp_path / "small"
+        assert run_cli("synth", "--out", str(cohort), "--subjects", "30") == 0
+        cfg = write_config(tmp_path, cohort)
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                       "--param", "cv.folds", "--values", "2,100")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: ParameterError: need at least k=100 distinct subjects, got 30\n"
+        assert not (out / "cv_folds_2").exists()
+        assert not (out / "results.csv").exists()
+
+    def test_each_dataset_is_read_once_for_its_points(self, tmp_path, data_dir, monkeypatch):
+        read = []
+        load = dataset.load_dataset
+
+        def counted(*paths):
+            read.append(paths)
+            return load(*paths)
+
+        monkeypatch.setattr("popgcn.dataset.load_dataset", counted)
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes((data_dir / "features.csv").read_bytes())
+        cfg = write_config(tmp_path, data_dir)
+        for param, values, n_read in (
+            ("model.cheb_order", "1,2,3", 1),
+            ("dataset.features", f"{data_dir}/features.csv,{copy}", 2),
+        ):
+            read.clear()
+            code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / param),
+                           "--param", param, "--values", values)
+            assert code == 0
+            assert len(read) == n_read
 
     def test_bad_param_format(self, tmp_path, data_dir, capsys):
         cfg = write_config(tmp_path, data_dir)

@@ -619,6 +619,33 @@ class TestRunExperiment:
         else:
             build()
 
+    @pytest.mark.parametrize("kind, applies", [("pca", True), ("rfe", False)])
+    def test_pca_target_c_checked_against_the_smallest_folds_training_rows(self, kind, applies):
+        # 30 one-scan subjects and 40 columns: every fold trains on fewer
+        # rows than there are columns, which bounds PCA alone.
+        features, records = generate_synthetic(
+            SyntheticConfig(n_subjects=30, scans_per_subject=(1, 1), n_features=40, seed=2)
+        )
+        desc = small_experiment()
+        desc = dataclasses.replace(desc, features=features, records=records, fold_seed=3)
+        folds = stratified_group_kfold(records, desc.folds, desc.fold_seed)
+        labeled = labels_array(records) != UNKNOWN_LABEL
+        train = [np.flatnonzero(labeled & (folds != f)) for f in range(desc.folds)]
+        smallest = min(train, key=len)
+        assert len(smallest) < features.n_features
+        fits = SelectorConfig(kind=kind, target_c=len(smallest))
+        dataclasses.replace(desc, selector_config=fits)
+        wide = SelectorConfig(kind=kind, target_c=len(smallest) + 1)
+        build = partial(dataclasses.replace, desc, selector_config=wide)
+        if applies:
+            fit = partial(
+                FeatureSelector(wide).fit, features.values, labels_array(records)[smallest],
+                rows=smallest,
+            )
+            assert_same_error(fit, build)
+        else:
+            build()
+
     def test_folds_checked_against_the_subjects_once_the_data_are_given(self):
         desc = small_experiment()
         n_subjects = len({r.subject_id for r in desc.records})

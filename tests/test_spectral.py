@@ -8,6 +8,7 @@ from scipy.sparse.linalg import eigsh
 
 from conftest import hop_distances, make_random_graph, make_tree_graph
 from popgcn.errors import ContractError, ParameterError
+from popgcn.gcn import scaled_operator
 from popgcn.dataset import SyntheticConfig, generate_synthetic
 from popgcn.popgraph import GraphSpec, PopulationGraph, build_graph
 from popgcn import spectral
@@ -440,3 +441,41 @@ class TestKLocality:
         t_k = chebyshev_basis(scaled, np.eye(10), 4)
         for term in t_k:
             assert np.max(np.abs(term - term.T)) < 1e-12
+
+
+class TestDenseOperatorOrientation:
+    """A dense operator is applied as (X.T @ Ls).T, which is Ls @ X only when
+    Ls equals its transpose bit for bit."""
+
+    @pytest.mark.parametrize("strategy", ["phenotypic", "knn", "complete", "all", "random"])
+    def test_every_dense_scaled_operator_equals_its_transpose(self, strategy):
+        features, records = generate_synthetic(SyntheticConfig(
+            n_subjects=50, scans_per_subject=(1, 2), n_sites=3, n_features=10, seed=4
+        ))
+        scaled = scaled_operator(build_graph(features, records, GraphSpec(strategy=strategy)))
+        assert not scaled.is_sparse
+        matrix = scaled.matrix
+        np.testing.assert_array_equal(matrix.view(np.int64), matrix.T.view(np.int64))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column block"])
+    @pytest.mark.parametrize("width", [1, 2, 16])
+    def test_recursions_match_the_operator_stored_as_csr(self, rng, width, layout):
+        dense = scaled_operator(make_random_graph(40, density=0.3, seed=width))
+        assert not dense.is_sparse
+        csr = LaplacianMatrix(matrix=sp.csr_matrix(dense.matrix), kind="scaled")
+
+        def signal():
+            x = rng.standard_normal((40, 3 * width))
+            if layout == "column block":
+                return x[:, width:2 * width]
+            return np.asarray(x[:, :width], order=layout)
+
+        for order in range(5):
+            x = signal()
+            for got, want in zip(chebyshev_basis(dense, x, order), chebyshev_basis(csr, x, order)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            parts = [signal() for _ in range(order + 1)]
+            np.testing.assert_allclose(
+                chebyshev_weighted_sum(dense, parts), chebyshev_weighted_sum(csr, parts),
+                rtol=0, atol=1e-12,
+            )
