@@ -5,7 +5,16 @@ a Chebyshev graph convolution, then ReLU) followed by one output convolution
 producing logits. The loss is softmax cross-entropy averaged over masked
 (labeled training) nodes plus an L2 penalty on weights; unmasked nodes carry
 features into the convolutions but never touch the loss. Gradients are exact
-and hand-derived; the optimizer is Adam. Everything is float64 numpy.
+and hand-derived; the optimizer is Adam.
+
+The network computes in its features' dtype, float32 or float64; any other
+dtype is read as float64 (spectral.float_array), and train, predict and
+chebyshev_basis raise ContractError for an operator of another dtype, whose
+products numpy would carry out at the wider of the two. The model's
+parameters, Adam moments and gradients take that dtype too. The harness
+trains and scores every fold's network in float32 (harness._run_fold); the
+float64 path is the one the oracles and the finite-difference checks run.
+predict takes the softmax of its logits in float64 either way.
 
 Train and predict read rows by one reach rule (_reach). Each is given sorted
 row indices, train its loss's labelled rows and predict the rows it scores,
@@ -27,16 +36,17 @@ autoencoder selector).
 A convolution sum_k T_k(Ls) H W_k applies the N x N operator on the narrower
 side of its layer: to the C_in columns of H, or, when C_out < C_in, to the
 C_out columns of each H W_k. Both orders give the same function. A dense
-operator is applied as (X.T @ Ls).T (spectral._apply), which is Ls @ X only
-because the operator is exactly symmetric, as normalized_laplacian and
-scale_laplacian build it. An output-side layer, under any operator, forms
-its weight gradient the same way round, as the transpose of
-(T(Ls) G)^T H rather than as H^T (T(Ls) G): OpenBLAS runs that
-(K+1) C_out x N by N x C_in product faster (3.1 against 5.0 ms at ABIDE
-shape, 2000 x 871 by 871 x 64, 2 threads). Input-side layers keep
-H_k^T G, which is no faster transposed at their narrow widths.
+float64 operator is applied as (X.T @ Ls).T (spectral._apply; a float32 one
+as Ls @ X), which is Ls @ X only because the operator is exactly symmetric,
+as normalized_laplacian and scale_laplacian build it. An output-side layer,
+under any operator, forms its weight gradient the same way round, as the
+transpose of (T(Ls) G)^T H rather than as H^T (T(Ls) G): OpenBLAS runs that
+(K+1) C_out x N by N x C_in product faster in float64 (3.1 against 5.0 ms
+at ABIDE shape, 2000 x 871 by 871 x 64, 2 threads) and as fast in float32
+(1.50 against 1.55 ms). Input-side layers keep H_k^T G, which is no faster
+transposed at their narrow widths.
 
-A model's weights and biases are views into one contiguous float64 vector
+A model's weights and biases are views into one contiguous vector
 (GcnModel.flat), and its two Adam moments are vectors of the same layout.
 adam_update makes its passes once over the whole vector; Adam is
 elementwise, so this equals a per-parameter update bit for bit.
@@ -79,7 +89,9 @@ from .spectral import (
     LaplacianMatrix,
     chebyshev_basis,
     chebyshev_weighted_sum,
+    check_operator_dtype,
     estimate_lambda_max,
+    float_array,
     normalized_laplacian,
     scale_laplacian,
 )
@@ -159,16 +171,16 @@ class GcnModel:
         return flat_views(vector, [p.shape for p in self.parameters()])
 
 
-def init_model(config: GcnConfig, n_features: int, rng) -> GcnModel:
-    """Glorot-uniform weights over fan_in = C_in * (K+1), drawn from rng;
-    zero biases."""
+def init_model(config: GcnConfig, n_features: int, rng, dtype=np.float64) -> GcnModel:
+    """Glorot-uniform weights over fan_in = C_in * (K+1), drawn from rng in
+    float64 and stored in `dtype`, with the Adam moments; zero biases."""
     width = config.hidden_width if config.hidden_width is not None else n_features
     sizes = [n_features] + [width] * config.hidden_layers + [N_CLASSES]
     k1 = config.cheb_order + 1
     shapes = []
     for c_in, c_out in zip(sizes[:-1], sizes[1:]):
         shapes += [(k1, c_in, c_out), (c_out,)]
-    flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes), dtype=dtype)
     views = flat_views(flat, shapes)
     layers = []
     for weight, bias in zip(views[::2], views[1::2]):
@@ -249,7 +261,7 @@ def _keep_mask(rng, shape, rate: float) -> np.ndarray:
 
 def _forward(model, scaled, x, rng):
     cfg = model.config
-    h = np.asarray(x, dtype=np.float64)
+    h = float_array(x)
     caches = []
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
@@ -307,15 +319,16 @@ def epoch_constants(model: GcnModel, labels, mask, grad: np.ndarray) -> EpochCon
     """The epoch constants of a training run on these rows.
 
     grad is the vector, of model.flat's layout, that each epoch's gradients
-    are written into; labels are the masked rows', in row order.
+    are written into, and the ones vector and one-hot matrix take its dtype;
+    labels are the masked rows', in row order.
     """
     mask = np.asarray(mask, dtype=bool)
     y = np.asarray(labels)
     rows = np.arange(len(y))
-    one_hot = np.zeros((len(y), N_CLASSES))
+    one_hot = np.zeros((len(y), N_CLASSES), dtype=grad.dtype)
     one_hot[rows, y] = 1.0
     return EpochConstants(
-        grads=model.views(grad), ones=np.ones(len(mask)), mask=mask,
+        grads=model.views(grad), ones=np.ones(len(mask), dtype=grad.dtype), mask=mask,
         all_masked=bool(mask.all()), flat_index=rows * N_CLASSES + y, one_hot=one_hot,
     )
 
@@ -440,10 +453,13 @@ def adam_step(model: GcnModel, grad: np.ndarray) -> GcnModel:
 
 
 def _check_inputs(config, scaled, x, rows):
-    """x as float64, and rows checked as sorted distinct indices of its rows."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as float_array reads it, checked to be in the operator's dtype, and
+    rows checked as sorted distinct indices of its rows."""
+    x = float_array(x)
     if scaled is None and config.cheb_order > 0:
         raise ContractError("cheb_order > 0 requires a scaled Laplacian")
+    if scaled is not None:
+        check_operator_dtype(scaled, x)
     n = x.shape[0] if scaled is None else scaled.n
     if x.shape[0] != n:
         raise ContractError(f"{x.shape[0]} feature rows for {n} nodes")
@@ -509,7 +525,9 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, rows):
     is read. Returns (model, losses), the training loss of each epoch as a
     float. Raises DivergenceError on a non-finite loss. Every epoch's dropout
     draws from the generator of config.seed, which also draws the initial
-    weights, and the L2 penalty is config.l2_coeff.
+    weights, and the L2 penalty is config.l2_coeff. The model, its Adam
+    moments and every epoch's arithmetic are in x's dtype (the module
+    docstring), which the operator must hold.
 
     Only the rows the loss can reach train (_reach): the other rows'
     gradients are exactly zero and they get no dropout draws, so training
@@ -525,7 +543,7 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, rows):
     scaled, x, rows = _reach(config, scaled, x, rows)
     mask = np.zeros(len(x), dtype=bool)
     mask[rows] = True
-    model = init_model(config, x.shape[1], rng)
+    model = init_model(config, x.shape[1], rng, x.dtype)
     grad = np.empty_like(model.flat)
     constants = epoch_constants(model, labels, mask, grad)
     losses = []
@@ -541,9 +559,12 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, rows):
 def predict(model: GcnModel, scaled: LaplacianMatrix | None, x, rows):
     """Class probabilities and argmax labels (ties -> lower index) of the
     rows `rows`, sorted indices into x, which holds every node's features.
-    Only the rows their outputs depend on are read (_reach)."""
+    Only the rows their outputs depend on are read (_reach). The softmax is
+    taken in float64 whatever the logits' dtype, so float32 logits give
+    probabilities, and their argmax, at float64's precision."""
     x, rows = _check_inputs(model.config, scaled, x, rows)
     scaled, x, rows = _reach(model.config, scaled, x, rows)
-    _, probs, e_sum = _softmax_terms(forward(model, scaled, x)[rows])
+    logits = np.asarray(forward(model, scaled, x)[rows], dtype=np.float64)
+    _, probs, e_sum = _softmax_terms(logits)
     probs /= e_sum[:, None]
     return probs, np.argmax(probs, axis=1)

@@ -30,6 +30,7 @@ from .featsel import FeatureSelector, SelectorConfig
 from .gcn import GcnConfig
 from . import gcn as gcn_mod
 from .popgraph import GraphSpec, build_graph
+from .spectral import LaplacianMatrix
 
 
 def stratified_group_kfold(records: list[AcquisitionRecord], k: int, seed: int = 0) -> np.ndarray:
@@ -372,6 +373,27 @@ def _config_echo(desc: ExperimentDescriptor) -> dict:
     }
 
 
+def _single_precision(x_red: np.ndarray, scaled: LaplacianMatrix | None):
+    """float32 copies of a fold's reduced features and scaled operator, the
+    precision its networks train and score in.
+
+    Raises IntegrityError, naming the first such row and column, for a
+    feature finite in float64 but beyond float32's range, which the cast
+    turns into an infinity.
+    """
+    with np.errstate(over="ignore"):  # checked below, with the cell named
+        x = x_red.astype(np.float32)
+    if not (-np.inf < x.min() and x.max() < np.inf):
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        raise IntegrityError(
+            f"feature value {float(x_red[row, col])!r} at row {row}, column {col}"
+            " is outside the float32 range of the network"
+        )
+    if scaled is not None:
+        scaled = LaplacianMatrix(matrix=scaled.matrix.astype(np.float32), kind=scaled.kind)
+    return x, scaled
+
+
 def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     """One FoldSeedRecord per seed for the held-out fold `fold`.
 
@@ -386,6 +408,15 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
     built once for every seed; the graph is dropped once the operator is
     built, and each seed's model once it has predicted. At order 0 no graph,
     sigma or operator is built.
+
+    Precision is decided here alone. The selector, ridge, the graph, sigma,
+    the Laplacian and lambda_max work in float64. The networks train and
+    score in float32: once the operator is built (at order 0, once the
+    features are reduced), the fold keeps float32 copies of the reduced
+    features and of the scaled operator in place of the float64 ones
+    (_single_precision), and raises IntegrityError before any seed trains
+    for a reduced feature beyond float32's range. predict's probabilities,
+    and so the records, are float64.
     """
     labels = labels_array(desc.records)
     labeled = labels != UNKNOWN_LABEL
@@ -434,6 +465,7 @@ def _run_fold(desc: ExperimentDescriptor, folds: np.ndarray, fold: int):
         sigma = graph.provenance.get("sigma") if spec.sigma is None else None
         scaled = gcn_mod.scaled_operator(graph)
         del graph, reduced  # the seeds read the operator alone
+    x_red, scaled = _single_precision(x_red, scaled)
 
     records = []
     for seed in desc.seeds:
@@ -453,15 +485,17 @@ def run_experiment(desc: ExperimentDescriptor, jobs: int = 1, record_sink=None) 
     kernel width, if estimated, comes from training-node pairs (all pairs under
     sigma_pairs='all'), and its scaled operator once; train every seed on the
     training rows and their labels, on that operator or, at order 0 (the MLP
-    baseline), on the features alone; predict the scored rows. jobs > 1 runs
-    folds through fork_map, on min(jobs, folds) forked processes (one malloc
-    arena from then on), with the same records: each task carries its fold
-    index, and the processes inherit the descriptor and the fold assignment. A
-    daemonic caller, or no `fork`, runs them in this process. jobs < 1 raises
-    ParameterError. record_sink, when given, is called with each
-    FoldSeedRecord as its fold finishes, so partial results survive an abort.
-    Under glibc it first raises the process's allocator thresholds
-    (_reuse_freed_memory).
+    baseline), on the features alone; predict the scored rows. The networks
+    run in float32, everything before them in float64 (_run_fold).
+
+    jobs > 1 runs folds through fork_map, on min(jobs, folds) forked
+    processes (one malloc arena from then on), with the same records: each
+    task carries its fold index, and the processes inherit the descriptor
+    and the fold assignment. A daemonic caller, or no `fork`, runs them in
+    this process. jobs < 1 raises ParameterError. record_sink, when given, is
+    called with each FoldSeedRecord as its fold finishes, so partial results
+    survive an abort. Under glibc it first raises the process's allocator
+    thresholds (_reuse_freed_memory).
 
     The same descriptor gives a byte-identical report only under the same
     BLAS thread count. Every BLAS product may sum in an order that depends

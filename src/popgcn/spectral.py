@@ -13,15 +13,21 @@ a longitudinal graph; ARPACK (scipy.sparse.linalg) is imported only for a
 larger component.
 
 The Chebyshev recursions apply the operator through _apply: a CSR operator
-as `Ls @ X`, a dense one as `(X.T @ Ls).T`, an F-ordered view of the product
-with no copy. The two are the same product only because the operator is
-exactly symmetric: normalized_laplacian symmetrizes it as (L + L^T) / 2 and
-scale_laplacian keeps it so. OpenBLAS runs that orientation faster at the
-narrow widths an ABIDE-shape GCN applies the operator to: on its 871-node
-operator at 2 threads, 0.56 -> 0.33 ms at 2 columns and 0.80 -> 0.60 ms at
-16. It runs slower on 2000 columns (30.7 -> 34.7 ms), which only a layer
-as wide as its input features reaches, and on a 300-node operator (0.08 ->
-0.11 ms at 16 columns).
+as `Ls @ X`, a dense float64 one as `(X.T @ Ls).T`, an F-ordered view of the
+product with no copy. The two are the same product only because the
+operator is exactly symmetric: normalized_laplacian symmetrizes it as
+(L + L^T) / 2 and scale_laplacian keeps it so, as does a cast to float32.
+In float64 OpenBLAS runs that orientation faster at the narrow widths an
+ABIDE-shape GCN applies the operator to: on its 871-node operator at 2
+threads, 0.56 -> 0.33 ms at 2 columns and 0.80 -> 0.60 ms at 16. It runs
+slower on 2000 columns (30.7 -> 34.7 ms), which only a layer as wide as its
+input features reaches, and on a 300-node operator (0.08 -> 0.11 ms at 16
+columns). In float32, the precision the harness trains in, `Ls @ X` is the
+faster order, so a dense float32 operator is applied that way: on a random
+symmetric 871-node operator at 2 threads, 0.18-0.27 against 0.21-0.28 ms at
+2 columns, 0.21-0.37 against 0.33-0.55 ms at 16 and 12.6-16.9 against
+13.1-17.1 ms at 2000 (two runs), and an ABIDE-shape epoch (2000 -> 16,
+K = 3) 11.7 against 13.1 ms.
 """
 
 from __future__ import annotations
@@ -238,14 +244,30 @@ def scale_laplacian(lap: LaplacianMatrix, lambda_max: float) -> LaplacianMatrix:
     return LaplacianMatrix(matrix=scaled, kind="scaled")
 
 
+def float_array(x) -> np.ndarray:
+    """x as an array of its own dtype when that is float32 or float64, else
+    as float64; float32 and float64 arrays are returned as given."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
+
+
+def check_operator_dtype(scaled: LaplacianMatrix, x: np.ndarray) -> None:
+    """Raise ContractError unless the operator holds x's dtype: numpy would
+    otherwise carry out every product at the wider of the two."""
+    if scaled.matrix.dtype != x.dtype:
+        raise ContractError(f"operator dtype {scaled.matrix.dtype} != feature dtype {x.dtype}")
+
+
 def _apply(scaled: LaplacianMatrix, x: np.ndarray) -> np.ndarray:
-    """Ls @ x; a dense operator is applied as (x.T @ Ls).T, an F-ordered view.
+    """Ls @ x; a dense float64 operator is applied as (x.T @ Ls).T, an
+    F-ordered view.
 
     Precondition: a dense operator equals its transpose bit for bit, as every
-    operator normalized_laplacian and scale_laplacian build does, so the
-    product is Ls @ x. The module docstring gives the reason.
+    operator normalized_laplacian and scale_laplacian build does, and any
+    cast of it keeps, so the product is Ls @ x. The module docstring gives
+    the reason.
     """
-    if scaled.is_sparse:
+    if scaled.is_sparse or scaled.matrix.dtype != np.float64:
         return scaled.matrix @ x
     return (x.T @ scaled.matrix).T
 
@@ -254,13 +276,16 @@ def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> list[np.ndarray]:
     """Terms [T_0(Ls) X, ..., T_K(Ls) X] by the three-term recursion:
     T_0 X = X, T_1 X = Ls X, T_k X = 2 Ls T_{k-1} X - T_{k-2} X.
 
-    The first term is x itself (as float64), not a copy; each later term is
-    formed in its own operator product (_apply).
+    The terms are in x's dtype, float32 or float64 (any other is read as
+    float64, float_array), which the operator must hold (check_operator_dtype).
+    The first term is x itself, not a copy; each later term is formed in its
+    own operator product (_apply).
     """
     if scaled.kind != "scaled":
         raise ContractError(f"expected a scaled Laplacian, got kind {scaled.kind!r}")
     check_at_least("order", order, 0)
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
+    check_operator_dtype(scaled, x)
     terms = [x]
     if order >= 1:
         terms.append(_apply(scaled, x))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import hop_distances, make_random_graph, make_tree_graph
 from popgcn.errors import ContractError, DivergenceError, ParameterError
@@ -25,7 +26,7 @@ from popgcn.gcn import (
 )
 from popgcn.popgraph import PopulationGraph, build_complete_graph
 from popgcn.spectral import chebyshev_basis
-from popgcn.spectral import estimate_lambda_max, normalized_laplacian
+from popgcn.spectral import LaplacianMatrix, estimate_lambda_max, normalized_laplacian
 from oracles import spectral_filter_oracle
 
 
@@ -587,3 +588,87 @@ class TestPredict:
     def test_argmax_tie_goes_to_lower_class(self):
         probs = softmax(np.zeros((3, 2)))
         assert np.all(np.argmax(probs, axis=1) == 0)
+
+
+def in_dtype(scaled, dtype, sparse=False):
+    """The operator's matrix cast to dtype, as CSR when sparse."""
+    matrix = sp.csr_matrix(scaled.dense()) if sparse else scaled.dense()
+    return LaplacianMatrix(matrix=matrix.astype(dtype), kind="scaled")
+
+
+class TestPrecision:
+    # (n_features, width, hidden_layers): input-side layers (C_in <= C_out),
+    # then an output-side first layer (12 -> 3).
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("shape", [(4, 5, 2), (12, 3, 1)])
+    def test_float32_loss_and_grads_match_float64(self, shape, sparse):
+        model, scaled, x, labels, mask = gradient_case(*shape)
+        scaled32 = in_dtype(scaled, np.float32, sparse)
+        x32 = x.astype(np.float32)
+        model32 = init_model(model.config, x.shape[1], np.random.default_rng(5), np.float32)
+        # The float64 pass reads the same float32-rounded weights, features
+        # and operator, so only the arithmetic's precision differs.
+        model.flat[...] = model32.flat
+        scaled64 = in_dtype(scaled32, np.float64, sparse)
+        loss, grads, logits = loss_and_grads(
+            model, scaled64, x32.astype(np.float64), constants(model, labels, mask)
+        )
+        loss32, grads32, logits32 = loss_and_grads(
+            model32, scaled32, x32, constants(model32, labels, mask)
+        )
+        assert logits32.dtype == np.float32
+        assert loss32 == pytest.approx(loss, rel=1e-4)
+        # Entries near zero after cancellation are held to 1e-4 of their
+        # tensor's largest magnitude.
+        np.testing.assert_allclose(logits32, logits, rtol=1e-4, atol=1e-4 * np.abs(logits).max())
+        for g32, g in zip(grads32, grads):
+            assert g32.dtype == np.float32
+            np.testing.assert_allclose(g32, g, rtol=1e-4, atol=1e-4 * np.abs(g).max())
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("cheb_order", [2, 0])
+    def test_float32_inputs_train_a_float32_model(self, cheb_order, sparse):
+        model, scaled, x, labels, mask = gradient_case(12, 3, 1, cheb_order, dropout_rate=0.3)
+        scaled32 = None if scaled is None else in_dtype(scaled, np.float32, sparse)
+        x32 = x.astype(np.float32)
+        rows = np.flatnonzero(mask)
+        config = dataclasses.replace(model.config, epochs=4)
+        trained, losses = train(config, scaled32, x32, labels[rows], rows)
+        for vector in (trained.flat, trained.moment1, trained.moment2):
+            assert vector.dtype == np.float32
+        assert all(p.dtype == np.float32 for p in trained.parameters())
+        assert all(isinstance(loss, float) and math.isfinite(loss) for loss in losses)
+        grad = np.empty_like(trained.flat)
+        _, grads, _ = loss_and_grads(
+            trained, scaled32, x32, epoch_constants(trained, labels[rows], mask, grad)
+        )
+        assert all(g.dtype == np.float32 for g in grads)
+        probs, preds = predict(trained, scaled32, x32, np.arange(12))
+        assert probs.dtype == np.float64
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(preds, (probs[:, 1] > 0.5).astype(preds.dtype))
+
+    def test_integer_features_read_as_float64(self):
+        model, scaled, _, labels, mask = gradient_case(4, 5, 1)
+        x = np.arange(48).reshape(12, 4) % 5
+        rows = np.flatnonzero(mask)
+        config = dataclasses.replace(model.config, epochs=2)
+        trained, _ = train(config, scaled, x, labels[rows], rows)
+        assert trained.flat.dtype == np.float64
+        as_float, _ = train(config, scaled, x.astype(np.float64), labels[rows], rows)
+        assert model_bytes(trained) == model_bytes(as_float)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("op_dtype, x_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_operator_dtype_must_equal_the_features(self, op_dtype, x_dtype, sparse):
+        model, scaled, x, labels, mask = gradient_case(4, 5, 1)
+        scaled = in_dtype(scaled, op_dtype, sparse)
+        x = x.astype(x_dtype)
+        rows = np.flatnonzero(mask)
+        match = "operator dtype .* != feature dtype"
+        with pytest.raises(ContractError, match=match):
+            train(model.config, scaled, x, labels[rows], rows)
+        with pytest.raises(ContractError, match=match):
+            predict(init_model(model.config, 4, np.random.default_rng(0), x_dtype), scaled, x, rows)
+        with pytest.raises(ContractError, match=match):
+            chebyshev_basis(scaled, x, 2)

@@ -414,6 +414,80 @@ class TestRunExperiment:
             np.testing.assert_array_equal(rows, train_rows)
             np.testing.assert_array_equal(y_train, labels[train_rows])
 
+    @pytest.mark.parametrize("model", ["gcn", "mlp", "ridge"])
+    def test_networks_run_in_float32_and_all_before_them_in_float64(self, monkeypatch, model):
+        desc = dataclasses.replace(
+            small_experiment(model=model, seeds=(0, 1)),
+            selector_config=SelectorConfig(kind="pca", target_c=4),
+        )
+        seen = []
+
+        def record_dtypes(owner, name, dtypes):
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.append((name, *dtypes(args, out)))
+                return out
+
+            monkeypatch.setattr(owner, name, spy)
+
+        def operator(scaled):
+            return None if scaled is None else scaled.matrix.dtype
+
+        record_dtypes(FeatureSelector, "fit", lambda a, out: (a[1].dtype,))
+        record_dtypes(FeatureSelector, "transform", lambda a, out: (a[1].dtype, out.dtype))
+        record_dtypes(harness, "build_graph", lambda a, out: (a[0].values.dtype,))
+        record_dtypes(harness, "ridge_classify", lambda a, out: (a[0].dtype, a[2].dtype))
+        record_dtypes(
+            gcn_mod, "train", lambda a, out: (a[2].dtype, operator(a[1]), out[0].flat.dtype)
+        )
+        record_dtypes(gcn_mod, "predict", lambda a, out: (a[2].dtype, operator(a[1]), out[0].dtype))
+        assignment = stratified_group_kfold(desc.records, desc.folds, desc.fold_seed)
+        _run_fold(desc, assignment, 0)
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        expected = [("fit", f64), ("transform", f64, f64)]
+        if model == "ridge":
+            expected.append(("ridge_classify", f64, f64))
+        else:
+            scaled = f32 if model == "gcn" else None
+            if model == "gcn":
+                expected.append(("build_graph", f64))
+            expected += [("train", f32, scaled, f32), ("predict", f32, scaled, f64)] * 2
+        assert seen == expected
+
+    @pytest.mark.parametrize("model", ["gcn", "mlp"])
+    def test_features_beyond_float32_range_rejected_before_any_seed_trains(
+        self, monkeypatch, model
+    ):
+        desc = small_experiment(model=model)
+        values = desc.features.values.copy()
+        values[20, 0] = 1e39
+        values[7, 3] = -1e39  # finite in float64, -inf in float32
+        tampered = dataclasses.replace(
+            desc, features=FeatureMatrix(ids=list(desc.features.ids), values=values)
+        )
+
+        def no_training(*args):
+            raise AssertionError("a seed trained")
+
+        monkeypatch.setattr(gcn_mod, "train", no_training)
+        message = r"^feature value -1e\+39 at row 7, column 3 is outside the float32 range"
+        with pytest.raises(IntegrityError, match=message):
+            run_experiment(tampered)
+
+    @pytest.mark.parametrize("model", ["gcn", "mlp"])
+    def test_features_within_float32_range_run(self, model):
+        desc = small_experiment(model=model)
+        values = desc.features.values.copy()
+        values[7, 3] = 1e38
+        tampered = dataclasses.replace(
+            desc, features=FeatureMatrix(ids=list(desc.features.ids), values=values)
+        )
+        report = run_experiment(tampered)
+        assert len(report.records) == desc.folds * len(desc.seeds)
+        assert all(0.0 <= p <= 1.0 for r in report.records for p in r.probs)
+
     def test_order_zero_gcn_builds_no_graph_and_equals_the_mlp(self, monkeypatch):
         monkeypatch.setattr(harness, "build_graph", no_graph)
         monkeypatch.setattr(gcn_mod, "scaled_operator", no_graph)

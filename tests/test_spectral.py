@@ -358,6 +358,23 @@ class TestChebyshevBasis:
         for k in range(5):
             assert len(chebyshev_basis(self.scaled(), x, k)) == k + 1
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_terms_keep_the_float_dtype_the_operator_holds(self, rng, sparse):
+        scaled = self.scaled()
+        matrix = sp.csr_matrix(scaled.matrix) if sparse else scaled.matrix
+        single = LaplacianMatrix(matrix=matrix.astype(np.float32), kind="scaled")
+        x = rng.standard_normal((9, 3))
+        basis = chebyshev_basis(single, x.astype(np.float32), 3)
+        assert [t.dtype for t in basis] == [np.float32] * 4
+        np.testing.assert_allclose(basis[3], chebyshev_basis(scaled, x, 3)[3], atol=1e-5)
+        with pytest.raises(ContractError, match="operator dtype float32 != feature dtype float64"):
+            chebyshev_basis(single, x, 3)
+        # Other dtypes are read as float64, which a float32 operator refuses.
+        integers = np.arange(27).reshape(9, 3)
+        assert chebyshev_basis(scaled, integers, 1)[0].dtype == np.float64
+        with pytest.raises(ContractError, match="feature dtype float64"):
+            chebyshev_basis(single, integers.astype(np.float16), 1)
+
     def test_rejects_normalized_kind(self, rng):
         g = make_random_graph(5, seed=1)
         with pytest.raises(ContractError):
@@ -444,8 +461,8 @@ class TestKLocality:
 
 
 class TestDenseOperatorOrientation:
-    """A dense operator is applied as (X.T @ Ls).T, which is Ls @ X only when
-    Ls equals its transpose bit for bit."""
+    """A dense float64 operator is applied as (X.T @ Ls).T, which is Ls @ X
+    only when Ls equals its transpose bit for bit."""
 
     @pytest.mark.parametrize("strategy", ["phenotypic", "knn", "complete", "all", "random"])
     def test_every_dense_scaled_operator_equals_its_transpose(self, strategy):
@@ -479,3 +496,15 @@ class TestDenseOperatorOrientation:
                 chebyshev_weighted_sum(dense, parts), chebyshev_weighted_sum(csr, parts),
                 rtol=0, atol=1e-12,
             )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_orientation_by_dtype(self, rng, dtype):
+        # (X.T @ Ls).T for float64, Ls @ X for float32, where it runs faster.
+        scaled = scaled_operator(make_random_graph(40, density=0.3, seed=2))
+        matrix = scaled.matrix.astype(dtype)
+        x = rng.standard_normal((40, 16)).astype(dtype)
+        got = spectral._apply(LaplacianMatrix(matrix=matrix, kind="scaled"), x)
+        want = (x.T @ matrix).T if dtype == np.float64 else matrix @ x
+        assert got.dtype == dtype
+        assert got.flags.f_contiguous == (dtype == np.float64)
+        assert got.tobytes(order="A") == want.tobytes(order="A")
