@@ -64,7 +64,8 @@ class ContractError(PopgcnError):
 
 
 class DivergenceError(PopgcnError):
-    """Training produced a non-finite loss; records the epoch it happened."""
+    """Training produced a non-finite loss, recording the epoch it happened,
+    or a non-finite optimizer state (epoch None)."""
 
     def __init__(self, message, epoch=None):
         super().__init__(message)

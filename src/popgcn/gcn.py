@@ -35,16 +35,14 @@ autoencoder selector).
 
 A convolution sum_k T_k(Ls) H W_k applies the N x N operator on the narrower
 side of its layer: to the C_in columns of H, or, when C_out < C_in, to the
-C_out columns of each H W_k. Both orders give the same function. A dense
-float64 operator is applied as (X.T @ Ls).T (spectral._apply; a float32 one
-as Ls @ X), which is Ls @ X only because the operator is exactly symmetric,
-as normalized_laplacian and scale_laplacian build it. An output-side layer,
-under any operator, forms its weight gradient the same way round, as the
-transpose of (T(Ls) G)^T H rather than as H^T (T(Ls) G): OpenBLAS runs that
-(K+1) C_out x N by N x C_in product faster in float64 (3.1 against 5.0 ms
-at ABIDE shape, 2000 x 871 by 871 x 64, 2 threads) and as fast in float32
-(1.50 against 1.55 ms). Input-side layers keep H_k^T G, which is no faster
-transposed at their narrow widths.
+C_out columns of each H W_k. Both orders give the same function. Every
+operator, dense or CSR, is applied as Ls @ X (spectral.chebyshev_basis and
+chebyshev_weighted_sum). An output-side layer forms its weight gradient as
+the transpose of (T(Ls) G)^T H rather than as H^T (T(Ls) G): OpenBLAS runs
+that (K+1) C_out x N by N x C_in product slightly faster in float32 (1.50
+against 1.55 ms at ABIDE shape, 2000 x 871 by 871 x 64, 2 threads).
+Input-side layers keep H_k^T G, which is no faster transposed at their
+narrow widths.
 
 A model's weights and biases are views into one contiguous vector
 (GcnModel.flat), and its two Adam moments are vectors of the same layout.
@@ -523,7 +521,8 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, rows):
     node's features; rows are the sorted indices of the labelled training
     rows, and labels holds their labels, one per row. No other row's label
     is read. Returns (model, losses), the training loss of each epoch as a
-    float. Raises DivergenceError on a non-finite loss. Every epoch's dropout
+    float. Raises DivergenceError on a non-finite loss, or on a non-finite
+    Adam moment after the last epoch. Every epoch's dropout
     draws from the generator of config.seed, which also draws the initial
     weights, and the L2 penalty is config.l2_coeff. The model, its Adam
     moments and every epoch's arithmetic are in x's dtype (the module
@@ -553,6 +552,13 @@ def train(config: GcnConfig, scaled: LaplacianMatrix | None, x, labels, rows):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         adam_step(model, grad)
         losses.append(loss)
+    # A gradient past about 5.8e20 squares to inf in float32, and its weight
+    # then stops training while the loss stays finite. moment2 is non-finite
+    # whenever moment1 is (only a non-finite gradient makes moment1 so), and
+    # it keeps an inf or NaN, being scaled by beta2 and incremented by
+    # g^2 >= 0; so one check after the epochs finds either.
+    if not np.isfinite(model.moment2).all():
+        raise DivergenceError(f"non-finite Adam moment after {config.epochs} epochs")
     return model, losses
 
 

@@ -12,22 +12,8 @@ diagonal blocks when no component has more than BLOCK_NODE_LIMIT nodes, as on
 a longitudinal graph; ARPACK (scipy.sparse.linalg) is imported only for a
 larger component.
 
-The Chebyshev recursions apply the operator through _apply: a CSR operator
-as `Ls @ X`, a dense float64 one as `(X.T @ Ls).T`, an F-ordered view of the
-product with no copy. The two are the same product only because the
-operator is exactly symmetric: normalized_laplacian symmetrizes it as
-(L + L^T) / 2 and scale_laplacian keeps it so, as does a cast to float32.
-In float64 OpenBLAS runs that orientation faster at the narrow widths an
-ABIDE-shape GCN applies the operator to: on its 871-node operator at 2
-threads, 0.56 -> 0.33 ms at 2 columns and 0.80 -> 0.60 ms at 16. It runs
-slower on 2000 columns (30.7 -> 34.7 ms), which only a layer as wide as its
-input features reaches, and on a 300-node operator (0.08 -> 0.11 ms at 16
-columns). In float32, the precision the harness trains in, `Ls @ X` is the
-faster order, so a dense float32 operator is applied that way: on a random
-symmetric 871-node operator at 2 threads, 0.18-0.27 against 0.21-0.28 ms at
-2 columns, 0.21-0.37 against 0.33-0.55 ms at 16 and 12.6-16.9 against
-13.1-17.1 ms at 2000 (two runs), and an ABIDE-shape epoch (2000 -> 16,
-K = 3) 11.7 against 13.1 ms.
+The Chebyshev recursions apply every operator, dense or CSR, float32 or
+float64, as `Ls @ X`: one operator product per order.
 """
 
 from __future__ import annotations
@@ -258,20 +244,6 @@ def check_operator_dtype(scaled: LaplacianMatrix, x: np.ndarray) -> None:
         raise ContractError(f"operator dtype {scaled.matrix.dtype} != feature dtype {x.dtype}")
 
 
-def _apply(scaled: LaplacianMatrix, x: np.ndarray) -> np.ndarray:
-    """Ls @ x; a dense float64 operator is applied as (x.T @ Ls).T, an
-    F-ordered view.
-
-    Precondition: a dense operator equals its transpose bit for bit, as every
-    operator normalized_laplacian and scale_laplacian build does, and any
-    cast of it keeps, so the product is Ls @ x. The module docstring gives
-    the reason.
-    """
-    if scaled.is_sparse or scaled.matrix.dtype != np.float64:
-        return scaled.matrix @ x
-    return (x.T @ scaled.matrix).T
-
-
 def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> list[np.ndarray]:
     """Terms [T_0(Ls) X, ..., T_K(Ls) X] by the three-term recursion:
     T_0 X = X, T_1 X = Ls X, T_k X = 2 Ls T_{k-1} X - T_{k-2} X.
@@ -279,7 +251,7 @@ def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> list[np.ndarray]:
     The terms are in x's dtype, float32 or float64 (any other is read as
     float64, float_array), which the operator must hold (check_operator_dtype).
     The first term is x itself, not a copy; each later term is formed in its
-    own operator product (_apply).
+    own operator product, Ls @ T_{k-1} X.
     """
     if scaled.kind != "scaled":
         raise ContractError(f"expected a scaled Laplacian, got kind {scaled.kind!r}")
@@ -288,9 +260,9 @@ def chebyshev_basis(scaled: LaplacianMatrix, x, order: int) -> list[np.ndarray]:
     check_operator_dtype(scaled, x)
     terms = [x]
     if order >= 1:
-        terms.append(_apply(scaled, x))
+        terms.append(scaled.matrix @ x)
     for _ in range(2, order + 1):
-        term = _apply(scaled, terms[-1])
+        term = scaled.matrix @ terms[-1]
         term *= 2.0
         term -= terms[-2]
         terms.append(term)
@@ -303,8 +275,7 @@ def chebyshev_weighted_sum(scaled: LaplacianMatrix, parts: list[np.ndarray]) -> 
     The GCN uses it wherever each Chebyshev order carries its own matrix: the
     forward pass of a layer narrower on its output side (B_k = H W_k) and the
     backward pass of a layer narrower on its input side (B_k = G W_k^T). One
-    pass of order K applies the operator K times (_apply), as building a
-    basis does.
+    pass of order K applies the operator K times, as building a basis does.
     """
     if scaled.kind != "scaled":
         raise ContractError(f"expected a scaled Laplacian, got kind {scaled.kind!r}")
@@ -317,12 +288,12 @@ def chebyshev_weighted_sum(scaled: LaplacianMatrix, parts: list[np.ndarray]) -> 
     # step writes into its fresh operator product, so no part is modified.
     b1, b2 = parts[order], 0.0
     for k in range(order - 1, 0, -1):
-        b0 = _apply(scaled, b1)
+        b0 = scaled.matrix @ b1
         b0 *= 2.0
         b0 += parts[k]
         b0 -= b2
         b1, b2 = b0, b1
-    out = _apply(scaled, b1)
+    out = scaled.matrix @ b1
     out += parts[0]
     out -= b2
     return out

@@ -15,15 +15,14 @@ loss gathers each masked row's label logit by fancy indexing and subtracts
 matrix. The tied-weight autoencoder's loss, gradients and fit are kept in
 their allocating form as well.
 
-A BLAS product's last bits can depend on its operands' orientation and
-memory order, so the oracles present the package's: a dense operator
-multiplies the transposed terms from the right, an output-side layer's
-weight gradient is the transpose of (T(Ls) G)^T H, and a fresh array takes
-the memory order that the package's in-place update keeps (in_order_of).
+A BLAS product's last bits can depend on its operands' orientation, so the
+oracles present the package's: every operator multiplies from the left, and
+an output-side layer's weight gradient is the transpose of (T(Ls) G)^T H.
+Each oracle computes in x's dtype, as the package does, and takes the
+softmax of predict_reference's logits in float64.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from popgcn.gcn import (
     ADAM_BETA1,
@@ -34,6 +33,7 @@ from popgcn.gcn import (
     _stacked,
     init_model,
 )
+from popgcn.spectral import float_array
 
 
 def sigmoid_reference(z):
@@ -46,38 +46,23 @@ def sigmoid_reference(z):
 
 
 def chebyshev_basis_reference(scaled, x, order):
-    x = np.asarray(x, dtype=np.float64)
-    if sp.issparse(scaled.matrix):
-        terms = [x.copy(order="K")]
-        if order >= 1:
-            terms.append(scaled.matrix @ x)
-        for _ in range(2, order + 1):
-            terms.append(2.0 * (scaled.matrix @ terms[-1]) - terms[-2])
-        return terms
-    # A dense Ls multiplies the transposed terms from the right, as the
-    # package applies it: Ls is symmetric, so T_k(Ls) X = (X^T T_k(Ls))^T.
-    rows = [x.T]
+    x = float_array(x)
+    terms = [x.copy(order="K")]
     if order >= 1:
-        rows.append(x.T @ scaled.matrix)
+        terms.append(scaled.matrix @ x)
     for _ in range(2, order + 1):
-        rows.append(2.0 * (rows[-1] @ scaled.matrix) - rows[-2])
-    return [x.copy(order="K")] + [r.T for r in rows[1:]]
+        terms.append(2.0 * (scaled.matrix @ terms[-1]) - terms[-2])
+    return terms
 
 
 def chebyshev_weighted_sum_reference(scaled, parts):
     order = len(parts) - 1
     if order == 0:
         return parts[0].copy()
-    if sp.issparse(scaled.matrix):
-        b1, b2 = parts[order], 0.0
-        for k in range(order - 1, 0, -1):
-            b1, b2 = parts[k] + 2.0 * (scaled.matrix @ b1) - b2, b1
-        return parts[0] + scaled.matrix @ b1 - b2
-    # On the transposes, as in chebyshev_basis_reference.
-    b1, b2 = parts[order].T, 0.0
+    b1, b2 = parts[order], 0.0
     for k in range(order - 1, 0, -1):
-        b1, b2 = parts[k].T + 2.0 * (b1 @ scaled.matrix) - b2, b1
-    return (parts[0].T + b1 @ scaled.matrix - b2).T
+        b1, b2 = parts[k] + 2.0 * (scaled.matrix @ b1) - b2, b1
+    return parts[0] + scaled.matrix @ b1 - b2
 
 
 def keep_mask_reference(rng, shape, rate):
@@ -92,21 +77,12 @@ def keep_mask_reference(rng, shape, rate):
     return (lanes.ravel()[:size] >= round(rate * 65536)).reshape(shape)
 
 
-def in_order_of(a, value):
-    """value as a fresh array in a's memory order, which the package's
-    in-place update of a keeps. The values do not depend on the order, but
-    the last bits of a later BLAS product of them can."""
-    out = np.empty_like(a)
-    out[...] = value
-    return out
-
-
 def dropout_reference(h, keep, rate):
-    return in_order_of(h, h * keep / (1.0 - rate))
+    return h * keep / (1.0 - rate)
 
 
 def bias_grad_reference(grad_z):
-    return np.ones(len(grad_z)) @ grad_z
+    return np.ones(len(grad_z), dtype=grad_z.dtype) @ grad_z
 
 
 def softmax_reference(z):
@@ -127,7 +103,7 @@ def _masked_loss(logits, labels, mask, l2_coeff, model):
 def forward_reference(model, scaled, x, train, rng):
     """Logits and per-layer (keep, inputs, z) caches."""
     cfg = model.config
-    h = np.asarray(x, dtype=np.float64)
+    h = float_array(x)
     caches = []
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
@@ -188,7 +164,7 @@ def loss_and_grads_reference(model, scaled, x, labels, mask, l2_coeff, train, rn
             grad_h = parts[0] if k1 == 1 else chebyshev_weighted_sum_reference(scaled, parts)
         if keep is not None:
             grad_h = dropout_reference(grad_h, keep, cfg.dropout_rate)
-        grad_z = in_order_of(grad_h, grad_h * (caches[li - 1][2] > 0.0))
+        grad_z = grad_h * (caches[li - 1][2] > 0.0)
     return loss, grads, logits
 
 
@@ -215,7 +191,7 @@ def train_reference(config, scaled, x, labels, mask):
     labels, mask = np.asarray(labels), np.asarray(mask, dtype=bool)
     x, _, _ = _check_training_inputs(config, scaled, x, labels[mask], np.flatnonzero(mask))
     rng = np.random.default_rng(config.seed)
-    model = init_model(config, x.shape[1], rng)
+    model = init_model(config, x.shape[1], rng, x.dtype)
     losses = []
     for _ in range(config.epochs):
         loss, grads, _ = loss_and_grads_reference(
@@ -232,7 +208,7 @@ def train_reference(config, scaled, x, labels, mask):
 
 def predict_reference(model, scaled, x):
     logits, _ = forward_reference(model, scaled, x, False, None)
-    return softmax_reference(logits)
+    return softmax_reference(np.asarray(logits, dtype=np.float64))
 
 
 def ae_loss_and_grads_reference(xs, w, b_enc, b_dec):

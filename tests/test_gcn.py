@@ -508,6 +508,22 @@ class TestTrain:
             train(config, scaled, x / np.abs(x).max() * 1e308, labels, rows)
         assert exc.value.epoch == 0
 
+    @pytest.mark.parametrize("cheb_order", [3, 0])
+    def test_overflowed_adam_moment_aborts_after_the_epochs(self, cheb_order):
+        # A float32 feature at 1e38 keeps the loss finite, but its gradients
+        # square to inf in Adam's second moment, which freezes their weights.
+        scaled, x, labels = separable_case()
+        x = x.astype(np.float32)
+        x[7, 3] = 1e38
+        scaled = None if cheb_order == 0 else LaplacianMatrix(
+            matrix=scaled.matrix.astype(np.float32), kind="scaled")
+        config = GcnConfig(epochs=5, hidden_width=5, cheb_order=cheb_order)
+        with np.errstate(over="ignore"), pytest.raises(
+            DivergenceError, match="^non-finite Adam moment after 5 epochs$"
+        ) as exc:
+            train(config, scaled, x, labels, np.arange(len(labels)))
+        assert exc.value.epoch is None
+
     def test_three_classes_train_and_out_of_range_label_rejected(self):
         # The output layer has N_CLASSES = 2 columns; a third class is rejected.
         scaled, x, labels = separable_case()

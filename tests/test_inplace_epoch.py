@@ -1,9 +1,10 @@
 """The in-place training epoch against the allocating formulas it replaced.
 
-Every comparison is on the int64 view of the float64 results, so a signed
-zero or a last-bit difference fails it. Where training keeps fewer rows than
-the graph has, the reference trains on those rows alone: the principal
-submatrix of the operator and x[rows].
+Every comparison is on the int64 view of the results widened to float64,
+which is exact for float32 ones, so a signed zero or a last-bit difference
+fails it. Where training keeps fewer rows than the graph has, the reference
+trains on those rows alone: the principal submatrix of the operator and
+x[rows].
 """
 
 from dataclasses import replace
@@ -52,7 +53,7 @@ from popgcn.gcn import (
 )
 from popgcn.dataset import SyntheticConfig, generate_synthetic, labels_array
 from popgcn.popgraph import GraphSpec, PopulationGraph, build_graph
-from popgcn.spectral import chebyshev_basis, chebyshev_weighted_sum
+from popgcn.spectral import LaplacianMatrix, chebyshev_basis, chebyshev_weighted_sum
 
 
 def assert_bits_equal(actual, expected):
@@ -107,13 +108,17 @@ def train_reference_on_trained_rows(config, operator, x, labels, mask):
 
 
 class TestTrainMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_parameters_losses_and_probabilities(self, name, sparse):
+    def test_parameters_losses_and_probabilities(self, name, sparse, dtype):
+        # float32 is the precision the harness trains in; float64 the oracles'.
         n_features, width, hidden_layers, order = NETWORKS[name]
         n, density = (240, 0.01) if sparse else (30, 0.4)
         scaled, x, labels, mask = epoch_case(n, n_features, density=density)
         assert scaled.is_sparse == sparse
+        scaled = LaplacianMatrix(matrix=scaled.matrix.astype(dtype), kind="scaled")
+        x = x.astype(dtype)
         config = GcnConfig(
             hidden_layers=hidden_layers, hidden_width=width, cheb_order=order,
             dropout_rate=0.3, l2_coeff=5e-4, learning_rate=0.01, epochs=6, seed=3,
@@ -131,6 +136,7 @@ class TestTrainMatchesReference:
             assert_bits_equal(p, ref)
         assert_bits_equal(model.moment1, ref_model.moment1)
         assert_bits_equal(model.moment2, ref_model.moment2)
+        assert model.flat.dtype == ref_model.flat.dtype == dtype
         probs, _ = predict_all(model, operator, x)
         assert_bits_equal(probs, predict_reference(ref_model, operator, x))
 

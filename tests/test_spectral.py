@@ -461,8 +461,8 @@ class TestKLocality:
 
 
 class TestDenseOperatorOrientation:
-    """A dense float64 operator is applied as (X.T @ Ls).T, which is Ls @ X
-    only when Ls equals its transpose bit for bit."""
+    """A dense operator equals its transpose bit for bit, and the recursions
+    apply it as they apply its CSR copy, at either precision."""
 
     @pytest.mark.parametrize("strategy", ["phenotypic", "knn", "complete", "all", "random"])
     def test_every_dense_scaled_operator_equals_its_transpose(self, strategy):
@@ -474,15 +474,20 @@ class TestDenseOperatorOrientation:
         matrix = scaled.matrix
         np.testing.assert_array_equal(matrix.view(np.int64), matrix.T.view(np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["C", "F", "column block"])
     @pytest.mark.parametrize("width", [1, 2, 16])
-    def test_recursions_match_the_operator_stored_as_csr(self, rng, width, layout):
-        dense = scaled_operator(make_random_graph(40, density=0.3, seed=width))
-        assert not dense.is_sparse
-        csr = LaplacianMatrix(matrix=sp.csr_matrix(dense.matrix), kind="scaled")
+    def test_recursions_match_the_operator_stored_as_csr(self, rng, width, layout, dtype):
+        matrix = scaled_operator(make_random_graph(40, density=0.3, seed=width)).matrix
+        assert isinstance(matrix, np.ndarray)
+        matrix = matrix.astype(dtype)
+        dense = LaplacianMatrix(matrix=matrix, kind="scaled")
+        csr = LaplacianMatrix(matrix=sp.csr_matrix(matrix), kind="scaled")
+        # 1e-12 in float64, scaled to the dtype's machine epsilon.
+        atol = 1e-12 * np.finfo(dtype).eps / np.finfo(np.float64).eps
 
         def signal():
-            x = rng.standard_normal((40, 3 * width))
+            x = rng.standard_normal((40, 3 * width)).astype(dtype)
             if layout == "column block":
                 return x[:, width:2 * width]
             return np.asarray(x[:, :width], order=layout)
@@ -490,21 +495,11 @@ class TestDenseOperatorOrientation:
         for order in range(5):
             x = signal()
             for got, want in zip(chebyshev_basis(dense, x, order), chebyshev_basis(csr, x, order)):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_allclose(got, want, rtol=0, atol=atol)
             parts = [signal() for _ in range(order + 1)]
+            got = chebyshev_weighted_sum(dense, parts)
+            assert got.dtype == dtype
             np.testing.assert_allclose(
-                chebyshev_weighted_sum(dense, parts), chebyshev_weighted_sum(csr, parts),
-                rtol=0, atol=1e-12,
+                got, chebyshev_weighted_sum(csr, parts), rtol=0, atol=atol,
             )
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_orientation_by_dtype(self, rng, dtype):
-        # (X.T @ Ls).T for float64, Ls @ X for float32, where it runs faster.
-        scaled = scaled_operator(make_random_graph(40, density=0.3, seed=2))
-        matrix = scaled.matrix.astype(dtype)
-        x = rng.standard_normal((40, 16)).astype(dtype)
-        got = spectral._apply(LaplacianMatrix(matrix=matrix, kind="scaled"), x)
-        want = (x.T @ matrix).T if dtype == np.float64 else matrix @ x
-        assert got.dtype == dtype
-        assert got.flags.f_contiguous == (dtype == np.float64)
-        assert got.tobytes(order="A") == want.tobytes(order="A")
